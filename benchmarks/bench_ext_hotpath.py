@@ -1063,8 +1063,10 @@ def run_kernel_backends(smoke: bool = SMOKE) -> Dict[str, object]:
     from repro.kernels import NumpyBackend, ThreadedBackend
 
     rows, features = (3_000, 32) if smoke else (60_000, 256)
+    # A Generator, not a legacy seed: RandomState.choice(replace=False)
+    # materialises a permutation of all rows² positions (26.8 GiB at 60k).
     matrix = sparse.random(
-        rows, rows, density=8.0 / rows, random_state=7, format="csr"
+        rows, rows, density=8.0 / rows, random_state=np.random.default_rng(7), format="csr"
     )
     dense = new_rng(8).normal(size=(rows, features))
     batch, dim = (48, 24) if smoke else (256, 64)

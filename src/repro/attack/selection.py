@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.attack.kmeans import KMeans
 from repro.autograd import functional as F
@@ -159,7 +160,14 @@ class RepresentativeNodeSelector:
     def _node_representations(
         self, graph: GraphData, rng: np.random.Generator
     ) -> np.ndarray:
-        """Hidden representations of the selector GCN trained on the clean graph."""
+        """Hidden representations of the selector GCN trained on the clean graph.
+
+        The selector reads the features as CSR, converted once here (every
+        registered dataset is at most ~18 % nonzero), so its first layer's
+        ``X W`` and ``Xᵀ G`` are sparse products.  They match the dense
+        products to rounding, and the selected nodes exactly.
+        """
+        features = sp.csr_matrix(graph.features)
         selector = GCN(
             graph.num_features,
             graph.num_classes,
@@ -172,9 +180,7 @@ class RepresentativeNodeSelector:
             TrainingConfig(epochs=self.config.selector_epochs, patience=self.config.selector_epochs),
         )
         val_index = graph.split.val if graph.split.val.size else None
-        trainer.fit(
-            graph.adjacency, graph.features, graph.labels, graph.split.train, val_index
-        )
+        trainer.fit(graph.adjacency, features, graph.labels, graph.split.train, val_index)
         # First-layer hidden representation (post-ReLU), computed without grad.
         from repro.autograd.tensor import no_grad
         from repro.models.base import normalize_adjacency, propagate
@@ -182,7 +188,7 @@ class RepresentativeNodeSelector:
         selector.eval()
         with no_grad():
             operator = normalize_adjacency(graph.adjacency)
-            hidden = propagate(operator, selector.conv_0(selector.as_tensor(graph.features)))
+            hidden = propagate(operator, selector.conv_0(features))
             hidden = F.relu(hidden)
         return hidden.data
 

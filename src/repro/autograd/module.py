@@ -8,11 +8,12 @@ Glorot initialisation, and ``Sequential`` chains callables.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, sparse_matmul
 from repro.autograd import functional as F
 from repro.exceptions import AutogradError
 
@@ -128,7 +129,13 @@ class Module:
 
 
 class Linear(Module):
-    """Dense affine layer ``y = x W + b`` with Glorot-initialised weights."""
+    """Affine layer ``y = x W + b`` with Glorot-initialised weights.
+
+    ``x`` is a dense :class:`Tensor` or a constant scipy sparse matrix (such
+    as bag-of-words features); the latter multiplies through
+    :func:`~repro.autograd.tensor.sparse_matmul`, so only the weight gets a
+    gradient.
+    """
 
     def __init__(
         self,
@@ -145,8 +152,8 @@ class Linear(Module):
         if bias:
             self.bias = Parameter(np.zeros(out_features), name="bias")
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight)
+    def forward(self, x: Union[Tensor, sp.spmatrix]) -> Tensor:
+        out = sparse_matmul(x, self.weight) if sp.issparse(x) else x.matmul(self.weight)
         if self.use_bias:
             out = out + self.bias.reshape(1, -1)
         return out

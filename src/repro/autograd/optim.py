@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -63,7 +63,14 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015) with optional weight decay."""
+    """Adam optimiser (Kingma & Ba, 2015) with optional weight decay.
+
+    :meth:`step` updates each parameter's array in place through persistent
+    per-parameter buffers: the two moments plus two scratch arrays, allocated
+    at the parameter's first update.  Every elementwise operation keeps the
+    order of the textbook expression, so the result is bit-identical to the
+    allocating update (pinned against ``tests/reference/optim.py``).
+    """
 
     def __init__(
         self,
@@ -81,24 +88,39 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._first_moment: Dict[int, np.ndarray] = {}
-        self._second_moment: Dict[int, np.ndarray] = {}
+        #: ``(m, v, update, denom)`` per parameter, keyed by ``id(param)``.
+        self._buffers: Dict[int, Tuple[np.ndarray, ...]] = {}
 
     def step(self) -> None:
         self._step_count += 1
         t = self._step_count
+        beta1, beta2 = self.beta1, self.beta2
         for param in self.parameters:
             if param.grad is None:
                 continue
+            buffers = self._buffers.get(id(param))
+            if buffers is None:
+                buffers = tuple(np.zeros_like(param.data) for _ in range(4))
+                self._buffers[id(param)] = buffers
+            m, v, update, denom = buffers
             grad = param.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m = self._first_moment.get(id(param), np.zeros_like(param.data))
-            v = self._second_moment.get(id(param), np.zeros_like(param.data))
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad ** 2
-            self._first_moment[id(param)] = m
-            self._second_moment[id(param)] = v
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                # grad + wd * p; float addition commutes bit for bit.
+                grad = np.multiply(param.data, self.weight_decay, out=update)
+                grad += param.grad
+            # m = beta1 * m + (1 - beta1) * grad
+            m *= beta1
+            m += np.multiply(grad, 1.0 - beta1, out=denom)
+            # v = beta2 * v + (1 - beta2) * grad ** 2
+            v *= beta2
+            np.multiply(grad, grad, out=denom)
+            denom *= 1.0 - beta2
+            v += denom
+            # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(v, 1.0 - beta2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, 1.0 - beta1 ** t, out=update)
+            update *= self.lr
+            update /= denom
+            param.data -= update

@@ -8,7 +8,8 @@ topological sort of the graph and accumulates gradients.
 
 Dense data is stored as ``numpy.ndarray`` (float64 by default).  Sparse
 matrices participate only as *constants* on the left side of
-``sparse_matmul`` (graph propagation), which is exactly how GNNs use them.
+``sparse_matmul`` (graph propagation, and sparse input features times a
+weight), which is exactly how GNNs use them.
 """
 
 from __future__ import annotations
@@ -469,14 +470,17 @@ def sparse_matmul(matrix: sp.spmatrix, tensor: Tensor) -> Tensor:
 
     The sparse operand is treated as a constant (no gradient), which matches
     GNN propagation where the normalised adjacency is fixed during a forward
-    pass.  The gradient w.r.t. the dense operand is ``matrix.T @ grad``.
+    pass — or sparse input features feeding a :class:`~repro.autograd.module.Linear`
+    layer.  The gradient w.r.t. the dense operand is ``matrix.T @ grad``,
+    computed on ``csr.T``: a free CSC view whose product accumulates each
+    output row in the same order as the materialised CSR transpose.
     """
     if not sp.issparse(matrix):
         raise AutogradError("sparse_matmul expects a scipy sparse matrix as first operand")
     csr = matrix.tocsr()
     out_data = active_backend().spmm(csr, tensor.data)
-    transposed = csr.T.tocsr()
-    parents = [(tensor, lambda g: active_backend().spmm(transposed, g))]
     if not is_grad_enabled() or not tensor.requires_grad:
         return Tensor(out_data, requires_grad=False)
+    transposed = csr.T
+    parents = [(tensor, lambda g: active_backend().spmm(transposed, g))]
     return Tensor(out_data, requires_grad=True, parents=parents)

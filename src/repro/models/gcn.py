@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.autograd import Linear, Tensor
 from repro.autograd import functional as F
@@ -41,9 +42,12 @@ class GCN(NodeClassifier):
             layer = Linear(dims[index], dims[index + 1], rng=rng, bias=True)
             self.register_module(f"conv_{index}", layer)
 
-    def forward(self, adjacency: Adjacency, features: Union[np.ndarray, Tensor]) -> Tensor:
+    def forward(
+        self, adjacency: Adjacency, features: Union[np.ndarray, Tensor, sp.spmatrix]
+    ) -> Tensor:
         operator = normalize_adjacency(adjacency)
-        hidden = self.as_tensor(features)
+        # Sparse features go to the first Linear as a constant sparse operand.
+        hidden = features if sp.issparse(features) else self.as_tensor(features)
         for index in range(self.num_layers):
             layer: Linear = getattr(self, f"conv_{index}")
             hidden = propagate(operator, layer(hidden))

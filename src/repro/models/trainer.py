@@ -16,15 +16,19 @@ from repro.utils.logging import get_logger
 logger = get_logger("models.trainer")
 
 
-def _feature_array(features) -> np.ndarray:
+def _feature_array(features):
     """Coerce a feature argument to a contiguous ``(N, F)`` float array.
 
     Model forward passes read whole feature matrices, so a zero-copy
     :class:`~repro.graph.view.StackedFeatures` (or a
     :class:`~repro.graph.view.PropagatedView`) handed to the trainer is
     materialised here, once — the object caches its own materialisation, so
-    repeated epochs over the same view pay the vstack a single time.
+    repeated epochs over the same view pay the vstack a single time.  A
+    scipy sparse matrix passes through untouched, for models whose first
+    layer multiplies it sparsely (:class:`~repro.models.gcn.GCN`).
     """
+    if sp.issparse(features):
+        return features
     if hasattr(features, "materialize"):
         return features.materialize()
     return np.asarray(features, dtype=np.float64)

@@ -13,7 +13,10 @@ at ``atol=1e-10``:
   features, difference-form propagation) vs the materialised
   ``GraphData.with_delta`` path — same condensation metrics *and* same
   synthetic-graph gradients, for the gradient-matching and GC-SNTK
-  condensers and for a full BGC run.
+  condensers and for a full BGC run;
+* the poisoned-node selector training on CSR features vs the dense-feature
+  reference (``tests/reference/selection.py``) — hidden representations
+  within ``atol``, identical selected nodes on cora and citeseer.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.attack.selection import RepresentativeNodeSelector
 from repro.attack.trigger import (
     TriggerConfig,
     TriggerGenerator,
@@ -35,6 +39,7 @@ from repro.attack.trigger import (
 )
 from repro.autograd import Tensor
 from repro.condensation.gradient_matching import all_class_model_gradients
+from repro.datasets import load_dataset
 from repro.exceptions import GraphValidationError
 from repro.graph.blocked import (
     BlockedArray,
@@ -53,7 +58,11 @@ from repro.graph.normalize import (
 from repro.graph.propagation import sgc_precompute, sgc_precompute_hops
 from repro.graph.subgraph import attach_trigger_subgraph, attach_trigger_subgraph_coo
 from repro.graph.view import PropagatedView
+from repro.models.gcn import GCN
+from repro.models.trainer import Trainer, TrainingConfig
 from repro.utils.seed import new_rng
+
+from reference.selection import DenseFeatureSelector
 
 ATOL = 1e-10
 
@@ -829,3 +838,50 @@ class TestBlockedThresholdResolution:
             set_blocked_threshold(previous)
         monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "888")
         assert blocked_threshold() == 888
+
+
+# --------------------------------------------------------------------- #
+# Sparse-feature selector vs the dense-feature reference
+# --------------------------------------------------------------------- #
+class TestSparseSelectorEquivalence:
+    """The selector GCN on CSR features vs the dense-feature reference.
+
+    Sparse products sum each row in stored-index order, BLAS in its own, so
+    the hidden representations agree to rounding rather than bit for bit.
+    What the attack consumes — the selected nodes, and the rng draws left
+    for the stages after selection — must be identical.
+    """
+
+    @pytest.mark.parametrize("dataset", ["cora", "citeseer"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_selected_nodes_identical(self, dataset, seed):
+        graph = load_dataset(dataset)
+        # BGCConfig's default poison ratio, over the training set.
+        budget = max(1, int(round(0.1 * graph.split.train.size)))
+        sparse, dense = RepresentativeNodeSelector(), DenseFeatureSelector()
+        sparse_rng, dense_rng = new_rng(seed), new_rng(seed)
+        chosen = sparse.select(graph, budget, 0, sparse_rng)
+        expected = dense.select(graph, budget, 0, dense_rng)
+        np.testing.assert_allclose(
+            sparse._representations, dense._representations, rtol=0, atol=ATOL
+        )
+        np.testing.assert_array_equal(chosen, expected)
+        assert sparse_rng.bit_generator.state == dense_rng.bit_generator.state
+
+    def test_trainer_accepts_csr_features(self, small_graph):
+        """Fit and predict on CSR features track the dense run to rounding."""
+        graph = small_graph
+        results = []
+        for features in (graph.features, sp.csr_matrix(graph.features)):
+            model = GCN(graph.num_features, graph.num_classes, rng=new_rng(3), hidden=8)
+            trainer = Trainer(model, TrainingConfig(epochs=15, patience=15))
+            fit = trainer.fit(
+                graph.adjacency, features, graph.labels, graph.split.train, graph.split.val
+            )
+            results.append((fit, model.state_dict(), model.predict(graph.adjacency, features)))
+        (dense_fit, dense_state, dense_pred), (sparse_fit, sparse_state, sparse_pred) = results
+        assert sparse_fit.best_epoch == dense_fit.best_epoch
+        assert abs(sparse_fit.final_train_loss - dense_fit.final_train_loss) <= ATOL
+        for name, value in dense_state.items():
+            np.testing.assert_allclose(sparse_state[name], value, rtol=0, atol=ATOL)
+        np.testing.assert_array_equal(sparse_pred, dense_pred)

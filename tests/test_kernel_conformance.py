@@ -25,6 +25,7 @@ import scipy.sparse as sp
 
 from repro import kernels
 from repro.autograd.functional import cross_entropy, log_softmax, nll_loss
+from repro.autograd.module import Linear
 from repro.autograd.tensor import Tensor
 from repro.api import ExperimentSpec, run_experiment, run_sweep
 from repro.exceptions import ConfigurationError
@@ -96,10 +97,29 @@ def _csr_case(kind: str) -> sp.csr_matrix:
         # Big enough that ThreadedBackend takes its chunked parallel path
         # (nnz * F clears the serial-fallback work threshold).
         return sp.random(400, 350, density=0.05, random_state=11, format="csr")
+    if kind == "unsorted-indices":
+        base = _csr_case("large")
+        indices, data = base.indices.copy(), base.data.copy()
+        for start, stop in zip(base.indptr[:-1], base.indptr[1:]):
+            indices[start:stop] = indices[start:stop][::-1]
+            data[start:stop] = data[start:stop][::-1]
+        matrix = sp.csr_matrix((data, indices, base.indptr.copy()), shape=base.shape)
+        assert not matrix.has_sorted_indices
+        return matrix
+    if kind == "duplicates":
+        # Repeated (row, col) entries, stored unsummed.
+        indptr = np.array([0, 3, 4, 7, 7, 9])
+        indices = np.array([1, 3, 1, 0, 2, 2, 0, 3, 3])
+        data = rng.standard_normal(indices.size)
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(5, 4))
+        assert not matrix.has_canonical_format
+        return matrix
     raise AssertionError(kind)
 
 
 SPMM_KINDS = ("single-row", "empty-rows", "all-zero", "signed", "large")
+#: The backward pass of ``sparse_matmul`` multiplies by the CSC view ``csr.T``.
+TRANSPOSE_KINDS = SPMM_KINDS + ("unsorted-indices", "duplicates")
 
 
 class TestSpmmConformance:
@@ -151,6 +171,19 @@ class TestSpmmConformance:
         dense = np.random.default_rng(9).standard_normal((matrix.shape[1], 4))
         assert_same_values(
             backend.spmm(matrix, dense), REFERENCE.spmm(matrix, dense)
+        )
+
+    @pytest.mark.parametrize("backend", [REFERENCE] + [b for _, b in BACKENDS], ids=["numpy"] + BACKEND_IDS)
+    @pytest.mark.parametrize("kind", TRANSPOSE_KINDS)
+    @pytest.mark.parametrize("num_features", [1, 7])
+    def test_transpose_view_matches_materialised_transpose(self, backend, kind, num_features):
+        """``spmm(csr.T, g)`` on the free CSC view == the CSR transpose, bit for bit."""
+        csr = _csr_case(kind)
+        view = csr.T
+        assert view.format == "csc"
+        grad = np.random.default_rng(22).standard_normal((csr.shape[0], num_features))
+        assert_same_values(
+            backend.spmm(view, grad), REFERENCE.spmm(csr.T.tocsr(), grad)
         )
 
 
@@ -303,6 +336,32 @@ class TestFusedLossConformance:
 
             assert fused.item() == chain.item()
             np.testing.assert_array_equal(fused_in.grad, chain_in.grad)
+
+
+class TestSparseLinearInput:
+    @pytest.mark.parametrize("kernel", ["numpy", "threaded"])
+    def test_csr_input_matches_dense_input(self, kernel):
+        """``Linear`` on CSR features: same output and gradients as dense, to 1e-12.
+
+        Large enough that the threaded backend splits both the forward
+        ``X W`` and the backward ``Xᵀ G`` across threads.
+        """
+        rng = np.random.default_rng(23)
+        features = rng.standard_normal((600, 200))
+        features[rng.random(features.shape) > 0.05] = 0.0
+        upstream = rng.standard_normal((600, 16))
+        previous = set_kernel_backend(kernel)
+        try:
+            results = []
+            for x in (Tensor(features), sp.csr_matrix(features)):
+                layer = Linear(200, 16, rng=np.random.default_rng(24))
+                out = layer(x)
+                out.backward(upstream)
+                results.append((out.data, layer.weight.grad, layer.bias.grad))
+        finally:
+            set_kernel_backend(previous)
+        for dense, sparse in zip(*results):
+            np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12)
 
 
 class TestRegistryAndSelection:
