@@ -163,13 +163,6 @@ SWEEP_WORKERS = 4
 #: with fewer, a parallel speedup is physically impossible and only the
 #: bit-identity claim is meaningful.
 SWEEP_SPEEDUP_FLOOR = 2.0
-#: Pool-vs-fork-per-cell grid: many minuscule cells, where per-cell process
-#: launch dominates.  The persistent pool must beat launching one process per
-#: cell by this factor; only asserted (non-smoke) when the host exposes at
-#: least POOL_WORKERS usable cores.
-POOL_WORKERS = 4
-POOL_CELLS = 32
-POOL_SPEEDUP_FLOOR = 1.5
 GENERATOR_STEPS = 2
 UPDATE_BATCH = 12
 MAX_NEIGHBORS = 10
@@ -664,79 +657,6 @@ def run_sweep_throughput(smoke: bool = SMOKE) -> Dict[str, float]:
     }
 
 
-def _pool_throughput_spec(smoke: bool):
-    """A grid of many *minuscule* cells: one condensation epoch, one eval epoch.
-
-    The sweep-throughput grid above makes per-cell compute dominate so the
-    parallel speedup is visible; this grid inverts the regime — cells are as
-    small as the spec schema allows (a 32-cell seed axis on ``tiny``), so
-    per-cell *process launch* (fork + pipe + result pickling) dominates and
-    the persistent pool's worker reuse is what's being measured.
-    """
-    cells = 8 if smoke else POOL_CELLS
-    from repro.api import SweepSpec
-
-    return SweepSpec.from_dict(
-        {
-            "name": "pool-throughput",
-            "seed": 13,
-            "base": {
-                "dataset": "tiny",
-                "condenser": {"name": "gcond-x", "overrides": {"epochs": 1, "ratio": 0.2}},
-                "evaluation": {"overrides": {"epochs": 1}},
-            },
-            "axes": {"seed": list(range(cells))},
-        }
-    )
-
-
-def run_pool_throughput(smoke: bool = SMOKE) -> Dict[str, object]:
-    """Persistent pool vs fork-per-cell on the many-tiny-cell grid.
-
-    Both legs run ``POOL_WORKERS`` workers over the identical expanded grid
-    (all cells share the seed-0 ``tiny`` dataset, so the handoff is one
-    shard either way); the only difference is process lifetime — the
-    ``process`` backend launches one worker per cell, the ``pool`` backend
-    reuses ``POOL_WORKERS`` long-lived workers.  Records must be
-    bit-identical across both legs (and therefore to serial execution,
-    whose identity the process backend already pins).
-    """
-    from repro.api import ExecutionSpec, run_sweep
-    from repro.api.runner import RunRecord
-
-    sweep = _pool_throughput_spec(smoke)
-    load_dataset("tiny", seed=0)  # neither leg pays dataset generation
-
-    start = time.perf_counter()
-    per_cell = run_sweep(
-        sweep, execution=ExecutionSpec(backend="process", workers=POOL_WORKERS)
-    )
-    per_cell_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    pooled = run_sweep(
-        sweep, execution=ExecutionSpec(backend="pool", workers=POOL_WORKERS)
-    )
-    pooled_s = time.perf_counter() - start
-
-    def identity_key(record: RunRecord):
-        payload = record.to_dict()
-        payload.pop("timings")
-        return payload
-
-    records_match = [identity_key(r) for r in per_cell] == [
-        identity_key(r) for r in pooled
-    ]
-    return {
-        "pool_cells": sweep.num_cells,
-        "pool_per_cell_s": per_cell_s,
-        "pool_pooled_s": pooled_s,
-        "pool_speedup": per_cell_s / pooled_s,
-        "pool_records_match": records_match,
-        "pool_workers": POOL_WORKERS,
-    }
-
-
 def run_blocked_propagation(smoke: bool = SMOKE) -> Dict[str, object]:
     """One condensation epoch through the blocked out-of-core engine.
 
@@ -968,7 +888,6 @@ def run_hotpath(smoke: bool = SMOKE, timed_epochs: int = TIMED_EPOCHS) -> Dict[s
         run_generator_cache_comparison(smoke=smoke, timed_epochs=timed_epochs, graph=graph)
     )
     results.update(run_sweep_throughput(smoke=smoke))
-    results.update(run_pool_throughput(smoke=smoke))
     results.update(run_blocked_propagation(smoke=smoke))
     results.update(run_sampled_attack_step(smoke=smoke))
     results.update(run_kernel_backends(smoke=smoke))
@@ -1218,27 +1137,6 @@ def _report(results: Dict[str, float]) -> None:
         )
 
     print_header(
-        f"Pool throughput: {results['pool_cells']} minuscule cells, "
-        f"fork-per-cell vs persistent pool ({results['pool_workers']} workers)"
-    )
-    print(f"{'backend':<14}{'wall-clock (s)':>16}{'speedup':>10}")
-    print(f"{'process':<14}{results['pool_per_cell_s']:>16.2f}{1.0:>10.2f}")
-    print(
-        f"{'pool':<14}{results['pool_pooled_s']:>16.2f}"
-        f"{results['pool_speedup']:>10.2f}"
-    )
-    print(
-        "records bit-identical: "
-        f"{'yes' if results['pool_records_match'] else 'NO'}"
-    )
-    if results["sweep_cores"] < results["pool_workers"]:
-        print(
-            f"note: only {results['sweep_cores']} usable core(s) — the "
-            f"{POOL_SPEEDUP_FLOOR}x pool floor needs >= "
-            f"{results['pool_workers']} and is not asserted on this host"
-        )
-
-    print_header(
         f"Sampled attack step: {results['sampled_graph']} "
         f"(N={results['sampled_nodes']}, "
         f"{results['sampled_candidate_pairs']:,} candidate pairs, "
@@ -1293,11 +1191,6 @@ def _sweep_floor_applies(results: Dict[str, float], smoke: bool) -> bool:
     return not smoke and results["sweep_cores"] >= results["sweep_workers"]
 
 
-def _pool_floor_applies(results: Dict[str, float], smoke: bool) -> bool:
-    """Whether the pool-vs-fork-per-cell floor is meaningful on this host."""
-    return not smoke and results["sweep_cores"] >= results["pool_workers"]
-
-
 def _kernel_floor_applies(results: Dict[str, float], smoke: bool) -> bool:
     """Whether the threaded-spmm real-speedup floor is meaningful here."""
     return (
@@ -1324,9 +1217,6 @@ def test_hotpath_cached_and_incremental_speedup():
     )
     assert results["sweep_records_match"], (
         "parallel sweep records diverged from the serial run"
-    )
-    assert results["pool_records_match"], (
-        "persistent-pool records diverged from the fork-per-cell run"
     )
     assert results["blocked_max_abs_err"] <= EQUIVALENCE_ATOL, (
         "blocked propagation diverged from the dense engine: "
@@ -1364,8 +1254,6 @@ def test_hotpath_cached_and_incremental_speedup():
             )
     if _sweep_floor_applies(results, SMOKE):
         assert results["sweep_speedup"] >= SWEEP_SPEEDUP_FLOOR, results
-    if _pool_floor_applies(results, SMOKE):
-        assert results["pool_speedup"] >= POOL_SPEEDUP_FLOOR, results
     if _kernel_floor_applies(results, SMOKE):
         assert results["kernel_spmm_speedup"] >= KERNEL_SPMM_SPEEDUP_FLOOR, results
 
@@ -1389,8 +1277,6 @@ if __name__ == "__main__":
         raise SystemExit("view-path propagation equivalence check FAILED")
     if not outcome["sweep_records_match"]:
         raise SystemExit("parallel sweep bit-identity check FAILED")
-    if not outcome["pool_records_match"]:
-        raise SystemExit("persistent-pool bit-identity check FAILED")
     if outcome["blocked_max_abs_err"] > EQUIVALENCE_ATOL:
         raise SystemExit("blocked-vs-dense propagation equivalence check FAILED")
     if not outcome["scaffold_losses_identical"]:
@@ -1426,9 +1312,6 @@ if __name__ == "__main__":
     if _sweep_floor_applies(outcome, args.smoke or SMOKE):
         if outcome["sweep_speedup"] < SWEEP_SPEEDUP_FLOOR:
             raise SystemExit(f"sweep-throughput speedup below {SWEEP_SPEEDUP_FLOOR}x")
-    if _pool_floor_applies(outcome, args.smoke or SMOKE):
-        if outcome["pool_speedup"] < POOL_SPEEDUP_FLOOR:
-            raise SystemExit(f"pool-throughput speedup below {POOL_SPEEDUP_FLOOR}x")
     if _kernel_floor_applies(outcome, args.smoke or SMOKE):
         if outcome["kernel_spmm_speedup"] < KERNEL_SPMM_SPEEDUP_FLOOR:
             raise SystemExit(

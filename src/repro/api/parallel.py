@@ -1,7 +1,9 @@
-"""Process-pool execution backend for :func:`repro.api.runner.run_sweep`.
+"""Multiprocess execution backend for :func:`repro.api.runner.run_sweep`.
 
-One sweep cell = one worker process, with at most ``ExecutionSpec.workers``
-alive at a time.  Three properties define the backend:
+``backend="pool"`` and its synonym ``"process"`` both run here: the sweep's
+cells are dispatched onto one :class:`~repro.service.pool.WorkerPool` of
+``ExecutionSpec.workers`` long-lived worker processes.  Three properties
+define the backend:
 
 **Determinism** — cells are dispatched in canonical grid order (or the
 caller's ``order`` permutation) and results merge by grid index; every cell
@@ -9,27 +11,29 @@ derives all of its randomness from its own ``spec.seed`` (fixed at expansion
 time), so the returned records are bit-identical to serial execution for any
 worker count and any completion order.
 
-**Shard-aware cache handoff** — the parent loads each dataset named by the
-grid once and pays its base propagation (normalized operator + the hop chain
-of every ``num_hops`` any cell's condenser uses) on the process-wide
+**Shard-aware cache handoff** — before the pool starts, the parent loads
+each dataset named by the grid once and pays its base propagation
+(normalized operator + the hop chain of every ``num_hops`` any cell's
+condenser uses) on the process-wide
 :class:`~repro.graph.cache.PropagationCache`.  Under ``fork`` that is the
 whole handoff: workers inherit the warmed cache through copy-on-write pages
 and no payload is built.  Under the ``spawn`` fallback — whose workers start
-with an empty cache — the parent additionally ships a *pickled*
-:meth:`~repro.graph.cache.PropagationCache.export_base_chains` payload to
-every worker assigned a cell on that dataset shard, installed with
+with an empty cache — the parent additionally ships the graph and a
+*pickled* :meth:`~repro.graph.cache.PropagationCache.export_base_chains`
+payload with each worker's first cell on that dataset shard, installed with
 :meth:`~repro.graph.cache.PropagationCache.warm_start`.  Either way no
-worker re-pays base propagation, and completed workers ship their cache
-counter deltas back; the merged totals land on ``SweepRecord.cache_stats``.
+worker re-pays base propagation, and workers ship each cell's cache counter
+delta back; the merged totals land on ``SweepRecord.cache_stats``.
 
 **Fault isolation** — a cell that raises becomes a structured failed
 :class:`~repro.api.runner.RunRecord` (exception type, message, formatted
 traceback, timing); a cell that exceeds ``ExecutionSpec.timeout`` is
 terminated and recorded as a ``CellTimeout``; a worker that dies without
-reporting (hard crash, ``os._exit``) is recorded as a ``WorkerCrash``.  Under
-``on_error="raise"`` the first failure aborts the sweep with a
-:class:`~repro.exceptions.SweepExecutionError`; under ``"record"`` the
-remaining cells keep running.
+reporting (hard crash, ``os._exit``) is recorded as a ``WorkerCrash``.  The
+pool respawns the dead worker either way.  Under ``on_error="raise"`` the
+first failure aborts the sweep with a
+:class:`~repro.exceptions.SweepExecutionError` and terminates the cells
+still in flight; under ``"record"`` the remaining cells keep running.
 
 The executor prefers the ``fork`` start method (zero-copy handoff of the
 loaded datasets and registry state — including components registered at
@@ -41,13 +45,9 @@ warm-start payload through pickling.
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import pickle
 import sys
 import threading
-import time
-from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.runner import (
@@ -55,31 +55,17 @@ from repro.api.runner import (
     RunRecord,
     cache_counters,
     dataset_cache_key,
-    error_info,
     merge_cache_stats,
-    run_experiment,
     _load_graph,
 )
 from repro.api.spec import ExecutionSpec, ExperimentSpec, SweepSpec
 from repro.exceptions import SweepExecutionError
-from repro.graph.blocked import (
-    remove_process_scratch,
-    scratch_root,
-    set_blocked_threshold,
-    set_scratch_root,
-)
 from repro.graph.cache import get_default_cache
 from repro.graph.data import GraphData
-from repro.kernels import set_kernel_backend
 from repro.registry import CONDENSERS
 from repro.utils.logging import get_logger
 
 logger = get_logger("api.parallel")
-
-#: How long (seconds) the scheduler sleeps in ``connection.wait`` per poll.
-_POLL_INTERVAL = 0.05
-#: Grace period (seconds) for a terminated worker to exit before SIGKILL.
-_TERMINATE_GRACE = 5.0
 
 
 def preferred_start_method() -> str:
@@ -96,61 +82,6 @@ def preferred_start_method() -> str:
     if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return "spawn"
-
-
-def _cell_worker(
-    connection,
-    spec: ExperimentSpec,
-    cell_index: int,
-    graph: Optional[GraphData],
-    warm_payload: Optional[bytes],
-    blocked_threshold: Optional[int] = None,
-    blocked_scratch_root: Optional[str] = None,
-    kernel_backend: Optional[str] = None,
-) -> None:
-    """Worker entry point: run one cell, ship its record + cache stats back.
-
-    Every outcome is reported through ``connection`` — an exception becomes
-    an ``("error", info, stats)`` message rather than a crashed process, so
-    the parent can distinguish a failing *cell* from a dying *worker*.  The
-    shipped stats are the *delta* this worker produced: under ``fork`` the
-    child inherits the parent's counter values, which must not be re-counted
-    once per worker in the merge.  ``blocked_threshold`` re-installs the
-    sweep's blocked-propagation override (forked workers inherit it, but
-    ``spawn`` workers start from module defaults).  ``blocked_scratch_root``
-    is the scratch root the parent resolved at sweep start: pinning it here
-    BEFORE any blocked propagation runs guarantees the worker's block files
-    land where the parent's crash/timeout cleanup will look, even if the
-    cell mutates ``REPRO_BLOCKED_DIR`` mid-run.  The worker's own blocked
-    scratch directory is removed on the way out regardless of outcome.
-    ``kernel_backend`` likewise re-installs the sweep's kernel-backend
-    override for the ``spawn`` path (forked workers inherit it).
-    """
-    if blocked_scratch_root is not None:
-        set_scratch_root(blocked_scratch_root)
-    if blocked_threshold is not None:
-        set_blocked_threshold(blocked_threshold)
-    if kernel_backend is not None:
-        set_kernel_backend(kernel_backend)
-    cache = get_default_cache()
-    before = cache_counters(cache.stats())
-
-    def stats_delta() -> Dict[str, int]:
-        after = cache_counters(cache.stats())
-        return {key: after[key] - before[key] for key in CACHE_COUNTER_KEYS}
-
-    try:
-        # A payload exists only under spawn (forked workers inherit the
-        # parent's warmed cache through copy-on-write pages instead).
-        if graph is not None and warm_payload is not None:
-            cache.warm_start(graph, pickle.loads(warm_payload))
-        record = run_experiment(spec, graph=graph, cell_index=cell_index)
-        connection.send(("ok", record.to_dict(), stats_delta()))
-    except BaseException as error:  # noqa: BLE001 — everything must be reported
-        connection.send(("error", error_info(error), stats_delta()))
-    finally:
-        connection.close()
-        remove_process_scratch()
 
 
 def _cell_num_hops(spec: ExperimentSpec) -> Optional[int]:
@@ -222,244 +153,6 @@ def prepare_handoff(
     return graphs, warm
 
 
-@dataclass
-class _RunningCell:
-    """Book-keeping for one live worker process."""
-
-    process: multiprocessing.process.BaseProcess
-    connection: multiprocessing.connection.Connection
-    spec: ExperimentSpec
-    started: float
-    deadline: Optional[float]
-    #: Scratch root resolved once at sweep start and pinned in the worker —
-    #: the parent cleans a dead worker's blocked scratch under *this* root,
-    #: not whatever its environment resolves to at cleanup time.
-    scratch_root: str
-
-
-def _stop_process(cell: _RunningCell) -> None:
-    """Terminate a worker, escalating to SIGKILL after a grace period.
-
-    A terminated (or SIGKILLed) worker never runs its own scratch cleanup,
-    so the parent removes the worker's blocked-propagation scratch directory
-    once the process is confirmed dead — mmap block files must not outlive
-    a crashed or timed-out cell.
-    """
-    if cell.process.is_alive():
-        cell.process.terminate()
-        cell.process.join(_TERMINATE_GRACE)
-        if cell.process.is_alive():
-            cell.process.kill()
-            cell.process.join()
-    cell.connection.close()
-    if cell.process.pid is not None:
-        remove_process_scratch(cell.process.pid, root=cell.scratch_root)
-
-
-def run_sweep_process(
-    sweep: SweepSpec,
-    specs: List[ExperimentSpec],
-    order: List[int],
-    execution: ExecutionSpec,
-    on_record: Optional[Callable[[RunRecord], None]] = None,
-) -> Tuple[List[RunRecord], Dict[str, int]]:
-    """Execute ``specs`` on a process pool; return records + merged cache stats.
-
-    Records come back indexed by canonical grid position regardless of
-    completion order.  ``on_record`` fires in completion order (failed
-    records included).  Raises :class:`SweepExecutionError` on the first
-    failure when ``execution.on_error == "raise"``, terminating the rest of
-    the pool.
-    """
-    start_method = preferred_start_method()
-    context = multiprocessing.get_context(start_method)
-    # The parent's handoff work (dataset loads + base propagation) is cache
-    # activity this sweep paid; merge its counter delta alongside the worker
-    # deltas so serial and process runs report comparable totals.
-    parent_before = cache_counters(get_default_cache().stats())
-    # One resolution of the blocked-scratch root for the whole sweep: every
-    # worker pins it before doing blocked work, and every parent-side cleanup
-    # of a dead worker targets it, so a mid-sweep REPRO_BLOCKED_DIR change
-    # (parent or cell) can no longer strand block files.
-    sweep_scratch_root = scratch_root()
-    graphs, warm = prepare_handoff(specs, start_method)
-    parent_after = cache_counters(get_default_cache().stats())
-    records: List[Optional[RunRecord]] = [None] * len(specs)
-    worker_stats: List[Dict[str, int]] = [
-        {key: parent_after[key] - parent_before[key] for key in CACHE_COUNTER_KEYS}
-    ]
-    pending = deque(order)
-    running: Dict[int, _RunningCell] = {}
-
-    def launch(index: int) -> None:
-        spec = specs[index]
-        try:
-            key = dataset_cache_key(spec)
-        except Exception:  # noqa: BLE001
-            key = None
-        parent_end, child_end = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_cell_worker,
-            args=(
-                child_end,
-                spec,
-                index,
-                graphs.get(key),
-                warm.get(key),
-                execution.blocked_threshold,
-                sweep_scratch_root,
-                execution.kernel_backend,
-            ),
-            daemon=True,
-            name=f"repro-sweep-{sweep.name}-cell-{index}",
-        )
-        process.start()
-        child_end.close()
-        now = time.perf_counter()
-        running[index] = _RunningCell(
-            process=process,
-            connection=parent_end,
-            spec=spec,
-            started=now,
-            deadline=None if execution.timeout is None else now + execution.timeout,
-            scratch_root=sweep_scratch_root,
-        )
-        logger.info(
-            "sweep %s: dispatched cell %d (%s/%s/%s) to pid %s",
-            sweep.name,
-            index,
-            spec.dataset.name,
-            spec.condenser.name,
-            spec.attack.name or "clean",
-            process.pid,
-        )
-
-    def finish(index: int, record: RunRecord) -> Optional[RunRecord]:
-        """Store a cell's record; return it when it must abort the sweep.
-
-        Never raises itself: the caller stores every drained record of a
-        batch first (so completed siblings survive into ``records`` and the
-        caller's ``on_record`` sink) and aborts afterwards.
-        """
-        records[index] = record
-        if not record.ok and execution.on_error == "raise":
-            return record
-        if on_record is not None:
-            on_record(record)
-        return None
-
-    def raise_failure(record: RunRecord) -> None:
-        """Abort the sweep on the first failing cell (on_error="raise")."""
-        raise SweepExecutionError(
-            f"sweep {sweep.name!r} cell {record.cell_index} failed with "
-            f"{record.error.get('type', 'Exception')}: "
-            f"{record.error.get('message', '')}\n"
-            f"{record.error.get('traceback', '')}",
-            record=record,
-        )
-
-    def drain_result(index: int, cell: _RunningCell) -> RunRecord:
-        """Receive one cell's reported result (or its crash) as a RunRecord."""
-        try:
-            kind, payload, stats = cell.connection.recv()
-        except (EOFError, OSError):
-            cell.process.join()
-            cell.connection.close()
-            if cell.process.pid is not None:
-                # A worker that died without reporting also skipped its own
-                # scratch cleanup; reclaim its blocked block files here,
-                # under the root the worker was pinned to at launch.
-                remove_process_scratch(cell.process.pid, root=cell.scratch_root)
-            return RunRecord.from_failure(
-                cell.spec,
-                index,
-                {
-                    "type": "WorkerCrash",
-                    "message": (
-                        "worker exited with code "
-                        f"{cell.process.exitcode} before reporting a result"
-                    ),
-                    "traceback": "",
-                },
-                time.perf_counter() - cell.started,
-            )
-        cell.process.join()
-        cell.connection.close()
-        worker_stats.append(dict(stats))
-        if kind == "ok":
-            return RunRecord.from_dict(payload)
-        return RunRecord.from_failure(
-            cell.spec, index, payload, time.perf_counter() - cell.started
-        )
-
-    def collect_ready() -> None:
-        by_connection = {cell.connection: index for index, cell in running.items()}
-        ready = multiprocessing.connection.wait(
-            list(by_connection), timeout=_POLL_INTERVAL
-        )
-        # Drain and store every ready worker's record BEFORE aborting on a
-        # failure: under on_error="raise" a completed sibling in the same
-        # batch must reach `records` (and the caller's on_record sink)
-        # rather than be dropped unread.  Ascending grid order keeps
-        # on_record deterministic within a batch.
-        drained = sorted(
-            (by_connection[connection], running.pop(by_connection[connection]))
-            for connection in ready
-        )
-        failure: Optional[RunRecord] = None
-        for index, cell in drained:
-            aborting = finish(index, drain_result(index, cell))
-            failure = failure or aborting
-        if failure is not None:
-            raise_failure(failure)
-
-    def reap_timeouts() -> None:
-        now = time.perf_counter()
-        failure: Optional[RunRecord] = None
-        for index in [
-            i
-            for i, cell in running.items()
-            if cell.deadline is not None and now > cell.deadline
-        ]:
-            cell = running.pop(index)
-            if cell.connection.poll():
-                # The result landed between collect_ready's wait() and this
-                # deadline check: the cell finished inside its budget, so
-                # take the real record instead of fabricating a timeout.
-                record = drain_result(index, cell)
-            else:
-                _stop_process(cell)
-                record = RunRecord.from_failure(
-                    cell.spec,
-                    index,
-                    {
-                        "type": "CellTimeout",
-                        "message": (
-                            f"cell exceeded the per-cell timeout of "
-                            f"{execution.timeout}s and was terminated"
-                        ),
-                        "traceback": "",
-                    },
-                    now - cell.started,
-                )
-            aborting = finish(index, record)
-            failure = failure or aborting
-        if failure is not None:
-            raise_failure(failure)
-
-    try:
-        while pending or running:
-            while pending and len(running) < execution.workers:
-                launch(pending.popleft())
-            collect_ready()
-            reap_timeouts()
-    finally:
-        for cell in running.values():
-            _stop_process(cell)
-        running.clear()
-    return records, merge_cache_stats(worker_stats)
-
-
 def run_sweep_pool(
     sweep: SweepSpec,
     specs: List[ExperimentSpec],
@@ -467,16 +160,17 @@ def run_sweep_pool(
     execution: ExecutionSpec,
     on_record: Optional[Callable[[RunRecord], None]] = None,
 ) -> Tuple[List[RunRecord], Dict[str, int]]:
-    """Execute ``specs`` on a persistent worker pool (``backend="pool"``).
+    """Execute ``specs`` on a worker pool; return records + merged cache stats.
 
-    Same contract as :func:`run_sweep_process` — records indexed by grid
-    position, ``on_record`` in completion order, merged cache stats,
-    :class:`SweepExecutionError` on first failure under
-    ``on_error="raise"`` — but instead of forking one process per *cell*,
+    Serves ``backend="pool"`` and its spelling ``"process"``:
     ``execution.workers`` long-lived :class:`~repro.service.pool.WorkerPool`
-    processes are reused across every cell of the sweep.  The per-cell seeds
-    fixed at expansion time make the records bit-identical to both the
-    serial and the fork-per-cell backends.
+    processes are reused across every cell of the sweep.  Records come back
+    indexed by canonical grid position regardless of completion order, and
+    the per-cell seeds fixed at expansion time make them bit-identical to
+    serial execution.  ``on_record`` fires in completion order, failed
+    records included unless they abort the sweep.  Raises :class:`SweepExecutionError` on the first
+    failure when ``execution.on_error == "raise"``, terminating the cells
+    still in flight.
     """
     from repro.service.pool import WorkerPool
 
@@ -504,7 +198,7 @@ def run_sweep_pool(
                     and state["failure"] is None
                 ):
                     # First failure aborts the sweep; the failed record is
-                    # raised, not streamed, matching the process backend.
+                    # raised, not streamed.
                     state["failure"] = record
                     finished.set()
                 else:

@@ -331,7 +331,7 @@ def _apply_defense(
         return defense.wrap(model)
     raise ConfigurationError(
         f"defense {type(defense).__name__} implements none of "
-        "apply_to_condensed/detect/wrap"
+        "retrain/apply_to_condensed/detect/wrap"
     )
 
 
@@ -456,9 +456,9 @@ def cache_counters(stats: Mapping[str, int]) -> Dict[str, int]:
 def merge_cache_stats(stats_list: List[Mapping[str, int]]) -> Dict[str, int]:
     """Sum per-contributor cache counters into one sweep-level mapping.
 
-    The process backend feeds this the parent's handoff delta plus one
-    counter delta per completed worker; the serial backend feeds the single
-    before/after delta of the shared cache.  ``contributors`` records how
+    The pool backend feeds this the parent's handoff delta plus one
+    counter delta per cell a worker reported; the serial backend feeds the
+    single before/after delta of the shared cache.  ``contributors`` records how
     many deltas merged.
     """
     merged = {key: 0 for key in CACHE_COUNTER_KEYS}
@@ -476,8 +476,8 @@ class SweepRecord(List[RunRecord]):
     list-shaped callers keep working), enriched with sweep-level state:
     ``cache_stats`` merges the :class:`~repro.graph.cache.PropagationCache`
     counters of every contributor (the parent's handoff delta plus each
-    worker's delta under the process backend; the serial backend contributes
-    its single before/after delta).
+    reported cell's worker delta under the pool backend; the serial backend
+    contributes its single before/after delta).
     """
 
     def __init__(
@@ -521,21 +521,22 @@ def run_sweep(
     invoked after each cell completes (in completion order — equal to
     dispatch order for the serial backend) and also receives failed records.
     ``execution`` overrides the sweep's own :class:`ExecutionSpec`: the
-    ``process`` backend fans cells out over worker processes with shard-aware
-    cache handoff (see :mod:`repro.api.parallel`) and is bit-identical to
-    serial execution for any worker count; ``on_error="record"`` turns cell
-    failures into structured failed records instead of aborting the sweep.
+    ``pool`` backend (also spelled ``process``) fans cells out over a pool of
+    worker processes with shard-aware cache handoff (see
+    :mod:`repro.api.parallel`) and is bit-identical to serial execution for
+    any worker count; ``on_error="record"`` turns cell failures into
+    structured failed records instead of aborting the sweep.
     In the serial backend cells naming the same dataset (and dataset seed)
     share one loaded graph, and through it the shared
     :class:`~repro.graph.cache.PropagationCache`.  When
     ``execution.blocked_threshold`` is set, the blocked-propagation threshold
     override is installed for the duration of the sweep (and restored after),
-    covering the serial loop, the process-backend handoff and — via ``fork``
-    inheritance or an explicit worker argument — every worker process.
+    covering the serial loop, the pool's handoff and — via ``fork``
+    inheritance or the task message — every worker process.
     ``execution.kernel_backend`` is installed the same way (see
-    :func:`repro.kernels.set_kernel_backend`), so every cell — serial,
-    process or pool — dispatches its numerical primitives through the
-    requested backend.
+    :func:`repro.kernels.set_kernel_backend`), so every cell, serial or
+    pooled, dispatches its numerical primitives through the requested
+    backend.
     """
     if not isinstance(sweep, SweepSpec):
         sweep = SweepSpec.from_dict(sweep)
@@ -577,15 +578,7 @@ def _run_sweep_cells(
     on_record: Callable[[RunRecord], None] | None,
 ) -> SweepRecord:
     """Dispatch the expanded grid to the selected backend (see run_sweep)."""
-    if execution.backend == "process":
-        from repro.api.parallel import run_sweep_process
-
-        records, cache_stats = run_sweep_process(
-            sweep, specs, order, execution, on_record
-        )
-        return SweepRecord(records, cache_stats=cache_stats)
-
-    if execution.backend == "pool":
+    if execution.backend in ("process", "pool"):
         from repro.api.parallel import run_sweep_pool
 
         records, cache_stats = run_sweep_pool(sweep, specs, order, execution, on_record)

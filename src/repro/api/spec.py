@@ -251,34 +251,31 @@ class ExecutionSpec:
 
     Execution settings never change any cell's result: per-cell seeds are
     fixed at expansion time and records merge by canonical grid index, so a
-    sweep is bit-identical under ``serial`` and ``process`` backends for any
-    worker count.  The fields:
+    sweep is bit-identical under the ``serial`` and ``pool`` backends for
+    any worker count.  The fields:
 
     ``backend``
         ``"serial"`` runs cells in the calling process (the default);
-        ``"process"`` runs each cell in its own worker process (a pool of at
-        most ``workers`` live at a time) with shard-aware
-        :class:`~repro.graph.cache.PropagationCache` handoff; ``"pool"``
-        reuses one long-lived worker process per slot across cells (see
-        :class:`~repro.service.pool.WorkerPool`) — same fault isolation and
-        bit-identical results, but grids of many tiny cells stop paying one
-        process launch per cell.
+        ``"pool"`` dispatches them onto ``workers`` long-lived worker
+        processes (see :class:`~repro.service.pool.WorkerPool`) with
+        shard-aware :class:`~repro.graph.cache.PropagationCache` handoff,
+        per-cell fault isolation and bit-identical results.  ``"process"``
+        is another spelling of ``"pool"``: it runs the same executor and
+        round-trips through JSON unchanged.
     ``workers``
-        Maximum number of concurrently live worker processes (ignored by the
-        serial backend).
+        Number of worker processes (ignored by the serial backend).
     ``timeout``
         Per-cell wall-clock budget in seconds (``None`` = unlimited).
-        Enforced by the process backend, which terminates the worker; the
-        serial backend cannot preempt a running cell and ignores it.  The
-        clock starts when the worker process launches, so the budget
-        includes worker startup (negligible under ``fork``; under the
-        ``spawn`` fallback it includes interpreter boot and imports — size
-        timeouts generously there).
+        Enforced by the pool, which terminates the worker and respawns it;
+        the serial backend cannot preempt a running cell and ignores it.
+        The clock starts when the cell is dispatched to a worker, so the
+        budget covers the cell alone, not worker startup or time spent
+        queued behind other cells.
     ``on_error``
         ``"raise"`` (default) propagates the first cell failure —
         the original exception for the serial backend, a
-        :class:`~repro.exceptions.SweepExecutionError` for the process
-        backend.  ``"record"`` turns a failed cell into a structured failed
+        :class:`~repro.exceptions.SweepExecutionError` for the pool
+        backend, which terminates the cells still in flight.  ``"record"`` turns a failed cell into a structured failed
         :class:`~repro.api.runner.RunRecord` (error type, message,
         traceback, timing) and keeps the sweep running.
     ``blocked_threshold``

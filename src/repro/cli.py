@@ -20,7 +20,7 @@ see :mod:`repro.service`)::
     python -m repro.cli jobs   --socket /tmp/repro.sock
 
 ``sweep`` executes serially by default; ``--workers N`` (N > 1) switches to
-the process-pool backend — bit-identical results, cells fanned out over N
+the worker-pool backend — bit-identical results, cells fanned out over N
 worker processes with shard-aware propagation-cache handoff.  ``--out``
 streams one ``RunRecord`` JSON object per line in canonical grid order
 whatever the backend, so for successful cells serial and parallel runs of
@@ -73,6 +73,16 @@ from repro.evaluation.reporting import (
 from repro.utils.logging import enable_console_logging
 
 
+_WORKERS_HELP = (
+    "worker-process count; a value > 1 switches the backend to 'process' "
+    "(the worker pool) unless --backend serial is given explicitly"
+)
+_CELL_TIMEOUT_HELP = (
+    "per-cell timeout in seconds, counted from the cell's dispatch to a "
+    "worker (the serial backend ignores it)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -92,13 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--spec", required=True, help="path to a SweepSpec JSON file ('-' for stdin)")
     sweep.add_argument("--out", default=None,
                        help="write one RunRecord JSON object per line (canonical grid order) to this file")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="worker-process count; a value > 1 switches the backend to "
-                            "'process' unless --backend serial is given explicitly")
+    sweep.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     sweep.add_argument("--backend", choices=EXECUTION_BACKENDS, default=None,
                        help="execution backend (overrides the spec's execution block)")
-    sweep.add_argument("--cell-timeout", type=float, default=None,
-                       help="per-cell timeout in seconds (enforced by the process backend)")
+    sweep.add_argument("--cell-timeout", type=float, default=None, help=_CELL_TIMEOUT_HELP)
     sweep.add_argument("--on-error", choices=ON_ERROR_MODES, default=None,
                        help="'record' turns a failing cell into a failed RunRecord and keeps "
                             "going (exit code 1 if any cell failed); 'raise' aborts the sweep")
@@ -136,13 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the model x defense CTA/ASR matrix as JSON to this file")
     transfer.add_argument("--json", action="store_true",
                           help="print the matrix as JSON instead of a markdown table")
-    transfer.add_argument("--workers", type=int, default=None,
-                          help="worker-process count; a value > 1 switches the backend to "
-                               "'process' unless --backend serial is given explicitly")
+    transfer.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     transfer.add_argument("--backend", choices=EXECUTION_BACKENDS, default=None,
                           help="execution backend (overrides the spec's execution block)")
-    transfer.add_argument("--cell-timeout", type=float, default=None,
-                          help="per-cell timeout in seconds (enforced by the process backend)")
+    transfer.add_argument("--cell-timeout", type=float, default=None, help=_CELL_TIMEOUT_HELP)
     transfer.add_argument("--on-error", choices=ON_ERROR_MODES, default=None,
                           help="'record' keeps going past failing cells; 'raise' aborts")
     transfer.add_argument("--verbose", action="store_true", help="enable console logging")
@@ -330,9 +334,9 @@ def run_run_command(args: argparse.Namespace) -> int:
 def execution_from_args(args: argparse.Namespace, base: ExecutionSpec) -> ExecutionSpec:
     """Overlay the sweep CLI flags onto the spec's own execution block.
 
-    ``--workers N`` with N > 1 implies the process backend (the spec stays
-    serial only when ``--backend serial`` is passed explicitly); every other
-    flag overrides its field alone.
+    ``--workers N`` with N > 1 implies the ``process`` spelling of the pool
+    backend (the spec stays serial only when ``--backend serial`` is passed
+    explicitly); every other flag overrides its field alone.
     """
     execution = base
     if args.workers is not None:
@@ -352,7 +356,7 @@ def execution_from_args(args: argparse.Namespace, base: ExecutionSpec) -> Execut
 class _OrderedJsonlSink:
     """Stream RunRecords to a JSONL file in canonical grid order.
 
-    The process backend completes cells out of order; this reorder buffer
+    The pool backend completes cells out of order; this reorder buffer
     flushes a record only once every lower grid index has been written, so
     serial and parallel runs of the same sweep produce byte-comparable files
     (modulo the wall-clock ``timings``).

@@ -39,21 +39,6 @@ class RandSmoothConfig:
             )
 
 
-def _majority_vote_loop(stacked: np.ndarray) -> np.ndarray:
-    """Per-node bincount/argmax reference implementation.
-
-    Kept (unused in production) as the pinned semantics for
-    :func:`_majority_vote`: the vectorised version must stay bit-identical
-    to this loop.
-    """
-    num_nodes = stacked.shape[1]
-    majority = np.empty(num_nodes, dtype=np.int64)
-    for node in range(num_nodes):
-        counts = np.bincount(stacked[:, node])
-        majority[node] = int(np.argmax(counts))
-    return majority
-
-
 def _majority_vote(stacked: np.ndarray) -> np.ndarray:
     """Vectorised per-node majority vote over a ``(num_samples, num_nodes)`` array.
 

@@ -42,7 +42,7 @@ class DatasetError(ReproError):
 class SweepExecutionError(ReproError):
     """Raised when a sweep cell fails under ``on_error="raise"``.
 
-    The process execution backend cannot re-raise the worker's original
+    The pool execution backend cannot re-raise the worker's original
     exception object (only its formatted traceback crosses the process
     boundary), so failures surface as this type instead.  ``record`` holds
     the failed :class:`~repro.api.runner.RunRecord`, whose ``error`` mapping

@@ -1,16 +1,14 @@
 """Persistent worker pool: one long-lived process per slot, reused across cells.
 
-The PR 5 process backend (:mod:`repro.api.parallel`) forks one worker per
-*cell* — correct, but a grid of many tiny cells pays a process launch, a
-pipe setup and a join per cell.  This pool keeps ``workers`` processes alive
-and feeds them cells over duplex pipes, so the per-cell cost drops to one
-pickled task message and one pickled result.  The same pool serves two
-callers: :func:`repro.api.parallel.run_sweep_pool` (the
-``backend="pool"`` execution backend, one sweep per pool) and
+The pool keeps ``workers`` processes alive and feeds them cells over duplex
+pipes, so a cell costs one pickled task message and one pickled result
+rather than a process launch.  It is the only multiprocess executor, with
+two callers: :func:`repro.api.parallel.run_sweep_pool` (the ``"pool"``
+execution backend and its ``"process"`` spelling, one pool per sweep) and
 :class:`repro.service.jobs.CondensationService` (one pool for the lifetime
 of the service, multiplexing many concurrent jobs).
 
-Contract (shared with the per-cell backend):
+Contract:
 
 **Determinism** — a worker derives every random stream of a cell from the
 cell's own ``spec.seed``; nothing about worker identity, reuse order or
@@ -25,6 +23,8 @@ deadline is terminated and recorded as a ``CellTimeout``; a worker that dies
 without reporting (hard crash, ``os._exit``) is recorded as a
 ``WorkerCrash``.  In every case the dead slot is **respawned** and the
 remaining cells keep running — one poisoned cell never takes the pool down.
+The deadline clock starts when a cell is dispatched to a worker, and
+:meth:`WorkerPool.shutdown` terminates workers that still hold a cell.
 
 **Recycling** — a worker is retired and replaced after ``recycle_after``
 completed cells (long-lived services must bound per-worker memory growth:
@@ -305,9 +305,11 @@ class WorkerPool:
         )
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the scheduler and terminate every worker (idempotent).
+        """Stop the scheduler and every worker (idempotent).
 
-        Pending tasks are dropped without their callbacks firing; callers
+        Idle workers are asked to stop; workers with a cell in flight are
+        terminated at once, and that cell's callback never fires.  Pending
+        tasks are dropped without their callbacks firing too; callers
         that need completion must wait for their callbacks *before* shutting
         down (both built-in callers do).
         """
@@ -332,12 +334,18 @@ class WorkerPool:
         self.shutdown()
 
     def _stop_slot(self, slot: _WorkerSlot) -> None:
-        """Politely stop a worker, escalating to terminate/kill; clean scratch."""
-        try:
-            slot.connection.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-        slot.process.join(_TERMINATE_GRACE)
+        """Stop a worker, escalating to terminate/kill; clean its scratch.
+
+        An idle worker is asked to stop.  A worker with a cell in flight
+        cannot read that request until the cell ends, so it is terminated
+        at once.
+        """
+        if slot.current is None:
+            try:
+                slot.connection.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+            slot.process.join(_TERMINATE_GRACE)
         if slot.process.is_alive():
             slot.process.terminate()
             slot.process.join(_TERMINATE_GRACE)
@@ -628,7 +636,6 @@ class WorkerPool:
                 },
                 now - task.started,
             )
-            slot.process.terminate()
             with self._lock:
                 self._slots[position] = self._respawn(slot)
             slot.current = None

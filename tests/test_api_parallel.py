@@ -2,13 +2,13 @@
 
 The contract under test (see :mod:`repro.api.parallel`):
 
-* the process backend is **bit-identical** to serial execution — same
-  metrics, same derived seeds, same condensed-graph hashes — for any worker
-  count and any dispatch order;
+* the pool backend, spelled ``"process"`` in most tests here, is
+  **bit-identical** to serial execution — same metrics, same derived seeds,
+  same condensed-graph hashes — for any worker count and any dispatch order;
 * a cell that raises, times out or kills its worker becomes a structured
   failed :class:`~repro.api.runner.RunRecord` under ``on_error="record"``
   while the other cells complete, and aborts the sweep under
-  ``on_error="raise"``;
+  ``on_error="raise"`` without waiting for cells still in flight;
 * workers receive the parent's base propagation chains (shard-aware cache
   handoff) and ship their cache counters back, merged onto
   ``SweepRecord.cache_stats``.
@@ -64,6 +64,11 @@ IDENTITY_FIELDS = (
     "attack_condensed_hash",
     "status",
 )
+
+
+def live_children() -> set:
+    """This process's live multiprocessing children."""
+    return set(multiprocessing.active_children())
 
 
 def smoke_sweep(seed: int = 7) -> SweepSpec:
@@ -211,13 +216,9 @@ class TestParallelBitIdentity:
         assert sorted(seen) == [0, 1, 2, 3]
 
     def test_no_worker_processes_leak(self):
+        before = live_children()
         run_sweep(smoke_sweep(), execution=ExecutionSpec(backend="process", workers=4))
-        leaked = [
-            child
-            for child in multiprocessing.active_children()
-            if child.name.startswith("repro-sweep-")
-        ]
-        assert not leaked
+        assert not live_children() - before
 
 
 class TestFaultInjection:
@@ -265,7 +266,24 @@ class TestFaultInjection:
             )
 
     @needs_fork
+    @pytest.mark.parametrize("backend", ["process", "pool"])
+    def test_raise_mode_abort_terminates_busy_sibling(
+        self, backend, crashing_condenser, sleeping_condenser
+    ):
+        """An abort stops a sibling that is mid-cell instead of waiting on it."""
+        before = live_children()
+        start = time.perf_counter()
+        with pytest.raises(SweepExecutionError, match="deliberate crash-test"):
+            run_sweep(
+                fault_sweep([crashing_condenser, sleeping_condenser]),
+                execution=ExecutionSpec(backend=backend, workers=2, on_error="raise"),
+            )
+        assert time.perf_counter() - start < 2.0
+        assert not live_children() - before
+
+    @needs_fork
     def test_timeout_terminates_and_records_the_cell(self, sleeping_condenser):
+        before = live_children()
         start = time.perf_counter()
         records = run_sweep(
             fault_sweep(["gcond", sleeping_condenser]),
@@ -280,12 +298,7 @@ class TestFaultInjection:
         assert records[1].error["type"] == "CellTimeout"
         assert "1.0" in records[1].error["message"]
         assert records[1].timings["cell"] >= 1.0
-        leaked = [
-            child
-            for child in multiprocessing.active_children()
-            if child.name.startswith("repro-sweep-")
-        ]
-        assert not leaked
+        assert not live_children() - before
 
     @needs_fork
     def test_timeout_under_raise_mode_aborts(self, sleeping_condenser):

@@ -187,6 +187,19 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="only 'seed'"):
             run_experiment(spec)
 
+    def test_defense_without_a_protocol_names_all_four(self):
+        from repro.registry import DEFENSES
+
+        DEFENSES.register("no-protocol-test", factory=lambda **kwargs: object())
+        spec = tiny_attack_spec(attack=None, trigger=None, defense="no-protocol-test")
+        try:
+            with pytest.raises(ConfigurationError, match="implements none of") as info:
+                run_experiment(spec)
+        finally:
+            DEFENSES.unregister("no-protocol-test")
+        for protocol in ("retrain", "apply_to_condensed", "detect", "wrap"):
+            assert protocol in str(info.value)
+
 
 class TestRunSweep:
     def test_grid_produces_one_record_per_cell(self):
