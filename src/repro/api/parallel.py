@@ -210,13 +210,7 @@ def run_sweep_pool(
 
         return on_done
 
-    pool = WorkerPool(
-        execution.workers,
-        timeout=execution.timeout,
-        blocked_threshold=execution.blocked_threshold,
-        kernel_backend=execution.kernel_backend,
-        name=sweep.name,
-    )
+    pool = WorkerPool(execution.workers, timeout=execution.timeout, name=sweep.name)
     try:
         pool.start()
         if not order:

@@ -37,7 +37,9 @@ from repro.evaluation.pipeline import (
     train_model_on_condensed,
 )
 from repro.exceptions import ConfigurationError
+from repro.graph.blocked import BLOCKED_THRESHOLD
 from repro.graph.data import GraphData
+from repro.kernels import KERNEL_BACKEND
 from repro.registry import ATTACKS, CONDENSERS, DEFENSES, MODELS, bind_config
 from repro.utils.logging import get_logger
 from repro.utils.seed import spawn_rngs
@@ -528,15 +530,11 @@ def run_sweep(
     structured failed records instead of aborting the sweep.
     In the serial backend cells naming the same dataset (and dataset seed)
     share one loaded graph, and through it the shared
-    :class:`~repro.graph.cache.PropagationCache`.  When
-    ``execution.blocked_threshold`` is set, the blocked-propagation threshold
-    override is installed for the duration of the sweep (and restored after),
-    covering the serial loop, the pool's handoff and — via ``fork``
-    inheritance or the task message — every worker process.
-    ``execution.kernel_backend`` is installed the same way (see
-    :func:`repro.kernels.set_kernel_backend`), so every cell, serial or
-    pooled, dispatches its numerical primitives through the requested
-    backend.
+    :class:`~repro.graph.cache.PropagationCache`.  A set
+    ``execution.blocked_threshold`` or ``execution.kernel_backend`` is
+    installed as its knob's override for the duration of the sweep (and
+    restored after), covering the serial loop, the pool's handoff and —
+    via the task message — every worker process.
     """
     if not isinstance(sweep, SweepSpec):
         sweep = SweepSpec.from_dict(sweep)
@@ -546,28 +544,10 @@ def run_sweep(
     specs = sweep.expand()
     order = _validated_order(order, len(specs))
 
-    if execution.blocked_threshold is None and execution.kernel_backend is None:
+    threshold = BLOCKED_THRESHOLD.overridden(execution.blocked_threshold)
+    kernel = KERNEL_BACKEND.overridden(execution.kernel_backend)
+    with threshold, kernel:
         return _run_sweep_cells(sweep, specs, order, execution, on_record)
-    from repro.graph.blocked import set_blocked_threshold
-    from repro.kernels import set_kernel_backend
-
-    previous_threshold = (
-        set_blocked_threshold(execution.blocked_threshold)
-        if execution.blocked_threshold is not None
-        else None
-    )
-    previous_kernel = (
-        set_kernel_backend(execution.kernel_backend)
-        if execution.kernel_backend is not None
-        else None
-    )
-    try:
-        return _run_sweep_cells(sweep, specs, order, execution, on_record)
-    finally:
-        if execution.kernel_backend is not None:
-            set_kernel_backend(previous_kernel)
-        if execution.blocked_threshold is not None:
-            set_blocked_threshold(previous_threshold)
 
 
 def _run_sweep_cells(

@@ -59,10 +59,9 @@ from repro.api import (
 )
 from repro.api.spec import EXECUTION_BACKENDS, ON_ERROR_MODES
 from repro.datasets import list_datasets, statistics_table
-from repro.exceptions import ConfigurationError, GraphValidationError
-from repro.graph.blocked import blocked_threshold
-from repro.kernels import available_kernel_backends, kernel_backend_name
+from repro.exceptions import ConfigurationError
 from repro.registry import ATTACKS, CONDENSERS
+from repro.service import CondensationService, ResultStore
 from repro.evaluation.reporting import (
     format_percent,
     format_table,
@@ -70,6 +69,7 @@ from repro.evaluation.reporting import (
     sweep_summary_line,
     transfer_matrix,
 )
+from repro.utils.knobs import KNOBS
 from repro.utils.logging import enable_console_logging
 
 
@@ -516,7 +516,6 @@ def run_serve_command(args: argparse.Namespace) -> int:
     receives SIGINT; either way the worker pool and the result store are
     shut down cleanly before returning.
     """
-    from repro.service import CondensationService, ResultStore
     from repro.service.server import ServiceServer
 
     service = CondensationService(
@@ -615,59 +614,20 @@ def run_jobs_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_blocked_environment() -> str | None:
-    """Eagerly resolve the blocked-propagation knobs; return an error message.
-
-    A malformed ``REPRO_BLOCKED_THRESHOLD`` used to surface as a
-    ``GraphValidationError`` traceback out of the first chain build — deep
-    inside a run, after dataset generation already happened.  Checking it
-    before dispatch turns that into one actionable line.
-    """
-    try:
-        blocked_threshold()
-    except GraphValidationError as error:
-        return (
-            f"error: {error}\n"
-            "hint: REPRO_BLOCKED_THRESHOLD selects the element count above "
-            "which hop chains go out of core — set it to a non-negative "
-            "integer (e.g. 16777216), to 0 to force the blocked engine, or "
-            "unset it to use the default."
-        )
-    return None
-
-
-def _validate_kernel_environment() -> str | None:
-    """Eagerly resolve ``REPRO_KERNEL_BACKEND``; return an error message.
-
-    Same rationale as :func:`_validate_blocked_environment`: an unknown
-    backend name would otherwise surface as a ``ConfigurationError``
-    traceback out of the first dispatched primitive, deep inside a run.
-    """
-    try:
-        kernel_backend_name()
-    except ConfigurationError as error:
-        return (
-            f"error: {error}\n"
-            "hint: REPRO_KERNEL_BACKEND selects the numerical kernel backend "
-            "every primitive dispatches through — set it to one of "
-            f"{', '.join(available_kernel_backends())}, or unset it to use "
-            "the numpy reference."
-        )
-    return None
-
-
 def main(argv: List[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "verbose", False):
         enable_console_logging()
-    environment_error = (
-        _validate_blocked_environment() or _validate_kernel_environment()
-    )
-    if environment_error is not None:
-        print(environment_error, file=sys.stderr)
-        return 2
+    # Resolve every REPRO_* knob up front: a malformed variable is one
+    # actionable usage error here, not a traceback deep inside a run.
+    for knob in KNOBS.values():
+        try:
+            knob.get()
+        except ConfigurationError as error:
+            print(f"error: {error}\nhint: {knob.hint}", file=sys.stderr)
+            return 2
     if args.command == "datasets":
         return run_datasets_command()
     if args.command == "run":

@@ -23,27 +23,25 @@ dense path, which is what lets the propagation cache switch engines purely
 on size without perturbing condensed-graph fingerprints.
 
 Engine selection is a single size threshold (elements of the ``(N, F)``
-product) resolved from, in priority order: a per-process programmatic
-override (:func:`set_blocked_threshold`, used by ``ExecutionSpec``), the
-``REPRO_BLOCKED_THRESHOLD`` environment variable, and a built-in default
-that keeps every seed-scale graph on the pinned dense path.
+product), a :class:`~repro.utils.knobs.Knob` on ``REPRO_BLOCKED_THRESHOLD``
+whose default keeps every seed-scale graph on the pinned dense path.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import pickle
 import shutil
 import tempfile
 import weakref
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphValidationError
 from repro.kernels import active_backend
+from repro.utils.knobs import Knob, at_least, parse_int
 
 __all__ = [
     "DEFAULT_BLOCKED_THRESHOLD",
@@ -71,137 +69,55 @@ DEFAULT_BLOCK_ROWS = 8192
 #: Default feature-column tile width of the spmm kernel.
 DEFAULT_COL_BLOCK = 256
 
-_THRESHOLD_OVERRIDE: Optional[int] = None
+BLOCKED_THRESHOLD = Knob(
+    "REPRO_BLOCKED_THRESHOLD",
+    DEFAULT_BLOCKED_THRESHOLD,
+    parse=parse_int,
+    check=at_least(0),
+    hint="REPRO_BLOCKED_THRESHOLD selects the element count above which hop "
+    "chains go out of core — set it to a non-negative integer (e.g. 16777216), "
+    "to 0 to force the blocked engine, or unset it to use the default.",
+)
+BLOCK_ROWS = Knob(
+    "REPRO_BLOCK_ROWS",
+    DEFAULT_BLOCK_ROWS,
+    parse=parse_int,
+    check=at_least(1),
+    hint="REPRO_BLOCK_ROWS sets the row-tile height of the blocked engine — "
+    f"set it to a positive integer, or unset it to use {DEFAULT_BLOCK_ROWS}.",
+)
+SCRATCH_ROOT = Knob("REPRO_BLOCKED_DIR", None)
 
-#: Memo of the last environment parse: ``(raw_env_string, parsed_value)``.
-#: :func:`blocked_threshold` runs on *every* chain build, so without the memo
-#: each propagation re-parses (and re-validates) the variable; the memo is
-#: keyed by the raw string, so an environment change is still picked up, and
-#: :func:`set_blocked_threshold` invalidates it outright.
-_THRESHOLD_CACHE: Optional[Tuple[Optional[str], int]] = None
-
-
-def _parse_threshold_env(raw: Optional[str]) -> int:
-    if raw is None:
-        return DEFAULT_BLOCKED_THRESHOLD
-    try:
-        value = int(raw)
-    except ValueError as error:
-        raise GraphValidationError(
-            f"REPRO_BLOCKED_THRESHOLD must be an integer, got {raw!r}"
-        ) from error
-    if value < 0:
-        raise GraphValidationError(
-            f"REPRO_BLOCKED_THRESHOLD must be >= 0, got {value}"
-        )
-    return value
-
-
-def blocked_threshold() -> int:
-    """The element-count threshold above which hop chains go blocked.
-
-    Resolution order: :func:`set_blocked_threshold` override (used by the
-    ``ExecutionSpec.blocked_threshold`` knob), the ``REPRO_BLOCKED_THRESHOLD``
-    environment variable, then :data:`DEFAULT_BLOCKED_THRESHOLD`.  The
-    environment parse is memoised per raw string — chain builds call this on
-    their hot path.
-    """
-    global _THRESHOLD_CACHE
-    if _THRESHOLD_OVERRIDE is not None:
-        return _THRESHOLD_OVERRIDE
-    raw = os.environ.get("REPRO_BLOCKED_THRESHOLD")
-    cached = _THRESHOLD_CACHE
-    if cached is not None and cached[0] == raw:
-        return cached[1]
-    value = _parse_threshold_env(raw)
-    _THRESHOLD_CACHE = (raw, value)
-    return value
-
-
-def set_blocked_threshold(value: Optional[int]) -> Optional[int]:
-    """Install (or clear, with ``None``) a process-wide threshold override.
-
-    Returns the previous override so callers can restore it::
-
-        previous = set_blocked_threshold(0)   # force the blocked engine
-        try:
-            ...
-        finally:
-            set_blocked_threshold(previous)
-    """
-    global _THRESHOLD_OVERRIDE, _THRESHOLD_CACHE
-    if value is not None:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise GraphValidationError(
-                f"blocked threshold must be an integer or None, got {value!r}"
-            )
-        if value < 0:
-            raise GraphValidationError(f"blocked threshold must be >= 0, got {value}")
-        value = int(value)
-    previous = _THRESHOLD_OVERRIDE
-    _THRESHOLD_OVERRIDE = value
-    _THRESHOLD_CACHE = None
-    return previous
-
-
-def block_rows() -> int:
-    """Row-tile height, overridable via ``REPRO_BLOCK_ROWS``."""
-    raw = os.environ.get("REPRO_BLOCK_ROWS")
-    if raw is None:
-        return DEFAULT_BLOCK_ROWS
-    try:
-        value = int(raw)
-    except ValueError as error:
-        raise GraphValidationError(
-            f"REPRO_BLOCK_ROWS must be an integer, got {raw!r}"
-        ) from error
-    if value < 1:
-        raise GraphValidationError(f"REPRO_BLOCK_ROWS must be >= 1, got {value}")
-    return value
+#: The element-count threshold above which hop chains go blocked (the
+#: ``ExecutionSpec.blocked_threshold`` override, ``REPRO_BLOCKED_THRESHOLD``,
+#: then :data:`DEFAULT_BLOCKED_THRESHOLD`); chain builds call it per build.
+blocked_threshold = BLOCKED_THRESHOLD.get
+#: Install (or with ``None`` clear) the threshold override; returns the previous.
+set_blocked_threshold = BLOCKED_THRESHOLD.set
+#: Row-tile height of the block store and the spmm kernel.
+block_rows = BLOCK_ROWS.get
 
 
 # ------------------------------------------------------------------ #
 # Scratch-directory lifecycle
 # ------------------------------------------------------------------ #
-_SCRATCH_ROOT_OVERRIDE: Optional[str] = None
-
-
-def set_scratch_root(root: Optional[str]) -> Optional[str]:
-    """Pin (or clear, with ``None``) the scratch root for this process.
-
-    Returns the previous override.  The parallel executor resolves the root
-    *once* at sweep start and installs it in every worker: without the pin, a
-    worker whose environment diverges from the parent's (a cell mutating
-    ``REPRO_BLOCKED_DIR``, a spawn-start worker with a different profile)
-    writes its block files where the parent's crash/timeout cleanup will
-    never look, leaking them.
-    """
-    global _SCRATCH_ROOT_OVERRIDE
-    if root is not None and not isinstance(root, str):
-        raise GraphValidationError(
-            f"scratch root must be a string or None, got {root!r}"
-        )
-    previous = _SCRATCH_ROOT_OVERRIDE
-    _SCRATCH_ROOT_OVERRIDE = root
-    return previous
+#: Pin (or with ``None`` clear) the scratch root; returns the previous pin.
+#: Pool workers pin the root their parent resolved at start, so a worker
+#: whose environment diverges still writes where crash cleanup looks.
+set_scratch_root = SCRATCH_ROOT.set
 
 
 def scratch_root() -> str:
     """Directory under which per-process scratch dirs are created.
 
-    Resolution order: the :func:`set_scratch_root` pin (installed in sweep
-    workers so parent and worker agree on one root for the whole sweep),
-    then ``REPRO_BLOCKED_DIR`` (created if missing), then the platform temp
-    dir (``tempfile.gettempdir()``).
+    The :func:`set_scratch_root` pin or ``REPRO_BLOCKED_DIR`` (created if
+    missing), else the platform temp dir (``tempfile.gettempdir()``).
     """
-    if _SCRATCH_ROOT_OVERRIDE is not None:
-        os.makedirs(_SCRATCH_ROOT_OVERRIDE, exist_ok=True)
-        return _SCRATCH_ROOT_OVERRIDE
-    configured = os.environ.get("REPRO_BLOCKED_DIR")
-    if configured:
-        os.makedirs(configured, exist_ok=True)
-        return configured
-    return tempfile.gettempdir()
+    root = SCRATCH_ROOT.get()
+    if not root:
+        return tempfile.gettempdir()
+    os.makedirs(root, exist_ok=True)
+    return root
 
 
 def process_scratch_dir(pid: Optional[int] = None, root: Optional[str] = None) -> str:

@@ -6,30 +6,27 @@ dispatches through :func:`active_backend`, an instance of a registered
 reference implementation (bit-identical to the pre-extraction inline
 code); ``threaded`` chunks spmm and batched matmul across a thread pool.
 
-Selection mirrors the blocked-threshold knob, in priority order:
-
-1. a per-process programmatic override (:func:`set_kernel_backend`, used
-   by ``ExecutionSpec.kernel_backend`` for the duration of a sweep);
-2. the ``REPRO_KERNEL_BACKEND`` environment variable (memoised per raw
-   string — resolution runs on every dispatched primitive);
-3. the built-in default, ``numpy``.
-
-Unknown names raise :class:`~repro.exceptions.ConfigurationError` listing
-the registered backends; the CLI surfaces that as an exit-2 usage error.
+Selection is the :class:`~repro.utils.knobs.Knob` ``KERNEL_BACKEND``:
+:func:`set_kernel_backend` (what ``ExecutionSpec.kernel_backend`` installs
+for a sweep), then the ``REPRO_KERNEL_BACKEND`` environment variable, then
+``numpy``.  Unknown names raise :class:`~repro.exceptions.ConfigurationError`
+listing the registered backends; the CLI surfaces that as an exit-2 usage
+error.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Tuple, Type
 
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import KernelBackend
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.kernels.threaded import ThreadedBackend
+from repro.utils.knobs import Knob
 
 __all__ = [
     "DEFAULT_KERNEL_BACKEND",
+    "KERNEL_BACKEND",
     "KERNEL_BACKEND_ENV",
     "KernelBackend",
     "NumpyBackend",
@@ -49,13 +46,6 @@ KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 _REGISTRY: Dict[str, Type[KernelBackend]] = {}
 
-_NAME_OVERRIDE: Optional[str] = None
-
-#: Memo of the last environment parse: ``(raw_env_string, validated_name)``.
-#: Keyed by the raw string so an environment change is still picked up;
-#: :func:`set_kernel_backend` and registration invalidate it outright.
-_NAME_CACHE: Optional[Tuple[Optional[str], str]] = None
-
 #: One lazily-built instance per backend name (backends are stateless or
 #: internally synchronised, so a singleton per process is safe to share).
 _INSTANCES: Dict[str, KernelBackend] = {}
@@ -68,10 +58,8 @@ def register_kernel_backend(cls: Type[KernelBackend]) -> Type[KernelBackend]:
         raise ConfigurationError(
             f"kernel backend {cls!r} must define a non-abstract 'name'"
         )
-    global _NAME_CACHE
     _REGISTRY[name] = cls
     _INSTANCES.pop(name, None)
-    _NAME_CACHE = None
     return cls
 
 
@@ -80,62 +68,34 @@ def available_kernel_backends() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _validate_name(name: str, *, source: str) -> str:
+def _registered(name: object) -> str:
     if name not in _REGISTRY:
-        registered = ", ".join(available_kernel_backends())
-        raise ConfigurationError(
-            f"unknown kernel backend {name!r} from {source}; "
-            f"registered backends: {registered}"
+        raise ValueError(
+            f"names an unknown kernel backend {name!r}; "
+            f"registered backends: {', '.join(available_kernel_backends())}"
         )
     return name
 
 
-def kernel_backend_name() -> str:
-    """The name of the backend primitives dispatch through right now.
+KERNEL_BACKEND = Knob(
+    KERNEL_BACKEND_ENV,
+    DEFAULT_KERNEL_BACKEND,
+    parse=str.strip,
+    check=_registered,
+    hint="REPRO_KERNEL_BACKEND selects the numerical kernel backend every "
+    "primitive dispatches through — set it to a registered backend, or unset "
+    "it to use the numpy reference.",
+)
 
-    Resolution order: :func:`set_kernel_backend` override, the
-    ``REPRO_KERNEL_BACKEND`` environment variable, then
-    :data:`DEFAULT_KERNEL_BACKEND`.  The environment parse is memoised per
-    raw string — this runs on the hot path of every primitive.
-    """
-    global _NAME_CACHE
-    if _NAME_OVERRIDE is not None:
-        return _NAME_OVERRIDE
-    raw = os.environ.get(KERNEL_BACKEND_ENV)
-    cached = _NAME_CACHE
-    if cached is not None and cached[0] == raw:
-        return cached[1]
-    if raw is None:
-        name = DEFAULT_KERNEL_BACKEND
-    else:
-        name = _validate_name(raw.strip(), source=KERNEL_BACKEND_ENV)
-    _NAME_CACHE = (raw, name)
-    return name
-
-
-def set_kernel_backend(name: Optional[str]) -> Optional[str]:
-    """Install (or with ``None`` clear) the per-process backend override.
-
-    Returns the previous override so callers can restore it::
-
-        previous = set_kernel_backend("threaded")
-        try:
-            ...
-        finally:
-            set_kernel_backend(previous)
-    """
-    global _NAME_OVERRIDE, _NAME_CACHE
-    previous = _NAME_OVERRIDE
-    if name is not None:
-        name = _validate_name(name, source="set_kernel_backend")
-    _NAME_OVERRIDE = name
-    _NAME_CACHE = None
-    return previous
+#: The name of the backend primitives dispatch through right now.
+kernel_backend_name = KERNEL_BACKEND.get
+#: Install (or with ``None`` clear) the backend override; returns the previous.
+set_kernel_backend = KERNEL_BACKEND.set
 
 
 def active_backend() -> KernelBackend:
     """The live backend instance for the currently-resolved name."""
-    name = kernel_backend_name()
+    name = KERNEL_BACKEND.get()
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _REGISTRY[name]()

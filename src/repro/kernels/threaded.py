@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.kernels.numpy_backend import NumpyBackend
+from repro.utils.knobs import Knob, at_least, parse_int
 
 #: Below this many scalar multiply-adds the serial kernel wins outright.
 _MIN_PARALLEL_WORK = 1 << 16
@@ -36,17 +37,14 @@ _MIN_PARALLEL_WORK = 1 << 16
 #: Environment knob for the thread count (default: the visible CPU count).
 THREADS_ENV = "REPRO_KERNEL_THREADS"
 
-
-def _default_workers() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-    return max(1, os.cpu_count() or 1)
+THREADS = Knob(
+    THREADS_ENV,
+    max(1, os.cpu_count() or 1),
+    parse=parse_int,
+    check=at_least(1),
+    hint="REPRO_KERNEL_THREADS sets the threaded backend's worker count — set "
+    "it to a positive integer, or unset it to use the visible CPU count.",
+)
 
 
 def _chunk_bounds(total: int, parts: int) -> List[Tuple[int, int]]:
@@ -77,7 +75,7 @@ class ThreadedBackend(NumpyBackend):
     def workers(self) -> int:
         if self._configured_workers is not None:
             return max(1, self._configured_workers)
-        return _default_workers()
+        return THREADS.get()
 
     def _pool(self, size: int) -> ThreadPoolExecutor:
         # Fork safety: a child inherits this object but must not reuse the

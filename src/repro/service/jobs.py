@@ -219,8 +219,7 @@ class CondensationService:
     root, else in-memory).  ``max_pending`` bounds the job queue —
     :meth:`submit` on a full queue raises
     :class:`~repro.exceptions.JobQueueFull` unless asked to block.
-    ``timeout``, ``blocked_threshold`` and ``kernel_backend`` are forwarded
-    to the pool as the per-cell defaults.
+    ``timeout`` is forwarded to the pool as the per-cell default.
 
     The service is a context manager::
 
@@ -238,8 +237,6 @@ class CondensationService:
         max_pending: int = DEFAULT_MAX_PENDING,
         recycle_after: Optional[int] = DEFAULT_RECYCLE_AFTER,
         timeout: Optional[float] = None,
-        blocked_threshold: Optional[int] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -248,8 +245,6 @@ class CondensationService:
             workers,
             recycle_after=recycle_after,
             timeout=timeout,
-            blocked_threshold=blocked_threshold,
-            kernel_backend=kernel_backend,
             name="service",
         )
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_pending)

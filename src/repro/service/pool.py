@@ -49,7 +49,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.runner import (
     CACHE_COUNTER_KEYS,
@@ -61,15 +61,17 @@ from repro.api.runner import (
 )
 from repro.api.spec import ExperimentSpec
 from repro.datasets.base import _DATASET_CACHE
+from repro.exceptions import ConfigurationError
 from repro.graph.blocked import (
+    BLOCKED_THRESHOLD,
     remove_process_scratch,
     scratch_root,
-    set_blocked_threshold,
     set_scratch_root,
 )
 from repro.graph.cache import get_default_cache
 from repro.graph.data import GraphData
-from repro.kernels import kernel_backend_name, set_kernel_backend
+from repro.kernels import KERNEL_BACKEND
+from repro.utils.knobs import KNOBS
 from repro.utils.logging import get_logger
 
 logger = get_logger("service.pool")
@@ -82,6 +84,25 @@ _POLL_INTERVAL = 0.05
 _TERMINATE_GRACE = 5.0
 #: Default number of completed cells after which a worker is recycled.
 DEFAULT_RECYCLE_AFTER = 64
+#: Knobs whose parent-side effective value every task installs in its worker.
+_FORWARDED_KNOBS = (BLOCKED_THRESHOLD, KERNEL_BACKEND)
+
+
+def _knob_values() -> Dict[str, Any]:
+    """The parent's effective value of each forwarded knob, keyed by env var.
+
+    Resolved at dispatch, so long-lived workers track the parent (and
+    whatever ``ExecutionSpec`` override a job installed) instead of what an
+    earlier job left behind.  A malformed env value is left out, so the
+    cell fails in the worker rather than in the scheduler.
+    """
+    values = {}
+    for knob in _FORWARDED_KNOBS:
+        try:
+            values[knob.env] = knob.get()
+        except ConfigurationError:
+            pass
+    return values
 
 
 def _pool_worker_main(
@@ -91,8 +112,9 @@ def _pool_worker_main(
     """Long-lived worker loop: receive cells, run them, ship records back.
 
     Messages from the parent are ``("run", task_id, spec, cell_index,
-    dataset_key, graph, warm_payload, blocked_threshold, kernel_backend)``
-    or ``("stop",)``.
+    dataset_key, graph, warm_payload, knob_values)`` or ``("stop",)``;
+    ``knob_values`` maps env names to the parent's effective values, which
+    the worker installs as overrides before the cell runs.
     Every run is answered with ``("ok", task_id, record_dict, stats_delta)``
     or ``("error", task_id, error_info, stats_delta)`` — an exception is a
     reported result, never a dead worker, so the parent can tell a failing
@@ -108,8 +130,6 @@ def _pool_worker_main(
         set_scratch_root(blocked_scratch_root)
     cache = get_default_cache()
     warmed: set = set()
-    applied_threshold: Optional[int] = None
-    applied_kernel: Optional[str] = None
     try:
         while True:
             try:
@@ -126,15 +146,8 @@ def _pool_worker_main(
                 dataset_key,
                 graph,
                 warm_payload,
-                threshold,
-                kernel,
+                knob_values,
             ) = message
-            if threshold is not None and threshold != applied_threshold:
-                set_blocked_threshold(threshold)
-                applied_threshold = threshold
-            if kernel is not None and kernel != applied_kernel:
-                set_kernel_backend(kernel)
-                applied_kernel = kernel
             before = cache_counters(cache.stats())
 
             def stats_delta() -> Dict[str, int]:
@@ -142,6 +155,8 @@ def _pool_worker_main(
                 return {key: after[key] - before[key] for key in CACHE_COUNTER_KEYS}
 
             try:
+                for env, value in knob_values.items():
+                    KNOBS[env].set(value)
                 if graph is not None and dataset_key is not None:
                     _DATASET_CACHE.setdefault(dataset_key, graph)
                     if warm_payload is not None and dataset_key not in warmed:
@@ -204,11 +219,9 @@ class WorkerPool:
     failed) :class:`~repro.api.runner.RunRecord`.  Workers are recycled
     after ``recycle_after`` completed cells and respawned on crash or
     timeout, so the pool survives arbitrary cell behaviour.  ``timeout`` is
-    the default per-cell wall-clock budget (overridable per submit);
-    ``blocked_threshold`` pins the blocked-propagation threshold applied in
-    every worker (``None`` resolves the parent's current effective value at
-    dispatch, so workers and parent agree even when jobs differ);
-    ``kernel_backend`` pins the :mod:`repro.kernels` backend the same way.
+    the default per-cell wall-clock budget (overridable per submit).  Each
+    task carries the parent's effective blocked threshold and kernel
+    backend, so workers and parent agree even when jobs differ.
 
     The pool is a context manager::
 
@@ -225,8 +238,6 @@ class WorkerPool:
         *,
         recycle_after: Optional[int] = DEFAULT_RECYCLE_AFTER,
         timeout: Optional[float] = None,
-        blocked_threshold: Optional[int] = None,
-        kernel_backend: Optional[str] = None,
         name: str = "pool",
     ) -> None:
         if workers < 1:
@@ -236,8 +247,6 @@ class WorkerPool:
         self.workers = workers
         self.recycle_after = recycle_after
         self.timeout = timeout
-        self.blocked_threshold = blocked_threshold
-        self.kernel_backend = kernel_backend
         self.name = name
         self._context = None
         self._slots: List[Optional[_WorkerSlot]] = []
@@ -493,8 +502,7 @@ class WorkerPool:
                         key,
                         graph,
                         warm,
-                        self._effective_threshold(),
-                        self._effective_kernel_backend(),
+                        _knob_values(),
                     )
                 )
             except (BrokenPipeError, OSError):
@@ -507,36 +515,6 @@ class WorkerPool:
             slot.current = task
             slot.deadline = None if task.timeout is None else now + task.timeout
             self.counters["dispatched"] += 1
-
-    def _effective_threshold(self) -> Optional[int]:
-        """The blocked threshold every worker should apply for this task.
-
-        A concrete pool-level setting wins; otherwise the parent's current
-        effective value is resolved at dispatch time, so long-lived workers
-        track the parent instead of whatever an earlier job installed.
-        """
-        if self.blocked_threshold is not None:
-            return self.blocked_threshold
-        from repro.graph.blocked import blocked_threshold
-
-        try:
-            return blocked_threshold()
-        except Exception:  # noqa: BLE001 — malformed env: let the worker raise
-            return None
-
-    def _effective_kernel_backend(self) -> Optional[str]:
-        """The kernel backend every worker should dispatch through.
-
-        Mirrors :meth:`_effective_threshold`: a concrete pool-level setting
-        wins; otherwise the parent's current effective backend is resolved
-        at dispatch time, so long-lived workers track the parent.
-        """
-        if self.kernel_backend is not None:
-            return self.kernel_backend
-        try:
-            return kernel_backend_name()
-        except Exception:  # noqa: BLE001 — malformed env: let the worker raise
-            return None
 
     def _respawn(self, slot: _WorkerSlot) -> _WorkerSlot:
         """Replace a dead or retired worker with a fresh one."""

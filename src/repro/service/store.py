@@ -33,6 +33,7 @@ from typing import Dict, Iterator, Optional
 
 from repro.api.runner import RunRecord
 from repro.api.spec import ExperimentSpec
+from repro.utils.knobs import Knob
 from repro.utils.logging import get_logger
 
 logger = get_logger("service.store")
@@ -42,11 +43,12 @@ RESULT_STORE_ENV = "REPRO_RESULT_STORE"
 #: File name of the append-only record log inside the store root.
 STORE_FILENAME = "store.jsonl"
 
+STORE_ROOT = Knob(RESULT_STORE_ENV, None, parse=str.strip)
+
 
 def default_store_root() -> Optional[str]:
     """The store root named by ``REPRO_RESULT_STORE``, or ``None`` (in-memory)."""
-    root = os.environ.get(RESULT_STORE_ENV, "").strip()
-    return root or None
+    return STORE_ROOT.get() or None
 
 
 class ResultStore:

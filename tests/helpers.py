@@ -8,8 +8,12 @@ and silently shadows the other.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 
+import repro
 from repro.graph.data import GraphData
 from repro.graph.generators import class_correlated_features, stochastic_block_model
 from repro.graph.splits import make_planetoid_split
@@ -62,3 +66,23 @@ def numerical_gradient(function, array: np.ndarray, epsilon: float = 1e-6) -> np
         flat[index] = original
         grad_flat[index] = (upper - lower) / (2.0 * epsilon)
     return gradient
+
+
+#: A malformed environment value for every knob that can reject one, with a
+#: fragment of the error it must raise: ``(env, raw, fragment)``.
+MALFORMED_KNOB_VALUES = [
+    ("REPRO_BLOCKED_THRESHOLD", "banana", "must be an integer"),
+    ("REPRO_BLOCKED_THRESHOLD", "-3", "must be >= 0"),
+    ("REPRO_BLOCK_ROWS", "banana", "must be an integer"),
+    ("REPRO_BLOCK_ROWS", "0", "must be >= 1"),
+    ("REPRO_KERNEL_BACKEND", "banana", "unknown kernel backend 'banana'"),
+    ("REPRO_KERNEL_THREADS", "junk", "must be an integer"),
+    ("REPRO_KERNEL_THREADS", "0", "must be >= 1"),
+    ("REPRO_KERNEL_THREADS", "-2", "must be >= 1"),
+]
+
+
+def import_all_repro_modules() -> None:
+    """Import every module under ``repro`` so every declared knob is registered."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import MALFORMED_KNOB_VALUES
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 TINY_SPEC = {
@@ -168,58 +170,38 @@ class TestLegacyCommands:
         assert "poisoned nodes" in result.stdout
 
 
-class TestBlockedEnvironmentValidation:
-    """A malformed REPRO_BLOCKED_THRESHOLD fails fast with one actionable line.
+class TestEnvironmentValidation:
+    """A malformed ``REPRO_*`` variable fails fast with one actionable line.
 
-    Regression: it used to surface as a GraphValidationError traceback out of
-    the first chain build, deep inside a run.
+    ``main()`` resolves every registered knob before dispatch, so a bad value
+    exits 2 naming the variable instead of raising a traceback deep inside a
+    run (a bad threshold used to surface from the first chain build, after
+    dataset generation).
     """
 
-    def test_malformed_threshold_exits_2_with_hint(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "banana")
+    @pytest.mark.parametrize("env, raw, fragment", MALFORMED_KNOB_VALUES)
+    def test_malformed_value_exits_2_with_hint(self, env, raw, fragment, monkeypatch):
+        monkeypatch.setenv(env, raw)
         result = run_cli("datasets")
         assert result.returncode == 2
-        assert "REPRO_BLOCKED_THRESHOLD must be an integer" in result.stderr
+        assert env in result.stderr
+        assert fragment in result.stderr
         assert "hint:" in result.stderr
         assert "Traceback" not in result.stderr
+        if env == "REPRO_KERNEL_BACKEND":  # the error lists what is registered
+            assert "numpy" in result.stderr and "threaded" in result.stderr
 
-    def test_negative_threshold_exits_2(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "-3")
-        result = run_cli("datasets")
-        assert result.returncode == 2
-        assert "must be >= 0" in result.stderr
-
-    def test_valid_threshold_is_accepted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "16777216")
-        result = run_cli("datasets")
-        assert result.returncode == 0, result.stderr
-
-
-class TestKernelEnvironmentValidation:
-    """An unknown REPRO_KERNEL_BACKEND fails fast with one actionable line.
-
-    Same contract as the blocked-threshold knob: the name is validated up
-    front in ``main()``, so a typo exits 2 listing the registered backends
-    instead of raising a ConfigurationError traceback out of the first
-    kernel dispatch mid-run.
-    """
-
-    def test_unknown_backend_exits_2_listing_registered(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "banana")
-        result = run_cli("datasets")
-        assert result.returncode == 2
-        assert "unknown kernel backend 'banana'" in result.stderr
-        assert "numpy" in result.stderr
-        assert "threaded" in result.stderr
-        assert "hint:" in result.stderr
-        assert "Traceback" not in result.stderr
-
-    def test_registered_backend_is_accepted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "threaded")
-        result = run_cli("datasets")
-        assert result.returncode == 0, result.stderr
-
-    def test_whitespace_name_is_stripped(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "  numpy  ")
+    @pytest.mark.parametrize(
+        "env, raw",
+        [
+            ("REPRO_BLOCKED_THRESHOLD", "16777216"),
+            ("REPRO_BLOCK_ROWS", "4096"),
+            ("REPRO_KERNEL_BACKEND", "threaded"),
+            ("REPRO_KERNEL_BACKEND", "  numpy  "),
+            ("REPRO_KERNEL_THREADS", "3"),
+        ],
+    )
+    def test_valid_value_is_accepted(self, env, raw, monkeypatch):
+        monkeypatch.setenv(env, raw)
         result = run_cli("datasets")
         assert result.returncode == 0, result.stderr

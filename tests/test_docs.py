@@ -24,9 +24,11 @@ from pathlib import Path
 import pytest
 
 import repro  # noqa: F401  (imports populate the registries)
+from helpers import import_all_repro_modules
 from repro.api import ExperimentSpec, SweepSpec
 from repro.api.spec import COMPONENT_FIELDS
 from repro.registry import all_registries
+from repro.utils.knobs import KNOBS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS_DIR = REPO_ROOT / "docs"
@@ -85,7 +87,7 @@ class TestRegistryContract:
         )
 
     def test_every_kernel_backend_is_documented(self):
-        from repro.kernels import KERNEL_BACKEND_ENV, available_kernel_backends
+        from repro.kernels import available_kernel_backends
 
         api_text = _doc_text("api.md")
         missing = [
@@ -97,9 +99,10 @@ class TestRegistryContract:
             "registered kernel backends missing from docs/api.md: "
             f"{missing} — update the kernel-backend table"
         )
-        # The env-var table claims completeness; the kernel knobs belong in it.
-        assert f"`{KERNEL_BACKEND_ENV}`" in api_text
-        assert "`REPRO_KERNEL_THREADS`" in api_text
+        # The env-var table claims completeness: its rows are the declared knobs.
+        import_all_repro_modules()
+        rows = re.findall(r"^\| `(REPRO_\w+)` \|", api_text, re.MULTILINE)
+        assert sorted(rows) == sorted(KNOBS)
 
 
 class TestJsonBlocks:

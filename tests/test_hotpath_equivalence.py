@@ -40,7 +40,7 @@ from repro.attack.trigger import (
 from repro.autograd import Tensor
 from repro.condensation.gradient_matching import all_class_model_gradients
 from repro.datasets import load_dataset
-from repro.exceptions import GraphValidationError
+from repro.exceptions import ConfigurationError, GraphValidationError
 from repro.graph.blocked import (
     BlockedArray,
     blocked_precompute_hops,
@@ -667,9 +667,9 @@ class TestBlockedPropagationEquivalence:
                 )
 
     def test_threshold_override_validation(self):
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(ConfigurationError):
             set_blocked_threshold(-1)
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(ConfigurationError):
             set_blocked_threshold(True)
         previous = set_blocked_threshold(123)
         try:
@@ -785,59 +785,19 @@ class TestBlockedStoreProperties:
 
 
 class TestBlockedThresholdResolution:
-    """The threshold sits on every chain build: memoised, still env-driven."""
-
-    def test_same_raw_string_parses_once(self, monkeypatch):
-        from repro.graph import blocked
-
-        parses = []
-        original = blocked._parse_threshold_env
-        monkeypatch.setattr(
-            blocked,
-            "_parse_threshold_env",
-            lambda raw: (parses.append(raw), original(raw))[1],
-        )
-        monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "424242")
-        set_blocked_threshold(None)  # drop any stale memo from other tests
-        for _ in range(5):
-            assert blocked.blocked_threshold() == 424242
-        assert parses == ["424242"]
-
-    def test_environment_change_invalidates_the_memo(self, monkeypatch):
-        from repro.graph.blocked import DEFAULT_BLOCKED_THRESHOLD, blocked_threshold
-
-        set_blocked_threshold(None)
-        monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "111")
-        assert blocked_threshold() == 111
-        monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "222")
-        assert blocked_threshold() == 222
-        monkeypatch.delenv("REPRO_BLOCKED_THRESHOLD")
-        assert blocked_threshold() == DEFAULT_BLOCKED_THRESHOLD
+    """The threshold's own error messages; the memo, environment and override
+    contract shared by every knob is pinned in ``tests/test_knobs.py``."""
 
     def test_malformed_environment_raises_actionable_error(self, monkeypatch):
         from repro.graph.blocked import blocked_threshold
 
         set_blocked_threshold(None)
         monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "banana")
-        with pytest.raises(GraphValidationError, match="must be an integer"):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
             blocked_threshold()
         monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "-5")
-        with pytest.raises(GraphValidationError, match=">= 0"):
+        with pytest.raises(ConfigurationError, match=">= 0"):
             blocked_threshold()
-
-    def test_override_wins_and_clears_back_to_env(self, monkeypatch):
-        from repro.graph.blocked import blocked_threshold
-
-        monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "777")
-        previous = set_blocked_threshold(0)
-        try:
-            # Even a malformed env is irrelevant while the override is pinned.
-            monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "banana")
-            assert blocked_threshold() == 0
-        finally:
-            set_blocked_threshold(previous)
-        monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "888")
-        assert blocked_threshold() == 888
 
 
 # --------------------------------------------------------------------- #

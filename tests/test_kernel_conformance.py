@@ -402,7 +402,8 @@ class TestRegistryAndSelection:
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "5")
         assert ThreadedBackend().workers == 5
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "junk")
-        assert ThreadedBackend().workers >= 1
+        with pytest.raises(ConfigurationError, match="REPRO_KERNEL_THREADS"):
+            ThreadedBackend().workers
         assert ThreadedBackend(workers=2).workers == 2
 
     def test_register_rejects_abstract_name(self):

@@ -50,7 +50,8 @@ from repro.exceptions import (
     JobQueueFull,
     SweepExecutionError,
 )
-from repro.kernels import kernel_backend_name
+from repro.graph.blocked import BLOCKED_THRESHOLD, blocked_threshold
+from repro.kernels import KERNEL_BACKEND, kernel_backend_name
 from repro.registry import CONDENSERS
 from repro.service import (
     CondensationService,
@@ -400,6 +401,30 @@ class TestWorkerPool:
         baseline = [run_experiment(spec, cell_index=i) for i, spec in enumerate(specs)]
         for a, b in zip(baseline, records):
             assert_records_identical(a, b)
+
+    @needs_fork
+    def test_each_task_carries_the_parents_knob_values(self):
+        """A worker forked before the parent's overrides still applies them,
+        and follows the parent again once they are restored."""
+
+        class _KnobProbe:
+            def condense(self, graph, rng):
+                raise RuntimeError(f"knobs {blocked_threshold()} {kernel_backend_name()}")
+
+        CONDENSERS.register("svc-knob-probe-test", factory=lambda **kwargs: _KnobProbe())
+        probe = ExperimentSpec.from_dict(
+            dict(cheap_spec().to_dict(), condenser={"name": "svc-knob-probe-test"})
+        )
+        try:
+            with WorkerPool(1) as pool:
+                with BLOCKED_THRESHOLD.overridden(0), KERNEL_BACKEND.overridden("threaded"):
+                    (overridden,) = self.run_cells(pool, [probe])
+                (restored,) = self.run_cells(pool, [probe])
+        finally:
+            CONDENSERS.unregister("svc-knob-probe-test")
+        assert "knobs 0 threaded" in overridden.error["message"]
+        parent = f"knobs {blocked_threshold()} {kernel_backend_name()}"
+        assert parent in restored.error["message"]
 
     def test_submit_before_start_rejected(self):
         pool = WorkerPool(1)
