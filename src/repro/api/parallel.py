@@ -25,6 +25,13 @@ payload with each worker's first cell on that dataset shard, installed with
 worker re-pays base propagation, and workers ship each cell's cache counter
 delta back; the merged totals land on ``SweepRecord.cache_stats``.
 
+**Stage memo** — each worker keeps one
+:class:`~repro.api.stages.StageMemo` for the sweep, and the pool sends the
+cells of a ``(dataset, seed)`` group to the worker that already ran that
+group where it can (see :mod:`repro.service.pool`), so a selection, leg or
+fit the group's cells share is computed once per worker that runs them.
+The per-cell hit and miss deltas land on ``SweepRecord.memo_stats``.
+
 **Fault isolation** — a cell that raises becomes a structured failed
 :class:`~repro.api.runner.RunRecord` (exception type, message, formatted
 traceback, timing); a cell that exceeds ``ExecutionSpec.timeout`` is
@@ -59,6 +66,7 @@ from repro.api.runner import (
     _load_graph,
 )
 from repro.api.spec import ExecutionSpec, ExperimentSpec, SweepSpec
+from repro.api.stages import MEMO_COUNTER_KEYS
 from repro.exceptions import SweepExecutionError
 from repro.graph.cache import get_default_cache
 from repro.graph.data import GraphData
@@ -159,8 +167,9 @@ def run_sweep_pool(
     order: List[int],
     execution: ExecutionSpec,
     on_record: Optional[Callable[[RunRecord], None]] = None,
-) -> Tuple[List[RunRecord], Dict[str, int]]:
-    """Execute ``specs`` on a worker pool; return records + merged cache stats.
+) -> Tuple[List[RunRecord], Dict[str, int], Dict[str, int]]:
+    """Execute ``specs`` on a worker pool; return records plus the merged
+    cache and stage-memo stats.
 
     Serves ``backend="pool"`` and its spelling ``"process"``:
     ``execution.workers`` long-lived :class:`~repro.service.pool.WorkerPool`
@@ -240,8 +249,10 @@ def run_sweep_pool(
             )
     finally:
         pool.shutdown()
-    worker_stats = [
-        {key: parent_after[key] - parent_before[key] for key in CACHE_COUNTER_KEYS}
-    ]
-    worker_stats.extend(pool.merged_worker_stats())
-    return records, merge_cache_stats(worker_stats)
+    handoff = {key: parent_after[key] - parent_before[key] for key in CACHE_COUNTER_KEYS}
+    cell_stats = pool.merged_worker_stats()
+    return (
+        records,
+        merge_cache_stats([handoff, *cell_stats]),
+        merge_cache_stats(cell_stats, MEMO_COUNTER_KEYS),
+    )

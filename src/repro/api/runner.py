@@ -6,9 +6,11 @@ optional attack, optional defense) and returns a structured
 :class:`RunRecord`.  :func:`run_sweep` executes a grid: cells that name the
 same dataset share one loaded :class:`~repro.graph.data.GraphData` (and with
 it the process-wide :class:`~repro.graph.cache.PropagationCache`, so base
-propagations are paid once per dataset, not once per cell), while every
-random stream is derived from the cell's own seed — results are bit-identical
-whether the grid runs in canonical or shuffled order.
+propagations are paid once per dataset, not once per cell) and one
+:class:`~repro.api.stages.StageMemo` (so a selection, leg, fit or defense
+that several cells share is computed once), while every random stream is
+derived from the cell's own seed — results are bit-identical whether the
+grid runs in canonical or shuffled order, with or without the memo.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Any, Callable, Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.api.spec import ExecutionSpec, ExperimentSpec, SweepSpec
+from repro.api.stages import MEMO_COUNTER_KEYS, StageMemo, component_key, stage
 from repro.attack.naive import NaivePoison
 from repro.condensation.base import CondensedGraph, Condenser
 from repro.datasets import load_dataset
@@ -31,10 +34,10 @@ from repro.evaluation.metrics import attack_success_rate
 from repro.evaluation.pipeline import (
     EvaluationConfig,
     Predictor,
-    evaluate_backdoor,
     evaluate_clean,
     predict_on_graph,
     train_model_on_condensed,
+    triggered_test_graph,
 )
 from repro.exceptions import ConfigurationError
 from repro.graph.blocked import BLOCKED_THRESHOLD
@@ -45,8 +48,6 @@ from repro.utils.logging import get_logger
 from repro.utils.seed import spawn_rngs
 
 logger = get_logger("api.runner")
-
-AsrEvaluator = Callable[[Predictor], float]
 
 
 @dataclass
@@ -263,42 +264,158 @@ def dataset_cache_key(spec: ExperimentSpec) -> Tuple[str, int]:
 
 
 # ------------------------------------------------------------------ #
-# Attack execution
+# Stages (keys, memo and scope: repro.api.stages)
 # ------------------------------------------------------------------ #
-def _execute_attack(
-    attack, graph: GraphData, condenser: Condenser, rng: np.random.Generator
-) -> Tuple[CondensedGraph, AsrEvaluator, int]:
-    """Run any registered attack; normalise its result shape.
+@dataclass(frozen=True)
+class Selection:
+    """The ``select`` stage's output: the poisoned nodes, plus the attack
+    stream's bit-generator state right after selection (a memo hit restores
+    it, so the attack's later draws match a recomputed run)."""
+
+    nodes: np.ndarray
+    rng_state: Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class Leg:
+    """A condensation leg: the condensed graph and its fingerprint.
+
+    An attack leg also carries what the ``evaluate`` stage needs to trigger
+    the test nodes: a BGC-style attack's node-adaptive ``generator``, or
+    :class:`NaivePoison`'s universal feature ``pattern``.
+    """
+
+    condensed: CondensedGraph
+    fingerprint: str
+    poisoned_nodes: int = 0
+    generator: Any = None
+    pattern: np.ndarray | None = None
+    target_class: int = 0
+
+    def triggered_graph(self, graph: GraphData) -> GraphData:
+        """``graph`` with this leg's trigger attached to every test node."""
+        if self.pattern is not None:
+            return NaivePoison.attach_universal_trigger(
+                graph, graph.split.test, self.pattern
+            )
+        return triggered_test_graph(graph, self.generator, self.target_class)
+
+
+def _stage_keys(spec: ExperimentSpec, attack) -> Dict[str, tuple]:
+    """Each memoised stage's key: the dataset key, the seed and only the
+    component specs that stage reads.  ``select`` exists only for attacks
+    with a ``selection_key`` (the attack fields selection reads)."""
+    data = (dataset_cache_key(spec), spec.seed)
+    clean_leg = (*data, component_key(spec.condenser))
+    attack_leg = (*clean_leg, component_key(spec.attack), component_key(spec.trigger))
+    evaluation = (component_key(spec.model), component_key(spec.evaluation))
+    keys = {
+        "clean_leg": clean_leg,
+        "attack_leg": attack_leg,
+        "clean_fit": ("clean", clean_leg, evaluation),
+        "victim_fit": ("victim", attack_leg, evaluation),
+    }
+    defended_fit = keys["victim_fit"] if attack is not None else keys["clean_fit"]
+    keys["defend"] = (defended_fit, component_key(spec.defense))
+    if hasattr(attack, "selection_key"):
+        keys["select"] = (*data, type(attack).__qualname__, attack.selection_key())
+    return keys
+
+
+def _select_stage(memo: StageMemo | None, key: tuple, attack) -> Callable:
+    """The ``select`` stage as the selection hook of a BGC-style attack."""
+
+    def select(working: GraphData, rng: np.random.Generator) -> np.ndarray:
+        def compute() -> Selection:
+            nodes = attack.select_poisoned_nodes(working, rng)
+            return Selection(nodes, rng.bit_generator.state)
+
+        selection = stage(memo, "select", key, compute)
+        rng.bit_generator.state = selection.rng_state
+        return selection.nodes
+
+    return select
+
+
+def _attack_leg(
+    attack,
+    graph: GraphData,
+    condenser: Condenser,
+    rng: np.random.Generator,
+    select: Callable | None,
+) -> Leg:
+    """Run any registered attack; normalise its result into a :class:`Leg`.
 
     BGC-style attacks return a :class:`~repro.attack.bgc.BGCResult` whose
-    node-adaptive generator drives :func:`evaluate_backdoor`;
-    :class:`NaivePoison` returns ``(condensed, universal_pattern)``, evaluated
-    by blending the pattern into the test-node features.
+    node-adaptive generator triggers the test nodes;
+    :class:`NaivePoison` returns ``(condensed, universal_pattern)``, blended
+    into the test-node features.  ``select`` is passed to attacks that take
+    a selection hook (those with a ``selection_key``).
     """
-    result = attack.run(graph, condenser, rng)
+    if select is not None:
+        result = attack.run(graph, condenser, rng, select=select)
+    else:
+        result = attack.run(graph, condenser, rng)
     if isinstance(result, tuple):
         condensed, pattern = result
-        target_class = int(getattr(attack.config, "target_class", 0))
+        return Leg(
+            condensed,
+            condensed_fingerprint(condensed),
+            int(condensed.metadata.get("poisoned_nodes", 0)),
+            pattern=pattern,
+            target_class=int(getattr(attack.config, "target_class", 0)),
+        )
+    return Leg(
+        result.condensed,
+        condensed_fingerprint(result.condensed),
+        int(result.poisoned_nodes.size),
+        generator=result.generator,
+        target_class=int(result.target_class),
+    )
 
-        def universal_asr(model: Predictor) -> float:
-            triggered = NaivePoison.attach_universal_trigger(
-                graph, graph.split.test, pattern
-            )
-            predictions = predict_on_graph(model, triggered)
-            return attack_success_rate(
-                predictions, graph.labels, graph.split.test, target_class
-            )
 
-        poisoned = int(condensed.metadata.get("poisoned_nodes", 0))
-        return condensed, universal_asr, poisoned
+def _clean_leg(
+    condenser: Condenser, graph: GraphData, rng: np.random.Generator
+) -> Leg:
+    condensed = condenser.condense(graph, rng)
+    return Leg(condensed, condensed_fingerprint(condensed))
 
-    generator = result.generator
-    target_class = int(result.target_class)
 
-    def generator_asr(model: Predictor) -> float:
-        return evaluate_backdoor(model, graph, generator, target_class)
+def _evaluate(
+    record: RunRecord,
+    graph: GraphData,
+    attack_leg: Leg | None,
+    victim: Predictor | None,
+    clean: Predictor,
+    defended: Predictor | None,
+) -> None:
+    """The ``evaluate`` stage: every model's CTA, then every ASR.
 
-    return result.condensed, generator_asr, int(result.poisoned_nodes.size)
+    The triggered test graph is built once for the cell's (up to three)
+    ASRs and released when this frame returns; it is never memoised.
+    """
+    if victim is not None:
+        record.attack_cta = evaluate_clean(victim, graph)
+    record.clean_cta = evaluate_clean(clean, graph)
+    if defended is not None:
+        record.defense_cta = evaluate_clean(defended, graph)
+        reference_cta = record.clean_cta if victim is None else record.attack_cta
+        record.defense_cta_delta = record.defense_cta - reference_cta
+    if attack_leg is None:
+        return
+    triggered = attack_leg.triggered_graph(graph)
+
+    def asr(model: Predictor) -> float:
+        predictions = predict_on_graph(model, triggered)
+        return attack_success_rate(
+            predictions, graph.labels, graph.split.test, attack_leg.target_class
+        )
+
+    record.attack_asr = asr(victim)
+    record.clean_asr = asr(clean)
+    if defended is not None:
+        record.defense_asr = asr(defended)
+        record.defense_asr_delta = record.defense_asr - record.attack_asr
 
 
 # ------------------------------------------------------------------ #
@@ -345,14 +462,18 @@ def run_experiment(
     *,
     graph: GraphData | None = None,
     cell_index: int | None = None,
+    memo: StageMemo | None = None,
 ) -> RunRecord:
     """Execute one spec end-to-end and return its :class:`RunRecord`.
 
     ``graph`` lets a sweep share the loaded dataset across cells; when given
-    it must be the dataset the spec names.  All five random streams (clean
-    condensation, attack, victim training, clean training, defense) are
-    spawned from ``spec.seed`` alone, so a cell's record never depends on
-    what else ran in the process.
+    it must be the dataset the spec names.  The cell runs as the stages of
+    :mod:`repro.api.stages`.  All five random streams (clean condensation,
+    attack, victim training, clean training, defense) are spawned from
+    ``spec.seed`` alone and each is read by one stage, so a cell's record
+    never depends on what else ran in the process.  ``memo`` (a sweep's
+    :class:`~repro.api.stages.StageMemo`) serves the stages an earlier cell
+    already computed; without one every stage is computed here.
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec.from_dict(spec)
@@ -378,63 +499,65 @@ def run_experiment(
             f"shared graph {graph.name!r} does not match spec dataset {spec.dataset.name!r}"
         )
     clean_rng, attack_rng, victim_rng, eval_rng, defense_rng = spawn_rngs(spec.seed, 5)
+    keys = _stage_keys(spec, attack)
+
+    def run_stage(phase: str, name: str, key: str, compute: Callable[[], Any]) -> Any:
+        """Time stage ``name`` under ``phase``, served from ``memo`` if held."""
+        return watch.measure(phase, lambda: stage(memo, name, keys[key], compute))
 
     record = RunRecord(spec=spec, cell_index=cell_index)
-
-    asr_evaluator: AsrEvaluator | None = None
-    attacked_model: Predictor | None = None
-    attacked_condensed: CondensedGraph | None = None
+    attack_leg = victim = None
     if attack is not None:
-        attacked_condensed, asr_evaluator, poisoned = watch.measure(
-            "attack", lambda: _execute_attack(attack, graph, condenser, attack_rng)
+        select = _select_stage(memo, keys["select"], attack) if "select" in keys else None
+        attack_leg = run_stage(
+            "attack",
+            "attack_leg",
+            "attack_leg",
+            lambda: _attack_leg(attack, graph, condenser, attack_rng, select),
         )
-        record.poisoned_nodes = poisoned
-        record.attack_condensed_hash = condensed_fingerprint(attacked_condensed)
-        attacked_model = watch.measure(
+        record.poisoned_nodes = attack_leg.poisoned_nodes
+        record.attack_condensed_hash = attack_leg.fingerprint
+        victim = run_stage(
             "train_victim",
-            lambda: train_model_on_condensed(attacked_condensed, graph, evaluation, victim_rng),
+            "fit",
+            "victim_fit",
+            lambda: train_model_on_condensed(attack_leg.condensed, graph, evaluation, victim_rng),
         )
-        record.attack_cta = watch.measure(
-            "evaluate", lambda: evaluate_clean(attacked_model, graph)
-        )
-        record.attack_asr = watch.measure("evaluate", lambda: asr_evaluator(attacked_model))
 
     # The attack leg consumed `condenser` (condensers are stateful), so the
     # clean baseline gets a fresh instance with identical configuration.
     clean_condenser = _resolve_condenser(spec) if attack is not None else condenser
-    clean_condensed = watch.measure(
-        "condense", lambda: clean_condenser.condense(graph, clean_rng)
+    clean_leg = run_stage(
+        "condense",
+        "clean_leg",
+        "clean_leg",
+        lambda: _clean_leg(clean_condenser, graph, clean_rng),
     )
-    record.condensed_nodes = clean_condensed.num_nodes
-    record.condensed_hash = condensed_fingerprint(clean_condensed)
-    clean_model = watch.measure(
+    record.condensed_nodes = clean_leg.condensed.num_nodes
+    record.condensed_hash = clean_leg.fingerprint
+    clean = run_stage(
         "train_clean",
-        lambda: train_model_on_condensed(clean_condensed, graph, evaluation, eval_rng),
+        "fit",
+        "clean_fit",
+        lambda: train_model_on_condensed(clean_leg.condensed, graph, evaluation, eval_rng),
     )
-    record.clean_cta = watch.measure("evaluate", lambda: evaluate_clean(clean_model, graph))
-    if asr_evaluator is not None:
-        record.clean_asr = watch.measure("evaluate", lambda: asr_evaluator(clean_model))
 
+    defended = None
     if defense is not None:
-        target_condensed = attacked_condensed if attacked_condensed is not None else clean_condensed
-        target_model = attacked_model if attacked_model is not None else clean_model
-        defended_model = watch.measure(
+        target_leg, target_model = (
+            (clean_leg, clean) if attack_leg is None else (attack_leg, victim)
+        )
+        defended = run_stage(
             "defense",
+            "defend",
+            "defend",
             lambda: _apply_defense(
-                defense, target_condensed, target_model, graph, evaluation, defense_rng
+                defense, target_leg.condensed, target_model, graph, evaluation, defense_rng
             ),
         )
-        record.defense_cta = watch.measure(
-            "evaluate", lambda: evaluate_clean(defended_model, graph)
-        )
-        reference_cta = record.attack_cta if spec.attack.is_set else record.clean_cta
-        record.defense_cta_delta = record.defense_cta - reference_cta
-        if asr_evaluator is not None:
-            record.defense_asr = watch.measure(
-                "evaluate", lambda: asr_evaluator(defended_model)
-            )
-            record.defense_asr_delta = record.defense_asr - record.attack_asr
-
+    watch.measure(
+        "evaluate", lambda: _evaluate(record, graph, attack_leg, victim, clean, defended)
+    )
     record.timings = watch.timings
     return record
 
@@ -455,17 +578,20 @@ def cache_counters(stats: Mapping[str, int]) -> Dict[str, int]:
     return {key: int(stats.get(key, 0)) for key in CACHE_COUNTER_KEYS}
 
 
-def merge_cache_stats(stats_list: List[Mapping[str, int]]) -> Dict[str, int]:
-    """Sum per-contributor cache counters into one sweep-level mapping.
+def merge_cache_stats(
+    stats_list: List[Mapping[str, int]], keys: Tuple[str, ...] = CACHE_COUNTER_KEYS
+) -> Dict[str, int]:
+    """Sum per-contributor counters into one sweep-level mapping.
 
     The pool backend feeds this the parent's handoff delta plus one
     counter delta per cell a worker reported; the serial backend feeds the
     single before/after delta of the shared cache.  ``contributors`` records how
-    many deltas merged.
+    many deltas merged.  ``keys`` picks the counters: the cache's by
+    default, :data:`~repro.api.stages.MEMO_COUNTER_KEYS` for the stage memo.
     """
-    merged = {key: 0 for key in CACHE_COUNTER_KEYS}
+    merged = {key: 0 for key in keys}
     for stats in stats_list:
-        for key in CACHE_COUNTER_KEYS:
+        for key in keys:
             merged[key] += int(stats.get(key, 0))
     merged["contributors"] = len(stats_list)
     return merged
@@ -479,7 +605,9 @@ class SweepRecord(List[RunRecord]):
     ``cache_stats`` merges the :class:`~repro.graph.cache.PropagationCache`
     counters of every contributor (the parent's handoff delta plus each
     reported cell's worker delta under the pool backend; the serial backend
-    contributes its single before/after delta).
+    contributes its single before/after delta).  ``memo_stats`` merges the
+    stage memo's per-stage hit and miss counts the same way (one delta per
+    reported cell under the pool, the sweep's one memo serially).
     """
 
     def __init__(
@@ -487,9 +615,11 @@ class SweepRecord(List[RunRecord]):
         records: List[RunRecord] = (),
         *,
         cache_stats: Mapping[str, int] | None = None,
+        memo_stats: Mapping[str, int] | None = None,
     ) -> None:
         super().__init__(records)
         self.cache_stats: Dict[str, int] = dict(cache_stats or {})
+        self.memo_stats: Dict[str, int] = dict(memo_stats or {})
 
     @property
     def failed(self) -> List[RunRecord]:
@@ -530,7 +660,10 @@ def run_sweep(
     structured failed records instead of aborting the sweep.
     In the serial backend cells naming the same dataset (and dataset seed)
     share one loaded graph, and through it the shared
-    :class:`~repro.graph.cache.PropagationCache`.  A set
+    :class:`~repro.graph.cache.PropagationCache`.  Cells also share one
+    bounded :class:`~repro.api.stages.StageMemo` for the call (the pool keeps
+    one per worker), which serves every stage an earlier cell already
+    computed; ``SweepRecord.memo_stats`` counts its hits and misses.  A set
     ``execution.blocked_threshold`` or ``execution.kernel_backend`` is
     installed as its knob's override for the duration of the sweep (and
     restored after), covering the serial loop, the pool's handoff and —
@@ -561,12 +694,15 @@ def _run_sweep_cells(
     if execution.backend in ("process", "pool"):
         from repro.api.parallel import run_sweep_pool
 
-        records, cache_stats = run_sweep_pool(sweep, specs, order, execution, on_record)
-        return SweepRecord(records, cache_stats=cache_stats)
+        records, cache_stats, memo_stats = run_sweep_pool(
+            sweep, specs, order, execution, on_record
+        )
+        return SweepRecord(records, cache_stats=cache_stats, memo_stats=memo_stats)
 
     from repro.graph.cache import get_default_cache
 
     stats_before = cache_counters(get_default_cache().stats())
+    memo = StageMemo()
     graphs: Dict[Tuple[str, int], GraphData] = {}
     unloadable: Dict[Tuple[str, int], Dict[str, str]] = {}
     records: List[RunRecord | None] = [None] * len(specs)
@@ -597,7 +733,9 @@ def _run_sweep_cells(
                     except Exception as error:
                         unloadable[key] = error_info(error)
                         raise
-                record = run_experiment(spec, graph=graphs[key], cell_index=index)
+                record = run_experiment(
+                    spec, graph=graphs[key], cell_index=index, memo=memo
+                )
         except Exception as error:
             if execution.on_error == "raise":
                 raise
@@ -615,4 +753,8 @@ def _run_sweep_cells(
             on_record(record)
     stats_after = cache_counters(get_default_cache().stats())
     delta = {key: stats_after[key] - stats_before[key] for key in CACHE_COUNTER_KEYS}
-    return SweepRecord(records, cache_stats=merge_cache_stats([delta]))
+    return SweepRecord(
+        records,
+        cache_stats=merge_cache_stats([delta]),
+        memo_stats=merge_cache_stats([memo.counters], MEMO_COUNTER_KEYS),
+    )

@@ -4,10 +4,12 @@ A :class:`TransferSweepSpec` describes the paper's transfer experiments as
 data: condense under a fixed surrogate (the base spec's condenser + attack),
 then evaluate attack success across downstream architectures × defenses.
 :meth:`TransferSweepSpec.to_sweep` expands it into an ordinary
-:class:`~repro.api.spec.SweepSpec` with a ``model`` × ``defense`` grid, so a
-transfer study inherits everything sweeps already have — serial/process/pool
-execution, the result store, per-cell seeds and bit-identical determinism —
-without any new execution machinery.
+:class:`~repro.api.spec.SweepSpec` with a ``seed`` × ``model`` × ``defense``
+grid, so a transfer study inherits everything sweeps already have —
+serial/process/pool execution, the result store, the stage memo and
+bit-identical determinism — without any new execution machinery.  Every
+cell of one seed shares that seed's attack and clean condensation, so the
+matrix's columns differ only by the model or defense, not by seed noise.
 
 ``models=None`` / ``defenses=None`` mean "every registered component at
 expansion time": registering a new model or defense automatically grows the
@@ -36,6 +38,8 @@ class TransferSweepSpec:
     side); ``models`` and ``defenses`` are the matrix axes.  ``None`` for
     either axis resolves to every registered component when :meth:`to_sweep`
     is called; a ``None`` *entry* in ``defenses`` is the undefended column.
+    ``seeds`` lists the cell seeds, one whole matrix each (``None`` means
+    ``[seed]``); all cells of a seed share one attack and one clean leg.
     """
 
     base: ExperimentSpec = field(default_factory=ExperimentSpec)
@@ -44,6 +48,7 @@ class TransferSweepSpec:
     seed: int = 0
     name: str = "transfer"
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
+    seeds: List[int] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.base, ExperimentSpec):
@@ -62,6 +67,14 @@ class TransferSweepSpec:
                 raise ConfigurationError(f"{axis} must not be empty")
             object.__setattr__(self, axis, list(values))
         _check_seed(self.seed)
+        if self.seeds is not None:
+            if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+                raise ConfigurationError(
+                    f"seeds must be null (= [seed]) or a non-empty list, got {self.seeds!r}"
+                )
+            for value in self.seeds:
+                _check_seed(value)
+            object.__setattr__(self, "seeds", list(self.seeds))
 
     # -------------------------------------------------------------- #
     # Axis resolution
@@ -86,11 +99,20 @@ class TransferSweepSpec:
                 DEFENSES.canonical(name)
         return list(self.defenses)
 
+    def resolved_seeds(self) -> List[int]:
+        """The seed axis: explicit ``seeds`` or ``[seed]``."""
+        return [self.seed] if self.seeds is None else list(self.seeds)
+
     def to_sweep(self) -> SweepSpec:
-        """Expand into the equivalent ``model`` × ``defense`` :class:`SweepSpec`."""
+        """Expand into the equivalent ``seed`` × ``model`` × ``defense``
+        :class:`SweepSpec`; the explicit seed axis is outermost."""
         return SweepSpec(
             base=self.base,
-            axes={"model": self.resolved_models(), "defense": self.resolved_defenses()},
+            axes={
+                "seed": self.resolved_seeds(),
+                "model": self.resolved_models(),
+                "defense": self.resolved_defenses(),
+            },
             seed=self.seed,
             name=self.name,
             execution=self.execution,
@@ -104,6 +126,7 @@ class TransferSweepSpec:
         return {
             "name": self.name,
             "seed": self.seed,
+            "seeds": None if self.seeds is None else list(self.seeds),
             "base": self.base.to_dict(),
             "models": None if self.models is None else list(self.models),
             "defenses": None if self.defenses is None else list(self.defenses),
@@ -112,11 +135,12 @@ class TransferSweepSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TransferSweepSpec":
-        unknown = set(payload) - {"name", "seed", "base", "models", "defenses", "execution"}
+        keys = {"name", "seed", "seeds", "base", "models", "defenses", "execution"}
+        unknown = set(payload) - keys
         if unknown:
             raise ConfigurationError(
                 f"unknown TransferSweepSpec keys {sorted(unknown)}; expected "
-                "'name', 'seed', 'base', 'models', 'defenses', 'execution'"
+                "'name', 'seed', 'seeds', 'base', 'models', 'defenses', 'execution'"
             )
         return cls(
             base=ExperimentSpec.from_dict(payload.get("base") or {}),
@@ -125,6 +149,7 @@ class TransferSweepSpec:
             seed=payload.get("seed", 0),
             name=payload.get("name", "transfer"),
             execution=ExecutionSpec.coerce(payload.get("execution")),
+            seeds=payload.get("seeds"),
         )
 
     def to_json(self, indent: int | None = 2) -> str:

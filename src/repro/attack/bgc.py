@@ -17,7 +17,7 @@ utility, yet encodes the trigger → target-class association.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -137,8 +137,16 @@ class BGC:
         graph: GraphData,
         condenser: Condenser,
         rng: np.random.Generator,
+        select: Callable[[GraphData, np.random.Generator], np.ndarray] | None = None,
     ) -> BGCResult:
-        """Execute Algorithm 1 and return the poisoned condensed graph."""
+        """Execute Algorithm 1 and return the poisoned condensed graph.
+
+        ``select(working, rng)`` picks the poisoned nodes, as
+        :meth:`select_poisoned_nodes` (the default) does; it must leave
+        ``rng`` where that method would.  Selection is the first draw from
+        ``rng`` and reads only the graph and the config fields in
+        :meth:`selection_key`, which lets a caller serve it from a memo.
+        """
         config = self.config
         working = graph.training_view() if graph.inductive else graph
         if config.target_class >= working.num_classes:
@@ -147,7 +155,7 @@ class BGC:
                 f"{working.num_classes} classes"
             )
 
-        poisoned_nodes = self._select_poisoned_nodes(working, rng)
+        poisoned_nodes = (select or self.select_poisoned_nodes)(working, rng)
         poisoned_labels = working.labels.copy()
         poisoned_labels[poisoned_nodes] = config.target_class
         poisoned_train = np.union1d(working.split.train, poisoned_nodes)
@@ -180,7 +188,7 @@ class BGC:
                 working, encoder_inputs, generator, generator_optimizer, surrogate_weight, rng
             )
             poisoned_graph = self._build_poisoned_graph(
-                working, base_poisoned, generator, poisoned_nodes
+                working, base_poisoned, generator, poisoned_nodes, encoder_inputs
             )
             matching_loss = condenser.epoch_step(poisoned_graph)
             history.append(
@@ -209,9 +217,25 @@ class BGC:
     # -------------------------------------------------------------- #
     # Poisoned-node selection
     # -------------------------------------------------------------- #
-    def _select_poisoned_nodes(
+    def selection_key(self) -> str:
+        """The config fields :meth:`select_poisoned_nodes` reads, as a key."""
+        config = self.config
+        return repr(
+            (
+                config.target_class,
+                config.poison_ratio,
+                config.poison_number,
+                config.directed,
+                config.source_class,
+                config.use_random_selection,
+                config.selection,
+            )
+        )
+
+    def select_poisoned_nodes(
         self, working: GraphData, rng: np.random.Generator
     ) -> np.ndarray:
+        """The nodes to poison in ``working`` (the paper's selector, Eq. 9)."""
         config = self.config
         if config.poison_number is not None:
             budget = config.poison_number
@@ -372,6 +396,7 @@ class BGC:
         base_poisoned: GraphData,
         generator: TriggerGenerator,
         poisoned_nodes: np.ndarray,
+        encoder_inputs: np.ndarray | None = None,
     ):
         """Attach the current triggers to the poisoned nodes of the original graph.
 
@@ -388,10 +413,12 @@ class BGC:
         condenser reads propagated features in difference form.  The
         materialised ``GraphData`` branch below is the pinned reference path;
         both produce bit-identical condensation steps (asserted in
-        ``tests/test_hotpath_equivalence.py``).
+        ``tests/test_hotpath_equivalence.py``).  ``encoder_inputs`` are the
+        generator's inputs for ``working``, which :meth:`run` computes once
+        instead of once per epoch.
         """
         features, adjacency = generate_hard_triggers(
-            generator, working.adjacency, working.features, poisoned_nodes
+            generator, working.adjacency, working.features, poisoned_nodes, encoder_inputs
         )
         if self.config.use_graph_view:
             return poison_graph_view(

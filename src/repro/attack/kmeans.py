@@ -94,9 +94,19 @@ class KMeans:
 
     @staticmethod
     def _pairwise_sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        point_norms = (points ** 2).sum(axis=1, keepdims=True)
-        centroid_norms = (centroids ** 2).sum(axis=1)
-        return point_norms - 2.0 * points @ centroids.T + centroid_norms
+        """Squared distances ``(n, k)``; an overflowed entry is ``inf``.
+
+        Coordinates beyond ~1e154 overflow the squared norms, and the
+        expansion then yields ``inf - inf = nan``.  Those entries become
+        ``inf``, so ``argmin`` prefers any finite distance and otherwise
+        picks the first centroid; finite inputs are untouched.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            point_norms = (points ** 2).sum(axis=1, keepdims=True)
+            centroid_norms = (centroids ** 2).sum(axis=1)
+            distances = point_norms - 2.0 * points @ centroids.T + centroid_norms
+        distances[np.isnan(distances)] = np.inf
+        return distances
 
     @staticmethod
     def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,7 +114,8 @@ class KMeans:
         centroids = np.empty((k, points.shape[1]), dtype=np.float64)
         first = int(rng.integers(n))
         centroids[0] = points[first]
-        closest = ((points - centroids[0]) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):
+            closest = ((points - centroids[0]) ** 2).sum(axis=1)
         for index in range(1, k):
             total = closest.sum()
             # Degenerate distance mass falls back to a uniform draw.  Three
@@ -120,6 +131,7 @@ class KMeans:
                 probabilities = closest / total
                 chosen = int(rng.choice(n, p=probabilities))
             centroids[index] = points[chosen]
-            distances = ((points - centroids[index]) ** 2).sum(axis=1)
+            with np.errstate(over="ignore"):
+                distances = ((points - centroids[index]) ** 2).sum(axis=1)
             closest = np.minimum(closest, distances)
         return centroids

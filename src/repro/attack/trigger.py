@@ -208,15 +208,20 @@ def generate_hard_triggers(
     graph_adjacency,
     features: np.ndarray,
     nodes: np.ndarray,
+    inputs: np.ndarray | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Convenience wrapper: hard triggers for ``nodes`` of a graph.
 
     Works for any object exposing ``encode_inputs`` and ``generate`` —
     :class:`TriggerGenerator` and :class:`UniversalTriggerGenerator` both do.
+    ``inputs`` is ``generator.encode_inputs(graph_adjacency, features)``
+    when the caller already holds it (for the ``gcn`` encoder that is a
+    whole-graph propagation); otherwise it is computed here.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    inputs = generator.encode_inputs(graph_adjacency, features)[nodes]
-    return generator.generate(inputs)
+    if inputs is None:
+        inputs = generator.encode_inputs(graph_adjacency, features)
+    return generator.generate(inputs[nodes])
 
 
 class UniversalTriggerGenerator(Module):

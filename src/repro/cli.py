@@ -129,7 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="condensation epochs of the quick form (default 3)")
     transfer.add_argument("--eval-epochs", type=int, default=30,
                           help="downstream training epochs of the quick form (default 30)")
-    transfer.add_argument("--seed", type=int, default=0, help="transfer-sweep seed")
+    transfer.add_argument("--seed", type=int, default=0,
+                          help="cell seed of the matrix unless --seeds is given (default 0)")
+    transfer.add_argument("--seeds", default=None,
+                          help="comma-separated cell seeds, one matrix each; every cell "
+                               "of a seed shares its attack (default: --seed)")
     transfer.add_argument("--models", default=None,
                           help="comma-separated victim architectures "
                                "(default: every registered model)")
@@ -460,6 +464,14 @@ def transfer_spec_from_args(args: argparse.Namespace) -> TransferSweepSpec:
         spec = replace(spec, models=models)
     if defenses is not None:
         spec = replace(spec, defenses=defenses)
+    if args.seeds is not None:
+        try:
+            seeds = [int(token) for token in args.seeds.split(",") if token.strip()]
+        except ValueError:
+            raise ConfigurationError(
+                f"--seeds must be comma-separated integers, got {args.seeds!r}"
+            ) from None
+        spec = replace(spec, seeds=seeds)
     return spec
 
 

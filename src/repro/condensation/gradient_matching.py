@@ -556,6 +556,9 @@ class GradientMatchingCondenser(Condenser):
         cursor = 0
         train_index = graph.split.train
         train_labels = graph.labels[train_index]
+        # Noise is scaled by the feature standard deviation so the class
+        # signal of the sampled rows is perturbed, not drowned out.
+        noise_scale = self.config.feature_init_noise * float(graph.features.std())
         for cls in range(graph.num_classes):
             count = int(budget[cls])
             if count == 0:
@@ -564,9 +567,6 @@ class GradientMatchingCondenser(Condenser):
             if candidates.size == 0:
                 continue
             chosen = rng.choice(candidates, size=count, replace=candidates.size < count)
-            # Noise is scaled by the feature standard deviation so the class
-            # signal of the sampled rows is perturbed, not drowned out.
-            noise_scale = self.config.feature_init_noise * float(graph.features.std())
             sampled = graph.features[chosen] + rng.normal(
                 scale=noise_scale, size=(count, graph.num_features)
             )

@@ -8,7 +8,7 @@ it, and deploy it on the original graph.  The pipeline therefore
    (:func:`train_model_on_condensed`),
 2. measures CTA on the clean test graph (:func:`evaluate_clean`), and
 3. measures ASR by attaching attacker-generated triggers to the test nodes
-   (:func:`evaluate_backdoor`).
+   (:func:`triggered_test_graph`, :func:`evaluate_backdoor`).
 """
 
 from __future__ import annotations
@@ -132,14 +132,20 @@ def evaluate_clean(model: Predictor, original: GraphData) -> float:
     return clean_test_accuracy(predictions, original.labels, original.split.test)
 
 
-def evaluate_backdoor(
-    model: Predictor,
+def triggered_test_graph(
     original: GraphData,
     generator: TriggerGenerator,
     target_class: int,
     test_index: np.ndarray | None = None,
-) -> float:
-    """ASR of a trained model when triggers are attached to the test nodes."""
+) -> GraphData:
+    """``original`` with a generated trigger attached to each test node.
+
+    The attachment is recorded as a delta against the original graph: only
+    the host test nodes gain an edge, so an SNTK evaluation reuses the
+    original's cached propagation and recomputes just the trigger
+    neighbourhoods.  The appended trigger rows get placeholder labels
+    (labels are never read at prediction time).
+    """
     test_index = (
         np.asarray(test_index, dtype=np.int64)
         if test_index is not None
@@ -151,13 +157,8 @@ def evaluate_backdoor(
     adjacency, node_features, _ = attach_trigger_subgraph(
         original.adjacency, original.features, test_index, features, structures
     )
-    # Record the trigger attachment as a delta against the original graph:
-    # only the host test nodes gain an edge, so an SNTK evaluation reuses the
-    # original's cached propagation and recomputes just the trigger
-    # neighbourhoods.  The appended trigger rows get placeholder labels
-    # (labels are never read at prediction time).
     num_new = node_features.shape[0] - original.num_nodes
-    triggered = original.with_delta(
+    return original.with_delta(
         test_index,
         adjacency=adjacency,
         features=node_features,
@@ -166,6 +167,27 @@ def evaluate_backdoor(
         ),
         name=f"{original.name}-triggered",
     )
+
+
+def evaluate_backdoor(
+    model: Predictor,
+    original: GraphData,
+    generator: TriggerGenerator,
+    target_class: int,
+    test_index: np.ndarray | None = None,
+) -> float:
+    """ASR of a trained model when triggers are attached to the test nodes.
+
+    Builds the triggered graph for this one model; to score several models
+    against the same triggers, build it once with
+    :func:`triggered_test_graph` and predict on it.
+    """
+    test_index = (
+        np.asarray(test_index, dtype=np.int64)
+        if test_index is not None
+        else original.split.test
+    )
+    triggered = triggered_test_graph(original, generator, target_class, test_index)
     predictions = predict_on_graph(model, triggered)
     return attack_success_rate(
         predictions, original.labels, test_index, target_class

@@ -88,7 +88,7 @@ def transfer_matrix(records: Sequence[Any]) -> Dict[str, Any]:
 
     Returns a JSON-compatible mapping: ``models`` and ``defenses`` list the
     axis labels in first-appearance (grid) order, and ``cells`` holds one
-    entry per record with its metrics and status.  Failed cells appear with
+    entry per record with its seed, metrics and status.  Failed cells appear with
     null metrics so the matrix always covers the full grid.
     """
     models: Dict[str, None] = {}
@@ -110,6 +110,7 @@ def transfer_matrix(records: Sequence[Any]) -> Dict[str, Any]:
         cta, asr = transfer_cell_metrics(record)
         cells.append(
             {
+                "seed": spec.seed,
                 "model": model,
                 "defense": defense,
                 "cell_index": record.cell_index,
@@ -131,7 +132,18 @@ def format_transfer_matrix(matrix: Mapping[str, Any]) -> str:
 
     One row per model, one column per defense; each cell shows
     ``CTA% / ASR%`` (``--`` for NaN metrics, ``failed`` for failed cells).
+    A matrix over several seeds renders one grid per seed, each under a
+    ``seed N`` line.
     """
+    seeds = list(dict.fromkeys(cell.get("seed") for cell in matrix["cells"]))
+    if len(seeds) > 1:
+        return "\n\n".join(
+            f"seed {seed}\n"
+            + format_transfer_matrix(
+                {**matrix, "cells": [c for c in matrix["cells"] if c.get("seed") == seed]}
+            )
+            for seed in seeds
+        )
     defenses = list(matrix["defenses"])
     lookup: Dict[Tuple[str, str], Mapping[str, Any]] = {
         (cell["model"], cell["defense"]): cell for cell in matrix["cells"]

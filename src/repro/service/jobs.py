@@ -379,7 +379,9 @@ class CondensationService:
     def _cancel(self, job: JobHandle) -> bool:
         """Cancel a job: drop pending pool cells, force CANCELLED."""
         self._pool.cancel(lambda tag: tag == job.job_id)
-        return job._finish(JobStatus.CANCELLED)
+        cancelled = job._finish(JobStatus.CANCELLED)
+        self._pool.release(job.job_id)
+        return cancelled
 
     def _scheduler_loop(self) -> None:
         """Consume the job queue: expand, memo-check, dispatch to the pool."""
@@ -424,6 +426,8 @@ class CondensationService:
             def on_done(record: RunRecord, _job: JobHandle = job) -> None:
                 self.store.put(record)
                 _job._deliver(record, from_store=False)
+                if _job.status.terminal:
+                    self._pool.release(_job.job_id)
 
             self._pool.submit(
                 spec,

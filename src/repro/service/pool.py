@@ -31,6 +31,15 @@ completed cells (long-lived services must bound per-worker memory growth:
 dataset memos, propagation-cache shards and allocator fragmentation all
 accumulate in a worker that never exits) and, implicitly, on crash.
 
+**Stage memo** — each worker keeps one
+:class:`~repro.api.stages.StageMemo` per *scope*: a task's ``tag`` (the
+service's job id; a sweep's own pool tags nothing, so the sweep is one
+scope).  A task of another scope replaces the memo, :meth:`WorkerPool.release`
+drops it when a job ends, and a recycled worker takes it with it.  To make
+the memo hit, an idle worker is given, in order of preference, a pending
+cell of a ``(dataset, seed)`` group it already ran in that scope, else a
+cell of a group no other worker holds, else the queue head.
+
 **Cache handoff** — workers forked at :meth:`WorkerPool.start` inherit the
 parent's dataset memo and warmed :class:`~repro.graph.cache.PropagationCache`
 through copy-on-write pages.  For datasets the parent loaded *after* a
@@ -60,6 +69,7 @@ from repro.api.runner import (
     run_experiment,
 )
 from repro.api.spec import ExperimentSpec
+from repro.api.stages import MEMO_COUNTER_KEYS, StageMemo
 from repro.datasets.base import _DATASET_CACHE
 from repro.exceptions import ConfigurationError
 from repro.graph.blocked import (
@@ -112,11 +122,14 @@ def _pool_worker_main(
     """Long-lived worker loop: receive cells, run them, ship records back.
 
     Messages from the parent are ``("run", task_id, spec, cell_index,
-    dataset_key, graph, warm_payload, knob_values)`` or ``("stop",)``;
-    ``knob_values`` maps env names to the parent's effective values, which
-    the worker installs as overrides before the cell runs.
+    dataset_key, graph, warm_payload, knob_values, scope)``, ``("forget",)``
+    or ``("stop",)``; ``knob_values`` maps env names to the parent's
+    effective values, which the worker installs as overrides before the
+    cell runs.  Cells of one ``scope`` share a stage memo; another scope
+    starts a fresh one and ``forget`` drops it.
     Every run is answered with ``("ok", task_id, record_dict, stats_delta)``
-    or ``("error", task_id, error_info, stats_delta)`` — an exception is a
+    or ``("error", task_id, error_info, stats_delta)``, the delta holding
+    the cell's cache and memo counters — an exception is a
     reported result, never a dead worker, so the parent can tell a failing
     *cell* from a dying *process*.  A shipped ``graph`` is installed into the
     worker's dataset memo (so later cells on the same dataset need no
@@ -130,6 +143,8 @@ def _pool_worker_main(
         set_scratch_root(blocked_scratch_root)
     cache = get_default_cache()
     warmed: set = set()
+    memo: Optional[StageMemo] = None
+    memo_scope: Any = None
     try:
         while True:
             try:
@@ -138,6 +153,9 @@ def _pool_worker_main(
                 break
             if message[0] == "stop":
                 break
+            if message[0] == "forget":
+                memo = None
+                continue
             (
                 _,
                 task_id,
@@ -147,12 +165,18 @@ def _pool_worker_main(
                 graph,
                 warm_payload,
                 knob_values,
+                scope,
             ) = message
-            before = cache_counters(cache.stats())
+            if memo is None or scope != memo_scope:
+                memo, memo_scope = StageMemo(), scope
+            before = {**cache_counters(cache.stats()), **memo.counters}
 
             def stats_delta() -> Dict[str, int]:
-                after = cache_counters(cache.stats())
-                return {key: after[key] - before[key] for key in CACHE_COUNTER_KEYS}
+                after = {**cache_counters(cache.stats()), **memo.counters}
+                return {
+                    key: after[key] - before[key]
+                    for key in (*CACHE_COUNTER_KEYS, *MEMO_COUNTER_KEYS)
+                }
 
             try:
                 for env, value in knob_values.items():
@@ -167,7 +191,9 @@ def _pool_worker_main(
                 shared = (
                     _DATASET_CACHE.get(dataset_key) if dataset_key is not None else None
                 )
-                record = run_experiment(spec, graph=shared, cell_index=cell_index)
+                record = run_experiment(
+                    spec, graph=shared, cell_index=cell_index, memo=memo
+                )
                 connection.send(("ok", task_id, record.to_dict(), stats_delta()))
             except BaseException as error:  # noqa: BLE001 — everything reported
                 connection.send(("error", task_id, error_info(error), stats_delta()))
@@ -189,11 +215,19 @@ class _Task:
     cell_index: int
     on_done: OnDone
     timeout: Optional[float]
-    #: Opaque caller tag (the service stores its job id here) for cancel().
+    #: Opaque caller tag (the service stores its job id here) for cancel();
+    #: also the task's stage-memo scope.
     tag: Any = None
+    #: ``(tag, dataset key, seed)``, or ``None`` when the spec's dataset
+    #: overrides are malformed: cells of one group share memoised stages.
+    group: Any = None
     graph: Optional[GraphData] = None
     warm_payload: Optional[bytes] = None
     started: float = 0.0
+
+
+#: Scope of a worker that holds no stage memo.
+_NO_SCOPE = object()
 
 
 @dataclass
@@ -209,6 +243,10 @@ class _WorkerSlot:
     cells_done: int = 0
     current: Optional[_Task] = None
     deadline: Optional[float] = None
+    #: Scope of the worker's stage memo, and the task groups it has run
+    #: under that scope (what the memo may hold).
+    scope: Any = _NO_SCOPE
+    groups: set = field(default_factory=set)
 
 
 class WorkerPool:
@@ -388,10 +426,15 @@ class WorkerPool:
         cell's dataset (see :func:`repro.api.parallel.prepare_handoff`); they
         are shipped to a worker only if it does not already hold that
         dataset.  ``timeout`` overrides the pool default for this cell;
-        ``tag`` is an opaque marker usable with :meth:`cancel`.
+        ``tag`` is an opaque marker usable with :meth:`cancel` and
+        :meth:`release`, and scopes the workers' stage memos.
         """
         if not self._started:
             raise RuntimeError("WorkerPool.submit called before start()")
+        try:
+            group = (tag, dataset_cache_key(spec), spec.seed)
+        except Exception:  # noqa: BLE001 — bad overrides fail in-worker
+            group = None
         with self._lock:
             if self._stopping:
                 raise RuntimeError("WorkerPool is shutting down")
@@ -402,6 +445,7 @@ class WorkerPool:
                 on_done=on_done,
                 timeout=self.timeout if timeout is None else timeout,
                 tag=tag,
+                group=group,
                 graph=graph,
                 warm_payload=warm_payload,
             )
@@ -428,13 +472,30 @@ class WorkerPool:
             self._pending = kept
         return dropped
 
+    def release(self, tag: Any) -> None:
+        """Drop the stage memo of every worker holding scope ``tag``.
+
+        Call it once no cell of ``tag`` remains pending (the service does
+        when a job ends), so no memo outlives its job.  A busy worker reads
+        the request after its current cell.
+        """
+        with self._lock:
+            for slot in self._slots:
+                if slot is None or slot.scope != tag:
+                    continue
+                try:
+                    slot.connection.send(("forget",))
+                except (BrokenPipeError, OSError):
+                    pass  # a dead worker's memo died with it
+                slot.scope, slot.groups = _NO_SCOPE, set()
+
     def pending_count(self) -> int:
         """Tasks enqueued but not yet dispatched to a worker."""
         with self._lock:
             return len(self._pending)
 
     def merged_worker_stats(self) -> List[Dict[str, int]]:
-        """Per-cell PropagationCache counter deltas shipped back by workers."""
+        """Per-cell cache and stage-memo counter deltas shipped back by workers."""
         with self._lock:
             return [dict(stats) for stats in self._worker_stats]
 
@@ -473,6 +534,32 @@ class WorkerPool:
                     self._collect(slot)
             self._reap_timeouts()
 
+    def _next_task_locked(self, slot: _WorkerSlot) -> _Task:
+        """Pop the pending task ``slot`` should run (caller holds the lock).
+
+        In order of preference: a cell of a group the worker already ran in
+        its memo scope, else a cell of a group no other worker holds, else
+        the queue head.  A one-group sweep therefore still uses every worker.
+        """
+        held = set()
+        for other in self._slots:
+            if other is not None and other is not slot:
+                held |= other.groups
+        choice = unheld = None
+        for position, task in enumerate(self._pending):
+            if task.group is None:
+                continue
+            if task.group in slot.groups:
+                choice = position
+                break
+            if unheld is None and task.group not in held:
+                unheld = position
+        if choice is None:
+            choice = unheld if unheld is not None else 0
+        task = self._pending[choice]
+        del self._pending[choice]
+        return task
+
     def _dispatch_locked(self) -> None:
         """Assign pending tasks to idle slots (caller holds the lock)."""
         for position, slot in enumerate(self._slots):
@@ -480,11 +567,8 @@ class WorkerPool:
                 return
             if slot is None or slot.current is not None:
                 continue
-            task = self._pending.popleft()
-            try:
-                key = dataset_cache_key(task.spec)
-            except Exception:  # noqa: BLE001 — bad overrides fail in-worker
-                key = None
+            task = self._next_task_locked(slot)
+            key = None if task.group is None else task.group[1]
             graph = warm = None
             if key is not None and key not in slot.known_datasets:
                 graph, warm = task.graph, task.warm_payload
@@ -503,6 +587,7 @@ class WorkerPool:
                         graph,
                         warm,
                         _knob_values(),
+                        task.tag,
                     )
                 )
             except (BrokenPipeError, OSError):
@@ -514,6 +599,10 @@ class WorkerPool:
                 continue
             slot.current = task
             slot.deadline = None if task.timeout is None else now + task.timeout
+            if slot.scope != task.tag:
+                slot.scope, slot.groups = task.tag, set()
+            if task.group is not None:
+                slot.groups.add(task.group)
             self.counters["dispatched"] += 1
 
     def _respawn(self, slot: _WorkerSlot) -> _WorkerSlot:

@@ -208,3 +208,62 @@ class TestBGCEffectiveness:
         clean_asr = evaluate_backdoor(clean_model, graph, result.generator, result.target_class)
         _, _, _, attacked_asr = attack_outcome
         assert clean_asr < attacked_asr
+
+
+class TestEncoderInputsComputedOnce:
+    """``run`` encodes the graph once and hands the inputs to every epoch."""
+
+    def _run(self, graph):
+        config = fast_attack_config(trigger=TriggerConfig(trigger_size=2, hidden=16, encoder="gcn"))
+        return BGC(config).run(graph, fast_condenser("gcond"), new_rng(4))
+
+    def test_gcn_encoder_run_matches_recomputing_inputs(self, small_graph, monkeypatch):
+        import repro.attack.bgc as bgc_module
+        from repro.attack.trigger import TriggerGenerator, generate_hard_triggers
+
+        calls = []
+        encode = TriggerGenerator.encode_inputs
+
+        def counting_encode(self, *args):
+            calls.append(1)
+            return encode(self, *args)
+
+        monkeypatch.setattr(TriggerGenerator, "encode_inputs", counting_encode)
+        shared = self._run(small_graph)
+        assert len(calls) == 1
+
+        def recomputing(generator, adjacency, features, nodes, inputs=None):
+            return generate_hard_triggers(generator, adjacency, features, nodes)
+
+        monkeypatch.setattr(bgc_module, "generate_hard_triggers", recomputing)
+        calls.clear()
+        recomputed = self._run(small_graph)
+        assert len(calls) == 1 + 4  # once up front, then once per epoch
+        for name in ("features", "labels", "adjacency"):
+            np.testing.assert_array_equal(
+                getattr(shared.condensed, name), getattr(recomputed.condensed, name)
+            )
+        for a, b in zip(shared.generator.parameters(), recomputed.generator.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(shared.poisoned_nodes, recomputed.poisoned_nodes)
+
+    def test_select_hook_replaces_selection(self, small_graph):
+        attack = BGC(fast_attack_config())
+        baseline = attack.run(small_graph, fast_condenser(), new_rng(2))
+        seen = []
+
+        def select(working, rng):
+            seen.append(working)
+            return attack.select_poisoned_nodes(working, rng)
+
+        hooked = BGC(fast_attack_config()).run(small_graph, fast_condenser(), new_rng(2), select=select)
+        assert len(seen) == 1 and seen[0] is small_graph
+        np.testing.assert_array_equal(baseline.condensed.features, hooked.condensed.features)
+
+    def test_selection_key_tracks_only_selection_fields(self):
+        key = BGC(fast_attack_config()).selection_key()
+        assert BGC(fast_attack_config(epochs=9, surrogate_steps=3)).selection_key() == key
+        assert BGC(fast_attack_config(poison_ratio=0.2)).selection_key() != key
+        assert BGC(fast_attack_config(target_class=1)).selection_key() != key
+        other_selection = SelectionConfig(num_clusters=3, selector_epochs=15)
+        assert BGC(fast_attack_config(selection=other_selection)).selection_key() != key

@@ -105,12 +105,33 @@ class TestKMeans:
         assert model.centroids.shape == (3, 2)
         assert model.assignments.shape == (8,)
 
+    @pytest.mark.filterwarnings("error")
     def test_huge_points_overflow_to_uniform_fallback(self, rng):
         """Squared distances overflowing to inf must also hit the fallback."""
         points = np.array([[1e200, 0.0], [-1e200, 0.0]] * 5)
         model = KMeans(num_clusters=2).fit(points, rng)
         assert model.centroids.shape == (2, 2)
         assert model.assignments.shape == (10,)
+
+    def test_overflowed_distances_are_inf_and_deterministic(self):
+        points = np.array([[1e200, 0.0], [-1e200, 0.0], [1.0, 0.0]])
+        centroids = np.array([[1e200, 0.0], [0.0, 0.0]])
+        distances = KMeans._pairwise_sq_distances(points, centroids)
+        assert not np.isnan(distances).any()
+        assert np.isinf(distances[0]).all() and np.isinf(distances[1]).all()
+        assert distances[2, 1] == 1.0
+        runs = [KMeans(num_clusters=2).fit(points, new_rng(3)).assignments for _ in range(2)]
+        np.testing.assert_array_equal(*runs)
+
+    def test_finite_distances_match_the_plain_expansion(self, rng):
+        points = rng.normal(size=(40, 5)) * 1e3
+        centroids = rng.normal(size=(4, 5))
+        expected = (
+            (points ** 2).sum(axis=1, keepdims=True)
+            - 2.0 * points @ centroids.T
+            + (centroids ** 2).sum(axis=1)
+        )
+        np.testing.assert_array_equal(KMeans._pairwise_sq_distances(points, centroids), expected)
 
     def test_plus_plus_uniform_fallback_is_deterministic(self):
         points = np.ones((6, 2))

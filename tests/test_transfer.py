@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec, RunRecord, SweepSpec, TransferSweepSpec
+from repro.api import ExperimentSpec, RunRecord, SweepSpec, TransferSweepSpec, run_sweep
 from repro.cli import _split_axis_flag, build_parser, main, transfer_spec_from_args
 from repro.evaluation.reporting import (
     NO_DEFENSE_LABEL,
@@ -63,7 +64,7 @@ class TestTransferSweepSpec:
         spec = TransferSweepSpec(models=["gcn", "mlp"], defenses=[None, "prune"], seed=3)
         sweep = spec.to_sweep()
         assert isinstance(sweep, SweepSpec)
-        assert list(sweep.axes) == ["model", "defense"]
+        assert list(sweep.axes) == ["seed", "model", "defense"]
         cells = sweep.expand()
         assert len(cells) == 4
         assert [cell.model.name for cell in cells] == ["gcn", "gcn", "mlp", "mlp"]
@@ -82,6 +83,33 @@ class TestTransferSweepSpec:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
             TransferSweepSpec.from_dict({"modles": ["gcn"]})
+
+    def test_seeds_default_to_the_sweep_seed(self):
+        spec = TransferSweepSpec(models=["gcn", "mlp"], defenses=[None, "prune"], seed=5)
+        assert spec.seeds is None
+        assert spec.resolved_seeds() == [5]
+        assert [cell.seed for cell in spec.to_sweep().expand()] == [5, 5, 5, 5]
+
+    def test_seed_axis_is_outermost(self):
+        spec = TransferSweepSpec(models=["gcn", "mlp"], defenses=[None, "prune"], seeds=[3, 1])
+        cells = spec.to_sweep().expand()
+        assert [cell.seed for cell in cells] == [3, 3, 3, 3, 1, 1, 1, 1]
+        assert [cell.model.name for cell in cells[:4]] == ["gcn", "gcn", "mlp", "mlp"]
+
+    @pytest.mark.parametrize("seeds", [[], [-1], ["0"], "0", [True]])
+    def test_bad_seeds_rejected(self, seeds):
+        with pytest.raises(ConfigurationError):
+            TransferSweepSpec(seeds=seeds)
+
+    def test_seeds_round_trip(self):
+        spec = TransferSweepSpec(models=["gcn"], seeds=[4, 2], seed=9)
+        assert spec.to_dict()["seeds"] == [4, 2]
+        assert TransferSweepSpec.from_json(spec.to_json()) == spec
+        assert TransferSweepSpec.from_dict(TransferSweepSpec().to_dict()).seeds is None
+
+
+def _spec(seed):
+    return ExperimentSpec.from_dict({"dataset": "tiny", "model": "gcn", "attack": "naive", "seed": seed})
 
 
 def _record(model, defense, *, status="ok", **metrics):
@@ -122,6 +150,7 @@ class TestTransferMatrix:
         assert matrix["attack"] == "naive"
         assert len(matrix["cells"]) == 4
         assert matrix["cells"][1] == {
+            "seed": 0,
             "model": "gcn",
             "defense": "prune",
             "cell_index": None,
@@ -144,6 +173,17 @@ class TestTransferMatrix:
         lines = text.splitlines()
         assert lines[0] == "| model | none | prune |"
         assert "| gcn | 70.00 / 90.00 | 80.00 / 10.00 |" in lines
+
+    def test_format_renders_one_grid_per_seed(self):
+        records = [
+            replace(_record("gcn", None, attack_cta=0.7, attack_asr=0.9), spec=_spec(seed))
+            for seed in (2, 5)
+        ]
+        matrix = transfer_matrix(records)
+        assert [cell["seed"] for cell in matrix["cells"]] == [2, 5]
+        lines = format_transfer_matrix(matrix).splitlines()
+        assert lines[0] == "seed 2" and "seed 5" in lines
+        assert lines.count("| model | none |") == 2
 
     def test_format_marks_failed_and_missing_cells(self):
         records = [
@@ -182,6 +222,13 @@ class TestTransferCli:
         assert spec.models == ["gcn", "mlp"]
         assert spec.defenses == [None, "prune"]
 
+    def test_seeds_flag(self):
+        args = build_parser().parse_args(["transfer", "--seeds", "3, 4"])
+        assert transfer_spec_from_args(args).seeds == [3, 4]
+        assert transfer_spec_from_args(build_parser().parse_args(["transfer"])).seeds is None
+        with pytest.raises(ConfigurationError):
+            transfer_spec_from_args(build_parser().parse_args(["transfer", "--seeds", "a"]))
+
     def test_spec_from_file(self, tmp_path):
         payload = {"base": {"dataset": "tiny"}, "models": ["gcn"], "seed": 4}
         path = tmp_path / "transfer.json"
@@ -217,3 +264,38 @@ class TestTransferCli:
         assert all(cell["status"] == "ok" for cell in matrix["cells"])
         out = capsys.readouterr().out
         assert "| model |" in out
+
+
+class TestSharedAttackPerSeed:
+    """Every model x defense cell of one seed shares that seed's attack."""
+
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
+    def test_one_attack_hash_per_seed(self, backend):
+        spec = TransferSweepSpec(
+            base=ExperimentSpec.from_dict(
+                {
+                    "dataset": "tiny",
+                    "condenser": {"name": "gcond", "overrides": {"epochs": 1, "ratio": 0.2}},
+                    "attack": {"name": "bgc", "overrides": {"epochs": 1, "poison_ratio": 0.2}},
+                    "trigger": {"overrides": {"trigger_size": 2}},
+                    "evaluation": {"overrides": {"epochs": 3}},
+                }
+            ),
+            models=["gcn", "mlp"],
+            defenses=[None, "prune"],
+            seeds=[0, 1],
+        )
+        execution = {"backend": backend, "workers": 2 if backend == "pool" else 1}
+        records = run_sweep(spec.to_sweep(), execution=execution)
+        assert all(record.ok for record in records)
+        for seed in (0, 1):
+            cells = [record for record in records if record.spec.seed == seed]
+            assert len(cells) == 4
+            assert len({record.attack_condensed_hash for record in cells}) == 1
+            assert len({record.condensed_hash for record in cells}) == 1
+        assert records[0].attack_condensed_hash != records[4].attack_condensed_hash
+        if backend == "serial":
+            # One attack, clean leg and selection per seed; the rest are hits.
+            assert records.memo_stats["attack_leg_misses"] == 2
+            assert records.memo_stats["attack_leg_hits"] == 6
+            assert records.memo_stats["clean_leg_hits"] == 6
