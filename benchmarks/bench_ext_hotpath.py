@@ -37,8 +37,9 @@ attachment + condensation step — ``BGC.run``'s real per-epoch body, driven
 through the attack's own internals) in two configurations:
 
 * **materialised (PR 2)** — cold autograd surrogate retrain every epoch,
-  poisoned graph materialised via ``attach_trigger_subgraph`` +
-  ``with_delta`` (pays the ``(N, F)`` feature vstack);
+  poisoned graph materialised by ``MaterialisedBGC`` (``attach_trigger_subgraph``
+  + ``with_delta``, paying the ``(N, F)`` feature vstack; both from
+  ``tests/reference/subgraph.py``);
 * **view (PR 4)** — warm-started closed-form surrogate refresh
   (``surrogate_warm_start`` on the attack *and* the condenser), poisoned
   graph as a zero-copy ``GraphView``, propagation read in difference form
@@ -91,12 +92,7 @@ Claims checked:
    the dense engine pins in full, before transients) while its propagated
    product matches the dense engine at ``atol=1e-10``;
 9. the scaffold-cached generator update is bit-identical to the uncached
-   one and **at least as fast** (≥ 1× — typically well above);
-10. the ``threaded`` kernel backend's chunked spmm and batched matmul are
-    **bit-identical** to the ``numpy`` reference (always asserted), at
-    least as fast as the reference (≥ 1×, non-smoke — parity is structural
-    on 1-core hosts via the serial fallback), and **≥ 1.3× faster** on
-    hosts with at least 4 usable cores.
+   one and **at least as fast** (≥ 1× — typically well above).
 
 Run standalone (CI smoke uses tiny sizes and skips the speedup assertion,
 which is meaningless for graphs that fit in cache lines)::
@@ -111,6 +107,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from statistics import median
 from typing import Dict, List
@@ -139,8 +136,15 @@ from repro.graph.generators import class_correlated_features, stochastic_block_m
 from repro.graph.normalize import gcn_normalize, self_loop_degrees
 from repro.graph.propagation import sgc_precompute
 from repro.graph.splits import make_planetoid_split
-from repro.graph.subgraph import attach_trigger_subgraph, attach_trigger_subgraph_coo
 from repro.utils.seed import new_rng, spawn_rngs
+
+# The materialised attachment paths are pinned references kept with the tests.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from reference.subgraph import (  # noqa: E402
+    MaterialisedBGC,
+    attach_trigger_subgraph,
+    attach_trigger_subgraph_coo,
+)
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 
@@ -184,17 +188,6 @@ SCAFFOLD_SPEEDUP_FLOOR = 1.0
 #: single (N, F) chain materialisation is ~191 MiB on the training view;
 #: 320 MiB proves the step touches neither.
 SAMPLED_RSS_CEILING_MB = 320.0
-#: Parity floor for the threaded kernel backend vs the numpy reference.
-#: Like SCAFFOLD_SPEEDUP_FLOOR this guards against the alternative backend
-#: being a pessimisation — on hosts without spare cores the backend's serial
-#: fallback makes parity structural, with real wins appearing once threads
-#: have cores to run on.
-KERNEL_PARITY_FLOOR = 1.0
-#: Real-speedup floor for the chunked row-parallel spmm, asserted only on
-#: hosts with at least KERNEL_MIN_CORES usable cores — below that a parallel
-#: win is physically impossible and only bit-identity is meaningful.
-KERNEL_SPMM_SPEEDUP_FLOOR = 1.3
-KERNEL_MIN_CORES = 4
 
 
 def _build_graph(smoke: bool) -> GraphData:
@@ -482,11 +475,12 @@ def run_view_epoch_comparison(
     internals — ``BGC._train_surrogate`` → ``BGC._update_generator`` →
     ``BGC._build_poisoned_graph`` → ``condenser.epoch_step`` — so the
     cross-epoch surrogate batching is part of the measured epoch, exactly as
-    it is in ``BGC.run``.  The two regimes differ only in the PR 4 flags:
+    it is in ``BGC.run``.  The two regimes differ in exactly two ways:
 
-    * materialised: ``use_graph_view=False``, full surrogate retrain per
-      epoch (attack and condenser) — the PR 2 shipping configuration;
-    * view: ``use_graph_view=True``, ``surrogate_warm_start=True`` on both.
+    * materialised: ``MaterialisedBGC``, full surrogate retrain per epoch
+      (attack and condenser) — the pre-view configuration;
+    * view: ``BGC`` (its poisoned graph is a ``GraphView``),
+      ``surrogate_warm_start=True`` on both.
     """
     from repro.attack.bgc import BGC, BGCConfig
     from repro.graph.splits import SplitIndices
@@ -523,11 +517,10 @@ def run_view_epoch_comparison(
             cache=cache,
         )
         condenser.initialize(base_poisoned, new_rng(0))
-        attack = BGC(
+        attack = (BGC if use_view else MaterialisedBGC)(
             BGCConfig(
                 poison_number=budget,
                 epochs=1,
-                use_graph_view=use_view,
                 surrogate_warm_start=use_view,
                 surrogate_refresh_steps=5,
                 trigger=TriggerConfig(trigger_size=TRIGGER_SIZE),
@@ -890,7 +883,6 @@ def run_hotpath(smoke: bool = SMOKE, timed_epochs: int = TIMED_EPOCHS) -> Dict[s
     results.update(run_sweep_throughput(smoke=smoke))
     results.update(run_blocked_propagation(smoke=smoke))
     results.update(run_sampled_attack_step(smoke=smoke))
-    results.update(run_kernel_backends(smoke=smoke))
     return results
 
 
@@ -965,74 +957,6 @@ def run_sampled_attack_step(smoke: bool = SMOKE) -> Dict[str, object]:
         "sampled_flips": len(chosen),
         "sampled_peak_delta_mb": delta_mb,
         "sampled_reference_match": reference_match,
-    }
-
-
-def run_kernel_backends(smoke: bool = SMOKE) -> Dict[str, object]:
-    """Threaded kernel backend vs the numpy reference on hot-path-shaped ops.
-
-    One propagation-shaped spmm (sparse adjacency × dense feature block, the
-    shape every SGC/APPNP hop takes) and one gradient-matching-shaped batched
-    matmul, timed under both backends.  Outputs must be **bit-identical** —
-    the threaded backend chunks rows/batches, which moves work across
-    threads without reordering any per-row accumulation.
-    """
-    import scipy.sparse as sparse
-
-    from repro.kernels import NumpyBackend, ThreadedBackend
-
-    rows, features = (3_000, 32) if smoke else (60_000, 256)
-    # A Generator, not a legacy seed: RandomState.choice(replace=False)
-    # materialises a permutation of all rows² positions (26.8 GiB at 60k).
-    matrix = sparse.random(
-        rows, rows, density=8.0 / rows, random_state=np.random.default_rng(7), format="csr"
-    )
-    dense = new_rng(8).normal(size=(rows, features))
-    batch, dim = (48, 24) if smoke else (256, 64)
-    bmm_a = new_rng(9).normal(size=(batch, dim, dim))
-    bmm_b = new_rng(10).normal(size=(batch, dim, dim))
-
-    reference = NumpyBackend()
-    threaded = ThreadedBackend()  # REPRO_KERNEL_THREADS or cpu_count workers
-    reps = 3 if smoke else 7
-
-    def timed(operation) -> float:
-        operation()  # warm-up: BLAS dispatch, pool spin-up, page faults
-        times = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            operation()
-            times.append(time.perf_counter() - start)
-        return median(times)
-
-    spmm_identical = bool(
-        np.array_equal(threaded.spmm(matrix, dense), reference.spmm(matrix, dense))
-    )
-    bmm_identical = bool(
-        np.array_equal(
-            threaded.batched_matmul(bmm_a, bmm_b),
-            reference.batched_matmul(bmm_a, bmm_b),
-        )
-    )
-    spmm_serial = timed(lambda: reference.spmm(matrix, dense))
-    spmm_threaded = timed(lambda: threaded.spmm(matrix, dense))
-    bmm_serial = timed(lambda: reference.batched_matmul(bmm_a, bmm_b))
-    bmm_threaded = timed(lambda: threaded.batched_matmul(bmm_a, bmm_b))
-
-    return {
-        "kernel_rows": rows,
-        "kernel_nnz": int(matrix.nnz),
-        "kernel_features": features,
-        "kernel_workers": threaded.workers,
-        "kernel_cores": _usable_cores(),
-        "kernel_spmm_serial_ms": spmm_serial * 1e3,
-        "kernel_spmm_threaded_ms": spmm_threaded * 1e3,
-        "kernel_spmm_speedup": spmm_serial / spmm_threaded,
-        "kernel_spmm_identical": spmm_identical,
-        "kernel_bmm_serial_ms": bmm_serial * 1e3,
-        "kernel_bmm_threaded_ms": bmm_threaded * 1e3,
-        "kernel_bmm_speedup": bmm_serial / bmm_threaded,
-        "kernel_bmm_identical": bmm_identical,
     }
 
 
@@ -1157,47 +1081,10 @@ def _report(results: Dict[str, float]) -> None:
         f"{'yes' if results['sampled_reference_match'] else 'NO'}"
     )
 
-    print_header(
-        f"Kernel backends: threaded vs numpy reference "
-        f"(spmm {results['kernel_rows']}x{results['kernel_rows']}, "
-        f"nnz={results['kernel_nnz']:,}, F={results['kernel_features']}; "
-        f"{results['kernel_workers']} worker(s), "
-        f"{results['kernel_cores']} usable core(s))"
-    )
-    print(f"{'primitive':<16}{'numpy (ms)':>12}{'threaded (ms)':>14}{'speedup':>10}")
-    for label, serial_key, threaded_key, ratio_key in (
-        ("spmm", "kernel_spmm_serial_ms", "kernel_spmm_threaded_ms", "kernel_spmm_speedup"),
-        ("batched matmul", "kernel_bmm_serial_ms", "kernel_bmm_threaded_ms", "kernel_bmm_speedup"),
-    ):
-        print(
-            f"{label:<16}{results[serial_key]:>12.2f}"
-            f"{results[threaded_key]:>14.2f}{results[ratio_key]:>10.2f}"
-        )
-    print(
-        "outputs bit-identical: "
-        f"spmm {'yes' if results['kernel_spmm_identical'] else 'NO'}, "
-        f"batched matmul {'yes' if results['kernel_bmm_identical'] else 'NO'}"
-    )
-    if results["kernel_cores"] < KERNEL_MIN_CORES:
-        print(
-            f"note: only {results['kernel_cores']} usable core(s) — the "
-            f"{KERNEL_SPMM_SPEEDUP_FLOOR}x spmm floor needs >= "
-            f"{KERNEL_MIN_CORES} and is not asserted on this host"
-        )
-
 
 def _sweep_floor_applies(results: Dict[str, float], smoke: bool) -> bool:
     """Whether the parallel wall-clock floor is meaningful on this host."""
     return not smoke and results["sweep_cores"] >= results["sweep_workers"]
-
-
-def _kernel_floor_applies(results: Dict[str, float], smoke: bool) -> bool:
-    """Whether the threaded-spmm real-speedup floor is meaningful here."""
-    return (
-        not smoke
-        and results["kernel_cores"] >= KERNEL_MIN_CORES
-        and results["kernel_workers"] > 1
-    )
 
 
 def test_hotpath_cached_and_incremental_speedup():
@@ -1228,19 +1115,12 @@ def test_hotpath_cached_and_incremental_speedup():
     assert results["sampled_reference_match"], (
         "sampled attacker's covering block diverged from the exhaustive reference"
     )
-    assert results["kernel_spmm_identical"], (
-        "threaded kernel backend's spmm diverged from the numpy reference"
-    )
-    assert results["kernel_bmm_identical"], (
-        "threaded kernel backend's batched matmul diverged from the numpy reference"
-    )
     if not SMOKE:
         assert results["speedup_cached"] >= SPEEDUP_FLOOR, results
         assert results["speedup_incremental"] >= SPEEDUP_FLOOR, results
         assert results["epoch_speedup"] >= EPOCH_SPEEDUP_FLOOR, results
         assert results["view_epoch_speedup"] >= VIEW_EPOCH_SPEEDUP_FLOOR, results
         assert results["scaffold_speedup"] >= SCAFFOLD_SPEEDUP_FLOOR, results
-        assert results["kernel_spmm_speedup"] >= KERNEL_PARITY_FLOOR, results
         assert results["blocked_peak_delta_mb"] <= results["blocked_rss_ceiling_mb"], (
             "blocked condensation epoch exceeded its peak-RSS ceiling: "
             f"{results['blocked_peak_delta_mb']:.1f} MiB > "
@@ -1254,8 +1134,6 @@ def test_hotpath_cached_and_incremental_speedup():
             )
     if _sweep_floor_applies(results, SMOKE):
         assert results["sweep_speedup"] >= SWEEP_SPEEDUP_FLOOR, results
-    if _kernel_floor_applies(results, SMOKE):
-        assert results["kernel_spmm_speedup"] >= KERNEL_SPMM_SPEEDUP_FLOOR, results
 
 
 if __name__ == "__main__":
@@ -1283,8 +1161,6 @@ if __name__ == "__main__":
         raise SystemExit("scaffold-cache loss bit-identity check FAILED")
     if not outcome["sampled_reference_match"]:
         raise SystemExit("sampled-vs-exhaustive attack equivalence check FAILED")
-    if not (outcome["kernel_spmm_identical"] and outcome["kernel_bmm_identical"]):
-        raise SystemExit("threaded kernel backend bit-identity check FAILED")
     if not (args.smoke or SMOKE):
         if min(outcome["speedup_cached"], outcome["speedup_incremental"]) < SPEEDUP_FLOOR:
             raise SystemExit(f"speedup below {SPEEDUP_FLOOR}x")
@@ -1298,10 +1174,6 @@ if __name__ == "__main__":
             raise SystemExit(
                 f"scaffold-cache update speedup below {SCAFFOLD_SPEEDUP_FLOOR}x"
             )
-        if outcome["kernel_spmm_speedup"] < KERNEL_PARITY_FLOOR:
-            raise SystemExit(
-                f"threaded kernel spmm below the {KERNEL_PARITY_FLOOR}x parity floor"
-            )
         if outcome["blocked_peak_delta_mb"] > outcome["blocked_rss_ceiling_mb"]:
             raise SystemExit("blocked propagation exceeded its peak-RSS ceiling")
         if (
@@ -1312,9 +1184,4 @@ if __name__ == "__main__":
     if _sweep_floor_applies(outcome, args.smoke or SMOKE):
         if outcome["sweep_speedup"] < SWEEP_SPEEDUP_FLOOR:
             raise SystemExit(f"sweep-throughput speedup below {SWEEP_SPEEDUP_FLOOR}x")
-    if _kernel_floor_applies(outcome, args.smoke or SMOKE):
-        if outcome["kernel_spmm_speedup"] < KERNEL_SPMM_SPEEDUP_FLOOR:
-            raise SystemExit(
-                f"threaded kernel spmm speedup below {KERNEL_SPMM_SPEEDUP_FLOOR}x"
-            )
     print("\nhot-path benchmark OK")

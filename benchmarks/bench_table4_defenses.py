@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.attack import BGC
 from repro.condensation import make_condenser
 from repro.datasets import load_dataset
-from repro.defenses import PruneConfig, PruneDefense, RandSmoothConfig, RandSmoothDefense
+from repro.defenses import PruneConfig, PruneDefense, RandSmoothConfig, SmoothedModel
 from repro.evaluation.pipeline import evaluate_backdoor, evaluate_clean, train_model_on_condensed
 from repro.utils.seed import spawn_rngs
 
@@ -50,8 +50,8 @@ def run_table4():
         prune_asr = evaluate_backdoor(pruned_model, graph, result.generator, result.target_class)
 
         # Randsmooth: model-level defense wrapping the backdoored model.
-        smoothed = RandSmoothDefense(RandSmoothConfig(num_samples=5, keep_probability=0.7)).wrap(
-            backdoored
+        smoothed = SmoothedModel(
+            backdoored, RandSmoothConfig(num_samples=5, keep_probability=0.7)
         )
         smooth_cta = evaluate_clean(smoothed, graph)
         smooth_asr = evaluate_backdoor(smoothed, graph, result.generator, result.target_class)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import BGC, BGCConfig, CondensationConfig, EvaluationConfig, load_dataset, make_condenser
-from repro.defenses import PruneConfig, PruneDefense, RandSmoothConfig, RandSmoothDefense
+from repro.defenses import PruneConfig, PruneDefense, RandSmoothConfig, SmoothedModel
 from repro.evaluation.pipeline import (
     evaluate_backdoor,
     evaluate_clean,
@@ -77,7 +77,7 @@ def main() -> None:
         f"{evaluate_clean(pruned_model, graph):.1%}, "
         f"ASR = {evaluate_backdoor(pruned_model, graph, result.generator, result.target_class):.1%}"
     )
-    smoothed = RandSmoothDefense(RandSmoothConfig(num_samples=5)).wrap(victim_model)
+    smoothed = SmoothedModel(victim_model, RandSmoothConfig(num_samples=5))
     print(
         "  Randsmooth: CTA = "
         f"{evaluate_clean(smoothed, graph):.1%}, "

@@ -57,7 +57,6 @@ from repro.defenses import (
 )
 from repro.evaluation import (
     EvaluationConfig,
-    ExperimentRunner,
     attack_success_rate,
     clean_test_accuracy,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "RandSmoothDefense",
     "RandSmoothConfig",
     "EvaluationConfig",
-    "ExperimentRunner",
     "attack_success_rate",
     "clean_test_accuracy",
     "ComponentSpec",

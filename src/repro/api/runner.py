@@ -29,7 +29,7 @@ from repro.api.stages import MEMO_COUNTER_KEYS, StageMemo, component_key, stage
 from repro.attack.naive import NaivePoison
 from repro.condensation.base import CondensedGraph, Condenser
 from repro.datasets import load_dataset
-from repro.defenses.detection import remove_flagged_nodes
+from repro.defenses.base import Defense
 from repro.evaluation.metrics import attack_success_rate
 from repro.evaluation.pipeline import (
     EvaluationConfig,
@@ -42,7 +42,7 @@ from repro.evaluation.pipeline import (
 from repro.exceptions import ConfigurationError
 from repro.graph.blocked import BLOCKED_THRESHOLD
 from repro.graph.data import GraphData
-from repro.kernels import KERNEL_BACKEND
+from repro.graph.view import GraphView
 from repro.registry import ATTACKS, CONDENSERS, DEFENSES, MODELS, bind_config
 from repro.utils.logging import get_logger
 from repro.utils.seed import spawn_rngs
@@ -243,6 +243,16 @@ def _resolve_attack(spec: ExperimentSpec):
     return ATTACKS.build(spec.attack.name, **overrides)
 
 
+def _resolve_defense(spec: ExperimentSpec) -> Defense:
+    defense = DEFENSES.build(spec.defense.name, **spec.defense.overrides)
+    if not isinstance(defense, Defense):
+        raise ConfigurationError(
+            f"defense {spec.defense.name!r} built a {type(defense).__name__}, "
+            "not a repro.defenses.Defense with a defend(...) method"
+        )
+    return defense
+
+
 def _dataset_seed(spec: ExperimentSpec) -> int:
     """Validate the dataset overrides (only ``seed``) and return the seed."""
     overrides = dict(spec.dataset.overrides)
@@ -292,7 +302,7 @@ class Leg:
     pattern: np.ndarray | None = None
     target_class: int = 0
 
-    def triggered_graph(self, graph: GraphData) -> GraphData:
+    def triggered_graph(self, graph: GraphData) -> GraphData | GraphView:
         """``graph`` with this leg's trigger attached to every test node."""
         if self.pattern is not None:
             return NaivePoison.attach_universal_trigger(
@@ -419,42 +429,6 @@ def _evaluate(
 
 
 # ------------------------------------------------------------------ #
-# Defense application
-# ------------------------------------------------------------------ #
-def _apply_defense(
-    defense,
-    condensed: CondensedGraph,
-    model: Predictor,
-    graph: GraphData,
-    evaluation: EvaluationConfig,
-    rng: np.random.Generator,
-) -> Predictor:
-    """Apply a registered defense and return the defended predictor.
-
-    Four duck-typed protocols cover the registered families: dataset-level
-    defenses expose ``apply_to_condensed`` (retrain on the sanitised graph),
-    detectors expose ``detect`` (drop flagged nodes, retrain), robust-training
-    defenses expose ``retrain`` (refit under training-time perturbation), and
-    model-level defenses expose ``wrap`` (smooth the already-trained model).
-    """
-    if hasattr(defense, "retrain"):
-        return defense.retrain(condensed, graph, evaluation, rng)
-    if hasattr(defense, "apply_to_condensed"):
-        defended = defense.apply_to_condensed(condensed)
-        return train_model_on_condensed(defended, graph, evaluation, rng)
-    if hasattr(defense, "detect"):
-        report = defense.detect(condensed)
-        defended = remove_flagged_nodes(condensed, report)
-        return train_model_on_condensed(defended, graph, evaluation, rng)
-    if hasattr(defense, "wrap"):
-        return defense.wrap(model)
-    raise ConfigurationError(
-        f"defense {type(defense).__name__} implements none of "
-        "retrain/apply_to_condensed/detect/wrap"
-    )
-
-
-# ------------------------------------------------------------------ #
 # Entry points
 # ------------------------------------------------------------------ #
 def run_experiment(
@@ -486,11 +460,7 @@ def run_experiment(
     _dataset_seed(spec)
     condenser = _resolve_condenser(spec)
     attack = _resolve_attack(spec) if spec.attack.is_set else None
-    defense = (
-        DEFENSES.build(spec.defense.name, **spec.defense.overrides)
-        if spec.defense.is_set
-        else None
-    )
+    defense = _resolve_defense(spec) if spec.defense.is_set else None
     watch = _Stopwatch()
     if graph is None:
         graph = watch.measure("load_dataset", lambda: _load_graph(spec))
@@ -551,8 +521,8 @@ def run_experiment(
             "defense",
             "defend",
             "defend",
-            lambda: _apply_defense(
-                defense, target_leg.condensed, target_model, graph, evaluation, defense_rng
+            lambda: defense.defend(
+                target_leg.condensed, target_model, graph, evaluation, defense_rng
             ),
         )
     watch.measure(
@@ -664,10 +634,10 @@ def run_sweep(
     bounded :class:`~repro.api.stages.StageMemo` for the call (the pool keeps
     one per worker), which serves every stage an earlier cell already
     computed; ``SweepRecord.memo_stats`` counts its hits and misses.  A set
-    ``execution.blocked_threshold`` or ``execution.kernel_backend`` is
-    installed as its knob's override for the duration of the sweep (and
-    restored after), covering the serial loop, the pool's handoff and —
-    via the task message — every worker process.
+    ``execution.blocked_threshold`` is installed as its knob's override for
+    the duration of the sweep (and restored after), covering the serial
+    loop, the pool's handoff and — via the task message — every worker
+    process.
     """
     if not isinstance(sweep, SweepSpec):
         sweep = SweepSpec.from_dict(sweep)
@@ -677,9 +647,7 @@ def run_sweep(
     specs = sweep.expand()
     order = _validated_order(order, len(specs))
 
-    threshold = BLOCKED_THRESHOLD.overridden(execution.blocked_threshold)
-    kernel = KERNEL_BACKEND.overridden(execution.kernel_backend)
-    with threshold, kernel:
+    with BLOCKED_THRESHOLD.overridden(execution.blocked_threshold):
         return _run_sweep_cells(sweep, specs, order, execution, on_record)
 
 

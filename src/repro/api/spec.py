@@ -289,17 +289,6 @@ class ExecutionSpec:
         Like every execution field it never changes a cell's floats below
         round-off — the blocked engine is exact per row block — and the
         sweep remains bit-identical across backends.
-    ``kernel_backend``
-        Name of the :mod:`repro.kernels` backend the sweep's numerical
-        primitives dispatch through (``"numpy"``, ``"threaded"``, or any
-        name registered via
-        :func:`repro.kernels.register_kernel_backend`).  ``None`` (default)
-        keeps the process-wide setting (the ``REPRO_KERNEL_BACKEND``
-        environment variable or the built-in ``"numpy"`` default).  Like
-        every execution field it never changes a cell's result: every
-        registered backend is pinned to the numpy reference by the
-        kernel-conformance suite, so records stay bit-identical across
-        kernel backends.
     """
 
     backend: str = "serial"
@@ -307,7 +296,6 @@ class ExecutionSpec:
     timeout: float | None = None
     on_error: str = "raise"
     blocked_threshold: int | None = None
-    kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in EXECUTION_BACKENDS:
@@ -351,22 +339,6 @@ class ExecutionSpec:
                 f"execution blocked_threshold must be a non-negative integer "
                 f"or null, got {self.blocked_threshold!r}"
             )
-        if self.kernel_backend is not None:
-            if not isinstance(self.kernel_backend, str):
-                raise ConfigurationError(
-                    f"execution kernel_backend must be a backend name or null, "
-                    f"got {self.kernel_backend!r}"
-                )
-            # Validate eagerly against the registry so a typo fails at spec
-            # construction (and CLI parse time), not mid-sweep in a worker.
-            from repro.kernels import available_kernel_backends
-
-            if self.kernel_backend not in available_kernel_backends():
-                raise ConfigurationError(
-                    f"unknown execution kernel_backend {self.kernel_backend!r}; "
-                    f"registered backends: "
-                    f"{', '.join(available_kernel_backends())}"
-                )
 
     @classmethod
     def coerce(cls, value: Any) -> "ExecutionSpec":
@@ -386,13 +358,11 @@ class ExecutionSpec:
                 "timeout",
                 "on_error",
                 "blocked_threshold",
-                "kernel_backend",
             }
             if unknown:
                 raise ConfigurationError(
                     f"unknown execution keys {sorted(unknown)}; expected "
                     "'backend'/'workers'/'timeout'/'on_error'/'blocked_threshold'"
-                    "/'kernel_backend'"
                 )
             return cls(
                 backend=value.get("backend", "serial"),
@@ -400,7 +370,6 @@ class ExecutionSpec:
                 timeout=value.get("timeout"),
                 on_error=value.get("on_error", "raise"),
                 blocked_threshold=value.get("blocked_threshold"),
-                kernel_backend=value.get("kernel_backend"),
             )
         raise ConfigurationError(
             f"cannot interpret {value!r} as an execution spec (need None or mapping)"
@@ -414,7 +383,6 @@ class ExecutionSpec:
             "timeout": self.timeout,
             "on_error": self.on_error,
             "blocked_threshold": self.blocked_threshold,
-            "kernel_backend": self.kernel_backend,
         }
 
 

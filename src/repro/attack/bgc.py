@@ -43,7 +43,6 @@ from repro.exceptions import AttackError
 from repro.graph.data import GraphData
 from repro.graph.normalize import dense_gcn_normalize
 from repro.graph.splits import SplitIndices
-from repro.graph.subgraph import attach_trigger_subgraph
 from repro.graph.view import poison_graph_view
 from repro.registry import ATTACKS
 from repro.utils.logging import get_logger
@@ -68,12 +67,6 @@ class BGCConfig:
     directed: bool = False
     source_class: int | None = None
     use_random_selection: bool = False
-    #: Build the per-epoch poisoned graph as a zero-copy
-    #: :class:`~repro.graph.view.GraphView` instead of materialising the
-    #: ``(N + P·t, F)`` feature vstack.  Bit-identical results either way
-    #: (pinned by the hot-path equivalence tests); False is the materialised
-    #: reference path.
-    use_graph_view: bool = True
     #: Carry the surrogate weight and Adam moments across attack epochs and
     #: retrain with ``surrogate_refresh_steps`` closed-form steps per epoch
     #: instead of a fresh ``surrogate_steps``-step autograd run.  False is
@@ -400,48 +393,28 @@ class BGC:
     ):
         """Attach the current triggers to the poisoned nodes of the original graph.
 
-        The result is recorded as a delta against ``working``: the only
+        The result is a zero-copy :class:`~repro.graph.view.GraphView`
+        recorded as a delta against ``working``: trigger rows overlay the
+        base feature matrix instead of being vstacked under it, and the only
         pre-existing rows the attachment touches are the poisoned host nodes
-        (each gains one edge to its trigger block), so downstream propagation
-        through :class:`~repro.graph.cache.PropagationCache` recomputes only
-        the triggers' K-hop neighbourhood each attack epoch instead of the
-        whole graph.
-
-        With ``config.use_graph_view`` (the default) the poisoned graph is a
-        zero-copy :class:`~repro.graph.view.GraphView` — trigger rows overlay
-        the base feature matrix instead of being vstacked under it, and the
-        condenser reads propagated features in difference form.  The
-        materialised ``GraphData`` branch below is the pinned reference path;
-        both produce bit-identical condensation steps (asserted in
-        ``tests/test_hotpath_equivalence.py``).  ``encoder_inputs`` are the
-        generator's inputs for ``working``, which :meth:`run` computes once
-        instead of once per epoch.
+        (each gains one edge to its trigger block).  Downstream propagation
+        through :class:`~repro.graph.cache.PropagationCache` therefore
+        recomputes only the triggers' K-hop neighbourhood each attack epoch,
+        in difference form.  The materialised ``GraphData`` equivalent is
+        pinned bit-identical in ``tests/test_hotpath_equivalence.py``.
+        ``encoder_inputs`` are the generator's inputs for ``working``, which
+        :meth:`run` computes once instead of once per epoch.
         """
         features, adjacency = generate_hard_triggers(
             generator, working.adjacency, working.features, poisoned_nodes, encoder_inputs
         )
-        if self.config.use_graph_view:
-            return poison_graph_view(
-                working,
-                poisoned_nodes,
-                features,
-                adjacency,
-                labels=base_poisoned.labels,
-                trigger_label=self.config.target_class,
-                split=base_poisoned.split.copy(),
-                name=f"{working.name}-poisoned",
-                metadata=dict(working.metadata),
-            )
-        new_adjacency, new_features, _ = attach_trigger_subgraph(
-            working.adjacency, working.features, poisoned_nodes, features, adjacency
-        )
-        num_new = new_features.shape[0] - working.num_nodes
-        trigger_labels = np.full(num_new, self.config.target_class, dtype=np.int64)
-        return working.with_delta(
+        return poison_graph_view(
+            working,
             poisoned_nodes,
-            adjacency=new_adjacency,
-            features=new_features,
-            labels=np.concatenate([base_poisoned.labels, trigger_labels]),
+            features,
+            adjacency,
+            labels=base_poisoned.labels,
+            trigger_label=self.config.target_class,
             split=base_poisoned.split.copy(),
             name=f"{working.name}-poisoned",
             metadata=dict(working.metadata),

@@ -10,8 +10,7 @@ It provides:
   :mod:`repro.autograd.functional`,
 * :class:`~repro.autograd.module.Module` / :class:`~repro.autograd.module.Linear`
   building blocks with parameter management,
-* :class:`~repro.autograd.optim.SGD` and :class:`~repro.autograd.optim.Adam`
-  optimisers.
+* the :class:`~repro.autograd.optim.Adam` optimiser.
 
 The engine supports single backward passes, which is all BGC needs once the
 condensation surrogate's parameter gradient is written in closed form (see
@@ -21,7 +20,7 @@ condensation surrogate's parameter gradient is written in closed form (see
 from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled
 from repro.autograd import functional
 from repro.autograd.module import Module, Parameter, Linear, Sequential, Dropout, ReLU
-from repro.autograd.optim import SGD, Adam, Optimizer
+from repro.autograd.optim import Adam, Optimizer
 
 __all__ = [
     "Tensor",
@@ -34,7 +33,6 @@ __all__ = [
     "Sequential",
     "Dropout",
     "ReLU",
-    "SGD",
     "Adam",
     "Optimizer",
 ]

@@ -30,38 +30,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise AutogradError(f"momentum must lie in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.parameters:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity.get(id(param))
-                velocity = grad if velocity is None else self.momentum * velocity + grad
-                self._velocity[id(param)] = velocity
-                grad = velocity
-            param.data = param.data - self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015) with optional weight decay.
 

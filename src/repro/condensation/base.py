@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -146,13 +146,6 @@ class Condenser:
         raw = np.maximum(min_per_class, np.round(proportions * total).astype(np.int64))
         budget[present] = raw
         return budget
-
-
-def register_condenser(
-    name: str, factory: Callable[..., Condenser], aliases: tuple[str, ...] = ()
-) -> None:
-    """Register a condenser under ``name`` (back-compat shim over :data:`CONDENSERS`)."""
-    CONDENSERS.register(name, factory=factory, config_cls=CondensationConfig, aliases=aliases)
 
 
 def available_condensers() -> list[str]:

@@ -1,5 +1,10 @@
-"""Defense methods evaluated against BGC (Table IV) plus detection extensions."""
+"""Defense methods evaluated against BGC (Table IV) plus detection extensions.
 
+Every registered defense is a :class:`Defense`: the runner's ``defend`` stage
+calls its one method, ``defend(condensed, model, graph, evaluation, rng)``.
+"""
+
+from repro.defenses.base import Defense
 from repro.defenses.prune import PruneDefense, PruneConfig
 from repro.defenses.randsmooth import RandSmoothDefense, RandSmoothConfig, SmoothedModel
 from repro.defenses.robust_training import (
@@ -11,6 +16,7 @@ from repro.defenses.robust_training import (
 )
 from repro.defenses.detection import (
     DetectionReport,
+    Detector,
     FeatureOutlierConfig,
     FeatureOutlierDetector,
     SpectralSignatureConfig,
@@ -19,6 +25,7 @@ from repro.defenses.detection import (
 )
 
 __all__ = [
+    "Defense",
     "PruneDefense",
     "PruneConfig",
     "RandSmoothDefense",
@@ -30,6 +37,7 @@ __all__ = [
     "DropNodeConfig",
     "drop_edges",
     "DetectionReport",
+    "Detector",
     "FeatureOutlierConfig",
     "FeatureOutlierDetector",
     "SpectralSignatureConfig",

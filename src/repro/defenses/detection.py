@@ -12,20 +12,26 @@ quantitatively (see ``benchmarks/bench_ext_detection.py``):
   backdoor detector: flags nodes with the largest projection onto the top
   singular vector of the centred per-class feature matrix.
 
-Both return per-node suspicion scores plus a boolean mask at a chosen
-contamination rate, and a helper to rebuild a condensed graph with the
-flagged nodes removed.
+Both share :class:`Detector`: per-node suspicion scores, a boolean mask at a
+chosen contamination rate, and a ``defend`` that drops the flagged nodes
+(:func:`remove_flagged_nodes`) and retrains the customer's model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict
 
 import numpy as np
 
 from repro.condensation.base import CondensedGraph
+from repro.defenses.base import Defense
+from repro.evaluation.pipeline import (
+    EvaluationConfig,
+    Predictor,
+    train_model_on_condensed,
+)
 from repro.exceptions import DefenseError
+from repro.graph.data import GraphData
 from repro.registry import DEFENSES
 from repro.utils.logging import get_logger
 
@@ -96,20 +102,52 @@ def _flag_top_scores(scores: np.ndarray, contamination: float) -> np.ndarray:
     return mask
 
 
-@DEFENSES.register("feature-outlier", aliases=("outlier",), config_cls=FeatureOutlierConfig)
-class FeatureOutlierDetector:
-    """Z-score distance-to-class-centroid outlier detection."""
+class Detector(Defense):
+    """Score condensed nodes, flag the most suspicious, drop them and retrain.
 
-    def __init__(
-        self,
-        config: FeatureOutlierConfig | None = None,
-        contamination: float | None = None,
-    ) -> None:
-        self.config = _resolve_detector_config(config, contamination, FeatureOutlierConfig)
+    Subclasses define :meth:`score` and ``config_cls``; the legacy
+    ``contamination=`` keyword overrides the config's rate.
+    """
+
+    #: The detector's config dataclass (it carries ``contamination``).
+    config_cls: type
+
+    def __init__(self, config=None, contamination: float | None = None) -> None:
+        self.config = _resolve_detector_config(config, contamination, self.config_cls)
 
     @property
     def contamination(self) -> float:
         return self.config.contamination
+
+    def score(self, condensed: CondensedGraph) -> np.ndarray:
+        """Per-node suspicion scores (larger = more suspicious)."""
+        raise NotImplementedError
+
+    def detect(self, condensed: CondensedGraph) -> DetectionReport:
+        """Score every condensed node and flag the most anomalous ones."""
+        scores = self.score(condensed)
+        flagged = _flag_top_scores(scores, self.contamination)
+        logger.debug("%s flagged %d nodes", type(self).__name__, int(flagged.sum()))
+        return DetectionReport(scores=scores, flagged=flagged, contamination=self.contamination)
+
+    def defend(
+        self,
+        condensed: CondensedGraph,
+        model: Predictor,
+        graph: GraphData,
+        evaluation: EvaluationConfig,
+        rng: np.random.Generator,
+    ) -> Predictor:
+        """Retrain the customer's model without the flagged condensed nodes."""
+        defended = remove_flagged_nodes(condensed, self.detect(condensed))
+        return train_model_on_condensed(defended, graph, evaluation, rng)
+
+
+@DEFENSES.register("feature-outlier", aliases=("outlier",), config_cls=FeatureOutlierConfig)
+class FeatureOutlierDetector(Detector):
+    """Z-score distance-to-class-centroid outlier detection."""
+
+    config_cls = FeatureOutlierConfig
 
     def score(self, condensed: CondensedGraph) -> np.ndarray:
         """Per-node suspicion scores (larger = more anomalous)."""
@@ -125,28 +163,12 @@ class FeatureOutlierDetector:
             scores[members] = (distances - distances.mean()) / spread
         return scores
 
-    def detect(self, condensed: CondensedGraph) -> DetectionReport:
-        """Score every condensed node and flag the most anomalous ones."""
-        scores = self.score(condensed)
-        flagged = _flag_top_scores(scores, self.contamination)
-        logger.debug("feature-outlier detector flagged %d nodes", int(flagged.sum()))
-        return DetectionReport(scores=scores, flagged=flagged, contamination=self.contamination)
-
 
 @DEFENSES.register("spectral-signature", aliases=("spectral",), config_cls=SpectralSignatureConfig)
-class SpectralSignatureDetector:
+class SpectralSignatureDetector(Detector):
     """Spectral-signature detection (Tran et al., 2018) adapted to condensed graphs."""
 
-    def __init__(
-        self,
-        config: SpectralSignatureConfig | None = None,
-        contamination: float | None = None,
-    ) -> None:
-        self.config = _resolve_detector_config(config, contamination, SpectralSignatureConfig)
-
-    @property
-    def contamination(self) -> float:
-        return self.config.contamination
+    config_cls = SpectralSignatureConfig
 
     def score(self, condensed: CondensedGraph) -> np.ndarray:
         """Squared projection of each node onto its class's top singular vector."""
@@ -162,13 +184,6 @@ class SpectralSignatureDetector:
             projections = centred @ vt[0]
             scores[members] = projections ** 2
         return scores
-
-    def detect(self, condensed: CondensedGraph) -> DetectionReport:
-        """Score every condensed node and flag the most anomalous ones."""
-        scores = self.score(condensed)
-        flagged = _flag_top_scores(scores, self.contamination)
-        logger.debug("spectral-signature detector flagged %d nodes", int(flagged.sum()))
-        return DetectionReport(scores=scores, flagged=flagged, contamination=self.contamination)
 
 
 def remove_flagged_nodes(condensed: CondensedGraph, report: DetectionReport) -> CondensedGraph:
@@ -193,12 +208,3 @@ def remove_flagged_nodes(condensed: CondensedGraph, report: DetectionReport) -> 
         ratio=condensed.ratio,
         metadata={**condensed.metadata, "removed_nodes": float((~keep).sum())},
     )
-
-
-def detection_summary(condensed: CondensedGraph, reports: Dict[str, DetectionReport]) -> Dict[str, float]:
-    """Aggregate statistics across detectors for reporting."""
-    summary: Dict[str, float] = {"condensed_nodes": float(condensed.num_nodes)}
-    for name, report in reports.items():
-        summary[f"{name}_flagged"] = float(report.num_flagged)
-        summary[f"{name}_max_score"] = float(report.scores.max()) if report.scores.size else 0.0
-    return summary

@@ -2,15 +2,11 @@
 
 Following UGBA's defense baseline, the ``prune_fraction`` lowest-similarity
 edges (endpoint feature cosine similarity) are removed.  The BGC paper
-applies it to the condensed graph before the customer trains on it; this
-implementation also supports pruning the (possibly triggered) evaluation
-graph, which is how the defense would be deployed at inference time.
+applies it to the condensed graph before the customer trains on it.
 
 Selection is rank-based, not quantile-based: exactly ``floor(fraction * E)``
 undirected edges are dropped, ties broken deterministically by ``(row, col)``,
-so ``prune_fraction=0.0`` is a bit-for-bit no-op and the same edges are
-removed by :meth:`PruneDefense.apply_to_condensed` and
-:meth:`PruneDefense.apply_to_graph` for the same similarity profile.
+so ``prune_fraction=0.0`` is a bit-for-bit no-op.
 """
 
 from __future__ import annotations
@@ -18,9 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.condensation.base import CondensedGraph
+from repro.defenses.base import Defense
+from repro.evaluation.pipeline import (
+    EvaluationConfig,
+    Predictor,
+    train_model_on_condensed,
+)
 from repro.exceptions import DefenseError
 from repro.graph.data import GraphData
 from repro.registry import DEFENSES
@@ -70,11 +71,24 @@ def _rank_drop_mask(
 
 
 @DEFENSES.register("prune", config_cls=PruneConfig)
-class PruneDefense:
-    """Remove the lowest-similarity edges from a condensed or full graph."""
+class PruneDefense(Defense):
+    """Remove the lowest-similarity edges from the condensed graph."""
 
     def __init__(self, config: PruneConfig | None = None) -> None:
         self.config = config or PruneConfig()
+
+    def defend(
+        self,
+        condensed: CondensedGraph,
+        model: Predictor,
+        graph: GraphData,
+        evaluation: EvaluationConfig,
+        rng: np.random.Generator,
+    ) -> Predictor:
+        """Retrain the customer's model on the pruned condensed graph."""
+        return train_model_on_condensed(
+            self.apply_to_condensed(condensed), graph, evaluation, rng
+        )
 
     def apply_to_condensed(self, condensed: CondensedGraph) -> CondensedGraph:
         """Prune the condensed graph's (dense) adjacency."""
@@ -90,32 +104,3 @@ class PruneDefense:
         pruned.metadata["pruned_edges"] = float(drop.sum())
         logger.debug("pruned %d / %d condensed edges", int(drop.sum()), rows.size)
         return pruned
-
-    def apply_to_graph(self, graph: GraphData) -> GraphData:
-        """Prune a full (sparse) graph — e.g. the triggered evaluation graph.
-
-        Only off-diagonal entries are candidates for removal; self-loops and
-        the original edge weights of surviving entries are preserved.
-        """
-        coo = graph.adjacency.tocoo()
-        mask_upper = coo.row < coo.col
-        rows, cols = coo.row[mask_upper], coo.col[mask_upper]
-        if rows.size == 0:
-            return graph
-        similarities = _cosine_similarity(graph.features[rows], graph.features[cols])
-        drop = _rank_drop_mask(similarities, rows, cols, self.config.prune_fraction)
-        if not drop.any():
-            return graph
-        num_nodes = graph.adjacency.shape[0]
-        # Canonical undirected edge ids: both (r, c) and (c, r) map to
-        # min*N+max, so dropping an upper edge removes its mirror too while
-        # diagonal entries (id r*N+r) can never be selected.
-        dropped_ids = rows[drop].astype(np.int64) * num_nodes + cols[drop].astype(np.int64)
-        lo = np.minimum(coo.row, coo.col).astype(np.int64)
-        hi = np.maximum(coo.row, coo.col).astype(np.int64)
-        keep = ~np.isin(lo * num_nodes + hi, dropped_ids)
-        pruned_adjacency = sp.csr_matrix(
-            (coo.data[keep], (coo.row[keep], coo.col[keep])),
-            shape=graph.adjacency.shape,
-        )
-        return graph.with_(adjacency=pruned_adjacency)

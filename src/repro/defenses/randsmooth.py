@@ -15,7 +15,12 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
+from repro.condensation.base import CondensedGraph
+from repro.defenses.base import Defense
+from repro.evaluation.pipeline import EvaluationConfig, Predictor
 from repro.exceptions import DefenseError
+from repro.graph.data import GraphData
+from repro.graph.subgraph import drop_undirected_edges
 from repro.registry import DEFENSES
 from repro.utils.logging import get_logger
 
@@ -80,28 +85,8 @@ class SmoothedModel:
     ):
         keep = self.config.keep_probability
         if sp.issparse(adjacency):
-            coo = adjacency.tocoo()
-            mask_upper = coo.row < coo.col
-            rows, cols = coo.row[mask_upper], coo.col[mask_upper]
-            kept = rng.random(rows.size) < keep
-            if kept.all():
-                return adjacency.tocsr()
-            num_nodes = adjacency.shape[0]
-            # Drop each sampled-out undirected edge via its canonical id
-            # (min*N+max): the mirror entry maps to the same id, diagonal
-            # entries (r*N+r) are never candidates, and surviving entries
-            # keep their original weights.
-            dropped_ids = (
-                rows[~kept].astype(np.int64) * num_nodes
-                + cols[~kept].astype(np.int64)
-            )
-            lo = np.minimum(coo.row, coo.col).astype(np.int64)
-            hi = np.maximum(coo.row, coo.col).astype(np.int64)
-            entry_keep = ~np.isin(lo * num_nodes + hi, dropped_ids)
-            return sp.csr_matrix(
-                (coo.data[entry_keep], (coo.row[entry_keep], coo.col[entry_keep])),
-                shape=adjacency.shape,
-            )
+            kept = rng.random(sp.triu(adjacency, k=1).nnz) < keep
+            return drop_undirected_edges(adjacency, ~kept)
         dense = np.asarray(adjacency, dtype=np.float64).copy()
         upper = np.triu(np.ones_like(dense, dtype=bool), k=1)
         drop = (rng.random(dense.shape) >= keep) & upper & (dense > 0)
@@ -111,12 +96,20 @@ class SmoothedModel:
 
 
 @DEFENSES.register("randsmooth", config_cls=RandSmoothConfig)
-class RandSmoothDefense:
-    """Factory wrapper matching the style of :class:`~repro.defenses.prune.PruneDefense`."""
+class RandSmoothDefense(Defense):
+    """Smooth the customer's trained model at inference time."""
 
     def __init__(self, config: RandSmoothConfig | None = None) -> None:
         self.config = config or RandSmoothConfig()
 
-    def wrap(self, model) -> SmoothedModel:
-        """Return the smoothed version of ``model``."""
+    def defend(
+        self,
+        condensed: CondensedGraph,
+        model: Predictor,
+        graph: GraphData,
+        evaluation: EvaluationConfig,
+        rng: np.random.Generator,
+    ) -> SmoothedModel:
+        """``model`` wrapped in randomised edge subsampling + majority vote
+        (the smoothing draws come from ``config.seed``, not ``rng``)."""
         return SmoothedModel(model, self.config)

@@ -1,6 +1,6 @@
 """Robust-training defenses: DropEdge and DropNode.
 
-Unlike the dataset-level (``apply_to_condensed``) and model-level (``wrap``)
+Unlike the dataset-level (prune, detection) and model-level (randsmooth)
 defenses, these change *how the customer trains*: every forward pass during
 training sees a randomly perturbed view of the condensed graph — DropEdge
 (Rong et al., 2020) removes each undirected edge with probability
@@ -8,11 +8,10 @@ training sees a randomly perturbed view of the condensed graph — DropEdge
 rows and rescales the survivors by ``1 / (1 - drop_rate)`` so activations
 stay unbiased.  Inference always runs on the unperturbed graph.
 
-Both defenses implement the ``retrain`` protocol consumed by
-:func:`repro.api.runner._apply_defense`: they rebuild the evaluation model,
-wrap it in a training-time perturbation module and fit it on the (possibly
-attacked) condensed graph.  GC-SNTK condensed graphs have no training loop to
-perturb, so they fall back to the undefended predictor with a warning.
+Both defenses' ``defend`` rebuilds the evaluation model, wraps it in a
+training-time perturbation module and fits it on the (possibly attacked)
+condensed graph.  GC-SNTK condensed graphs have no training loop to perturb,
+so they fall back to the undefended predictor with a warning.
 """
 
 from __future__ import annotations
@@ -24,8 +23,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.condensation.base import CondensedGraph
+from repro.defenses.base import Defense
+from repro.evaluation.pipeline import (
+    EvaluationConfig,
+    Predictor,
+    train_model_on_condensed,
+)
 from repro.exceptions import DefenseError
 from repro.graph.data import GraphData
+from repro.graph.subgraph import drop_undirected_edges
 from repro.models.base import Adjacency, NodeClassifier, make_model
 from repro.models.trainer import Trainer, TrainingConfig
 from repro.autograd import Tensor
@@ -69,24 +75,8 @@ def drop_edges(
     if drop_rate == 0.0:
         return adjacency
     if sp.issparse(adjacency):
-        coo = adjacency.tocoo()
-        mask_upper = coo.row < coo.col
-        rows, cols = coo.row[mask_upper], coo.col[mask_upper]
-        dropped = rng.random(rows.size) < drop_rate
-        if not dropped.any():
-            return adjacency.tocsr()
-        num_nodes = adjacency.shape[0]
-        dropped_ids = (
-            rows[dropped].astype(np.int64) * num_nodes
-            + cols[dropped].astype(np.int64)
-        )
-        lo = np.minimum(coo.row, coo.col).astype(np.int64)
-        hi = np.maximum(coo.row, coo.col).astype(np.int64)
-        keep = ~np.isin(lo * num_nodes + hi, dropped_ids)
-        return sp.csr_matrix(
-            (coo.data[keep], (coo.row[keep], coo.col[keep])),
-            shape=adjacency.shape,
-        )
+        dropped = rng.random(sp.triu(adjacency, k=1).nnz) < drop_rate
+        return drop_undirected_edges(adjacency, dropped)
     dense = np.asarray(adjacency, dtype=np.float64).copy()
     upper = np.triu(np.ones_like(dense, dtype=bool), k=1)
     drop = (rng.random(dense.shape) < drop_rate) & upper & (dense != 0)
@@ -142,25 +132,21 @@ class _DropNodeModel(_RobustTrainingModel):
         return adjacency, np.asarray(features, dtype=np.float64) * scale[:, None]
 
 
-class _RobustTrainingDefense:
-    """Shared ``retrain`` protocol for the robust-training family."""
+class _RobustTrainingDefense(Defense):
+    """Shared ``defend`` for the robust-training family."""
 
     #: Overridden by subclasses with the matching wrapper class.
     _model_cls: type
 
-    def retrain(
+    def defend(
         self,
         condensed: CondensedGraph,
+        model: Predictor,
         graph: GraphData,
-        evaluation,
+        evaluation: EvaluationConfig,
         rng: np.random.Generator,
-    ) -> NodeClassifier:
+    ) -> Predictor:
         """Train the evaluation model under training-time perturbation."""
-        # Imported lazily: the evaluation pipeline imports models/condensation
-        # packages, and keeping the dependency one-way at import time avoids
-        # a defense <-> evaluation cycle.
-        from repro.evaluation.pipeline import train_model_on_condensed
-
         if condensed.method.split("+", 1)[0] == "gc-sntk":
             logger.warning(
                 "%s has no training loop on GC-SNTK condensed graphs; "

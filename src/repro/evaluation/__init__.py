@@ -1,14 +1,12 @@
-"""Evaluation: metrics, the train-on-condensed pipeline and experiment runners."""
+"""Evaluation: metrics, the train-on-condensed pipeline and reporting."""
 
 from repro.evaluation.metrics import attack_success_rate, clean_test_accuracy
 from repro.evaluation.pipeline import (
     EvaluationConfig,
-    EvaluationResult,
     train_model_on_condensed,
     evaluate_backdoor,
     evaluate_clean,
 )
-from repro.evaluation.experiment import ExperimentRunner, ExperimentResult, aggregate_runs
 from repro.evaluation.reporting import (
     format_percent,
     format_table,
@@ -20,13 +18,9 @@ __all__ = [
     "attack_success_rate",
     "clean_test_accuracy",
     "EvaluationConfig",
-    "EvaluationResult",
     "train_model_on_condensed",
     "evaluate_backdoor",
     "evaluate_clean",
-    "ExperimentRunner",
-    "ExperimentResult",
-    "aggregate_runs",
     "format_table",
     "format_percent",
     "format_transfer_matrix",

@@ -25,7 +25,7 @@ from repro.evaluation.metrics import attack_success_rate, clean_test_accuracy
 from repro.exceptions import ConfigurationError
 from repro.graph.cache import get_default_cache
 from repro.graph.data import GraphData
-from repro.graph.subgraph import attach_trigger_subgraph
+from repro.graph.view import GraphView, poison_graph_view
 from repro.models import Trainer, TrainingConfig, make_model
 from repro.models.base import NodeClassifier
 from repro.utils.logging import get_logger
@@ -52,16 +52,6 @@ class EvaluationConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
-
-
-@dataclass
-class EvaluationResult:
-    """CTA / ASR of one trained model."""
-
-    cta: float
-    asr: float
-    architecture: str
-    condensation_method: str
 
 
 def train_model_on_condensed(
@@ -137,14 +127,17 @@ def triggered_test_graph(
     generator: TriggerGenerator,
     target_class: int,
     test_index: np.ndarray | None = None,
-) -> GraphData:
+) -> GraphView:
     """``original`` with a generated trigger attached to each test node.
 
-    The attachment is recorded as a delta against the original graph: only
-    the host test nodes gain an edge, so an SNTK evaluation reuses the
-    original's cached propagation and recomputes just the trigger
-    neighbourhoods.  The appended trigger rows get placeholder labels
-    (labels are never read at prediction time).
+    Built with :func:`~repro.graph.view.poison_graph_view`, the overlay the
+    attacks poison through: the feature matrix stays the original's rows
+    plus a trigger block until a model asks for it as one array, and the
+    attachment is a delta against the original — only the host test nodes
+    gain an edge — so an SNTK evaluation reuses the original's cached
+    propagation and recomputes just the trigger neighbourhoods.  The
+    appended trigger rows are labelled ``target_class`` (labels are never
+    read at prediction time).
     """
     test_index = (
         np.asarray(test_index, dtype=np.int64)
@@ -154,17 +147,12 @@ def triggered_test_graph(
     features, structures = generate_hard_triggers(
         generator, original.adjacency, original.features, test_index
     )
-    adjacency, node_features, _ = attach_trigger_subgraph(
-        original.adjacency, original.features, test_index, features, structures
-    )
-    num_new = node_features.shape[0] - original.num_nodes
-    return original.with_delta(
+    return poison_graph_view(
+        original,
         test_index,
-        adjacency=adjacency,
-        features=node_features,
-        labels=np.concatenate(
-            [original.labels, np.full(num_new, target_class, dtype=np.int64)]
-        ),
+        features,
+        structures,
+        trigger_label=target_class,
         name=f"{original.name}-triggered",
     )
 
@@ -191,27 +179,4 @@ def evaluate_backdoor(
     predictions = predict_on_graph(model, triggered)
     return attack_success_rate(
         predictions, original.labels, test_index, target_class
-    )
-
-
-def evaluate_condensed_graph(
-    condensed: CondensedGraph,
-    original: GraphData,
-    config: EvaluationConfig,
-    rng: np.random.Generator,
-    generator: TriggerGenerator | None = None,
-    target_class: int = 0,
-) -> EvaluationResult:
-    """Full evaluation of one condensed graph: train once, measure CTA and ASR."""
-    model = train_model_on_condensed(condensed, original, config, rng)
-    cta = evaluate_clean(model, original)
-    if generator is None:
-        asr = float("nan")
-    else:
-        asr = evaluate_backdoor(model, original, generator, target_class)
-    return EvaluationResult(
-        cta=cta,
-        asr=asr,
-        architecture=config.architecture,
-        condensation_method=condensed.method,
     )

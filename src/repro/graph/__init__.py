@@ -36,8 +36,7 @@ from repro.graph.subgraph import (
     k_hop_subgraph,
     induced_subgraph,
     attach_trigger_adjacency,
-    attach_trigger_subgraph,
-    attach_trigger_subgraph_coo,
+    drop_undirected_edges,
 )
 from repro.graph.generators import (
     stochastic_block_model,
@@ -78,8 +77,7 @@ __all__ = [
     "k_hop_subgraph",
     "induced_subgraph",
     "attach_trigger_adjacency",
-    "attach_trigger_subgraph",
-    "attach_trigger_subgraph_coo",
+    "drop_undirected_edges",
     "stochastic_block_model",
     "degree_corrected_sbm",
     "class_correlated_features",

@@ -1,11 +1,14 @@
-"""Subgraph extraction and trigger-attachment primitives.
+"""Subgraph extraction and graph-surgery primitives.
 
-Two operations matter for BGC:
+Three operations matter for BGC:
 
 * extracting the k-hop *computation graph* of a node (the receptive field a
-  GNN prediction for that node depends on), and
-* attaching a small trigger subgraph (features + internal structure) to a
-  target node, producing the poisoned adjacency/feature matrices.
+  GNN prediction for that node depends on),
+* attaching a small trigger subgraph's structure to a target node
+  (:func:`attach_trigger_adjacency`; :func:`~repro.graph.view.poison_graph_view`
+  overlays the trigger features), and
+* editing edge sets: the sampled attacks' toggles and injections, and the
+  defenses' undirected edge removal (:func:`drop_undirected_edges`).
 """
 
 from __future__ import annotations
@@ -72,92 +75,12 @@ def induced_subgraph(
     return sub_adj, sub_features, sub_labels, mapping
 
 
-def _validate_trigger_blocks(
-    features: np.ndarray,
-    target_nodes: np.ndarray,
-    trigger_features: np.ndarray,
-    trigger_adjacency: np.ndarray,
-) -> Tuple[int, int, int]:
-    """Shared validation of the trigger-attachment arguments; returns (P, t, d)."""
-    if trigger_features.ndim != 3:
-        raise GraphValidationError(
-            f"trigger_features must have shape (P, t, d), got {trigger_features.shape}"
-        )
-    num_targets, trigger_size, feature_dim = trigger_features.shape
-    if target_nodes.shape[0] != num_targets:
-        raise GraphValidationError(
-            f"got {target_nodes.shape[0]} target nodes but {num_targets} trigger blocks"
-        )
-    if trigger_adjacency.shape != (num_targets, trigger_size, trigger_size):
-        raise GraphValidationError(
-            "trigger_adjacency must have shape (P, t, t), got "
-            f"{trigger_adjacency.shape}"
-        )
-    if features.shape[1] != feature_dim:
-        raise GraphValidationError(
-            f"trigger feature dim {feature_dim} does not match graph dim {features.shape[1]}"
-        )
-    return num_targets, trigger_size, feature_dim
-
-
-def attach_trigger_subgraph(
-    adjacency: sp.spmatrix,
-    features: np.ndarray,
-    target_nodes: np.ndarray,
-    trigger_features: np.ndarray,
-    trigger_adjacency: np.ndarray,
-) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Attach one trigger subgraph per target node (CSR surgery, no COO rebuild).
-
-    Parameters
-    ----------
-    adjacency, features:
-        The host graph.
-    target_nodes:
-        ``(P,)`` node indices to poison.
-    trigger_features:
-        ``(P, t, d)`` features of each node's trigger (``t`` trigger nodes).
-    trigger_adjacency:
-        ``(P, t, t)`` binary internal adjacency of each trigger.  Only the
-        strict upper triangle of each block is read; it is mirrored to keep
-        the result symmetric (matching the reference COO path).
-
-    Returns
-    -------
-    new_adjacency, new_features, trigger_node_index:
-        The poisoned graph plus, for each target node, the indices of its
-        trigger nodes in the new graph (shape ``(P, t)``).
-
-    The adjacency surgery itself lives in :func:`attach_trigger_adjacency`;
-    this wrapper additionally materialises the poisoned feature matrix with
-    one ``(N + P*t, d)`` vstack.  At Cora scale that vstack dominates the
-    attachment cost, which is why the attack hot loop goes through
-    :class:`~repro.graph.view.GraphView` (stacked-block feature access, no
-    vstack) and this function remains the materialised reference path.
-    Semantics are pinned to :func:`attach_trigger_subgraph_coo` by
-    equivalence tests.
-    """
-    target_nodes = np.asarray(target_nodes, dtype=np.int64)
-    trigger_features = np.asarray(trigger_features, dtype=np.float64)
-    trigger_adjacency = np.asarray(trigger_adjacency, dtype=np.float64)
-    num_targets, trigger_size, feature_dim = _validate_trigger_blocks(
-        features, target_nodes, trigger_features, trigger_adjacency
-    )
-    new_adjacency, trigger_node_index = attach_trigger_adjacency(
-        adjacency, target_nodes, trigger_adjacency
-    )
-    total_trigger_nodes = num_targets * trigger_size
-    new_features = np.vstack([np.asarray(features, dtype=np.float64),
-                              trigger_features.reshape(total_trigger_nodes, feature_dim)])
-    return new_adjacency, new_features, trigger_node_index
-
-
 def attach_trigger_adjacency(
     adjacency: sp.spmatrix,
     target_nodes: np.ndarray,
     trigger_adjacency: np.ndarray,
 ) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """Adjacency half of :func:`attach_trigger_subgraph` — no feature vstack.
+    """Attach one trigger block's structure per target node (CSR surgery).
 
     Parameters
     ----------
@@ -287,67 +210,39 @@ def attach_trigger_adjacency(
     return new_adjacency, trigger_node_index
 
 
-def attach_trigger_subgraph_coo(
-    adjacency: sp.spmatrix,
-    features: np.ndarray,
-    target_nodes: np.ndarray,
-    trigger_features: np.ndarray,
-    trigger_adjacency: np.ndarray,
-) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Reference COO-rebuild implementation of :func:`attach_trigger_subgraph`.
-
-    This is the original (slow) path: build the trigger edges as a COO
-    matrix, embed the host graph in the enlarged shape and add the two.  It
-    is kept as the semantic reference that the CSR-surgery fast path is
-    pinned against in the equivalence tests and the hot-path benchmark.  The
-    one deviation from the seed implementation: host edge weights are no
-    longer clamped to 1 — the clamp defended against a host/trigger entry
-    overlap that cannot occur (trigger columns are brand new) and silently
-    rewrote rows outside any recorded delta, corrupting incremental
-    propagation over weighted graphs.
-    """
-    target_nodes = np.asarray(target_nodes, dtype=np.int64)
-    trigger_features = np.asarray(trigger_features, dtype=np.float64)
-    trigger_adjacency = np.asarray(trigger_adjacency, dtype=np.float64)
-    num_targets, trigger_size, feature_dim = _validate_trigger_blocks(
-        features, target_nodes, trigger_features, trigger_adjacency
-    )
-
-    n = adjacency.shape[0]
-    total_trigger_nodes = num_targets * trigger_size
-    new_n = n + total_trigger_nodes
-
-    new_features = np.vstack([np.asarray(features, dtype=np.float64),
-                              trigger_features.reshape(total_trigger_nodes, feature_dim)])
-
-    rows = []
-    cols = []
-    trigger_node_index = np.zeros((num_targets, trigger_size), dtype=np.int64)
-    for i, target in enumerate(target_nodes.tolist()):
-        base = n + i * trigger_size
-        trigger_node_index[i] = np.arange(base, base + trigger_size)
-        # Connect the host node to the first trigger node (and symmetrically).
-        rows.extend([target, base])
-        cols.extend([base, target])
-        # Internal trigger edges.
-        block = trigger_adjacency[i]
-        internal_rows, internal_cols = np.nonzero(np.triu(block, k=1))
-        for r, c in zip(internal_rows.tolist(), internal_cols.tolist()):
-            rows.extend([base + r, base + c])
-            cols.extend([base + c, base + r])
-
-    data = np.ones(len(rows), dtype=np.float64)
-    trigger_edges = sp.csr_matrix((data, (rows, cols)), shape=(new_n, new_n))
-    expanded = _expand(adjacency, new_n)
-    new_adjacency = (expanded + trigger_edges).tocsr()
-    return new_adjacency, new_features, trigger_node_index
-
-
 def _expand(adjacency: sp.spmatrix, new_size: int) -> sp.csr_matrix:
     """Embed ``adjacency`` in the top-left corner of a larger zero matrix."""
     coo = adjacency.tocoo()
     return sp.csr_matrix(
         (coo.data, (coo.row, coo.col)), shape=(new_size, new_size)
+    )
+
+
+def drop_undirected_edges(adjacency: sp.spmatrix, drop: np.ndarray) -> sp.csr_matrix:
+    """``adjacency`` without the undirected edges flagged in ``drop``.
+
+    ``drop`` is a boolean mask over the strictly-upper stored entries
+    (``row < col``) of ``adjacency.tocoo()``, in stored order: the entries
+    of ``sp.triu(adjacency, k=1)``.  Each flagged edge goes together with
+    its mirror, because ``(r, c)`` and ``(c, r)`` share the canonical id
+    ``min·N + max``.  Diagonal entries are never candidates, and surviving
+    entries keep their weights.  With nothing flagged the result is
+    ``adjacency.tocsr()``.
+    """
+    if not drop.any():
+        return adjacency.tocsr()
+    coo = adjacency.tocoo()
+    upper = coo.row < coo.col
+    num_nodes = adjacency.shape[0]
+    dropped_ids = (
+        coo.row[upper][drop].astype(np.int64) * num_nodes
+        + coo.col[upper][drop].astype(np.int64)
+    )
+    lo = np.minimum(coo.row, coo.col).astype(np.int64)
+    hi = np.maximum(coo.row, coo.col).astype(np.int64)
+    keep = ~np.isin(lo * num_nodes + hi, dropped_ids)
+    return sp.csr_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=adjacency.shape
     )
 
 

@@ -25,7 +25,8 @@ attachment (see ROADMAP §Performance).  This module removes the copy:
 
 :class:`~repro.graph.cache.PropagationCache` keys views by
 ``(base version, overlay token)`` — see :attr:`GraphView.cache_key` — and
-:func:`poison_graph_view` is the one-call builder the attack paths use.
+every trigger attachment goes through :func:`poison_graph_view` — the
+attacks' per-epoch poisoned graphs and the triggered test graph.
 :meth:`GraphView.materialize` recovers a plain delta-carrying ``GraphData``
 and is the pinned reference path for the equivalence tests.
 """
@@ -70,6 +71,15 @@ def _as_row_index(rows, num_rows: int) -> np.ndarray:
                 f"row index out of bounds for view with {num_rows} rows"
             )
     return rows
+
+
+def _cached_array(array: np.ndarray, dtype, copy) -> np.ndarray:
+    """``__array__`` over a cached matrix: the cache itself unless ``dtype``
+    differs or ``copy`` asks for a copy (``np.asarray(view, np.float64)``
+    must not duplicate an ``(N, F)`` matrix that is already float64)."""
+    if dtype is not None and np.dtype(dtype) != array.dtype:
+        return array.astype(dtype)
+    return array.copy() if copy else array
 
 
 class StackedFeatures:
@@ -155,9 +165,8 @@ class StackedFeatures:
             self._materialized = np.vstack([self.base, self.overlay])
         return self._materialized
 
-    def __array__(self, dtype=None):
-        array = self.materialize()
-        return array if dtype is None else array.astype(dtype)
+    def __array__(self, dtype=None, copy=None):
+        return _cached_array(self.materialize(), dtype, copy)
 
     def __repr__(self) -> str:
         return (
@@ -244,9 +253,8 @@ class PropagatedView:
             self._materialized = result
         return self._materialized
 
-    def __array__(self, dtype=None):
-        array = self.materialize()
-        return array if dtype is None else array.astype(dtype)
+    def __array__(self, dtype=None, copy=None):
+        return _cached_array(self.materialize(), dtype, copy)
 
     def __repr__(self) -> str:
         return (
@@ -267,8 +275,8 @@ class GraphView:
     Parameters
     ----------
     base:
-        The host graph; must not be inductive (attacks operate on the
-        training view).
+        The host graph: an attack's training view, or the full graph whose
+        test nodes the ASR evaluation triggers (and only predicts on).
     adjacency:
         ``(N + M, N + M)`` derived adjacency (base nodes keep their ids as a
         prefix, overlay nodes are appended).
@@ -291,7 +299,7 @@ class GraphView:
     #: Lets duck-typed consumers pick the zero-copy code path without
     #: importing this module (``getattr(graph, "is_view", False)``).
     is_view = True
-    #: Views are built from a (training) transductive graph.
+    #: A view is never split into a training view again.
     inductive = False
 
     def __init__(
@@ -416,11 +424,11 @@ def poison_graph_view(
     metadata: Dict[str, float] | None = None,
     overlay_key=None,
 ) -> GraphView:
-    """Build the poisoned-graph view for one attack epoch.
+    """Attach one trigger block per target node as a poisoned-graph view.
 
-    Equivalent in content to
-    :func:`repro.graph.subgraph.attach_trigger_subgraph` followed by
-    :meth:`GraphData.with_delta` — same adjacency (CSR surgery), same delta
+    Equivalent in content to the materialised attachment (CSR surgery, a
+    feature vstack and :meth:`GraphData.with_delta`, pinned in
+    ``tests/reference/subgraph.py``) — same adjacency, same delta
     (``target_nodes``) — but the ``(N + P·t, F)`` feature matrix stays a
     :class:`StackedFeatures`, so no vstack is paid.
 

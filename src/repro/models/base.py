@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,11 +66,6 @@ class NodeClassifier(Module):
     @staticmethod
     def as_tensor(features: Union[np.ndarray, Tensor]) -> Tensor:
         return features if isinstance(features, Tensor) else Tensor(features)
-
-
-def register_architecture(name: str, factory: Callable[..., NodeClassifier]) -> None:
-    """Register an architecture under ``name`` (back-compat shim over :data:`MODELS`)."""
-    MODELS.register(name, factory=factory)
 
 
 def available_architectures() -> list[str]:

@@ -2,7 +2,7 @@
 
 The layer is expressed entirely in :class:`~repro.autograd.tensor.Tensor`
 primitives — gathers (``index_rows``), elementwise ops and constant-sparse
-matmuls — so forward and backward ride the active kernel backend like every
+matmuls — so forward and backward ride the kernel backend like every
 other model.  Per-destination softmax over incoming edges is computed with a
 *detached* per-segment max shift (softmax is shift-invariant, so gradients
 stay exact) and segment sums expressed as ``S @ x`` where ``S`` is the

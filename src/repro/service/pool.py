@@ -80,7 +80,6 @@ from repro.graph.blocked import (
 )
 from repro.graph.cache import get_default_cache
 from repro.graph.data import GraphData
-from repro.kernels import KERNEL_BACKEND
 from repro.utils.knobs import KNOBS
 from repro.utils.logging import get_logger
 
@@ -95,7 +94,7 @@ _TERMINATE_GRACE = 5.0
 #: Default number of completed cells after which a worker is recycled.
 DEFAULT_RECYCLE_AFTER = 64
 #: Knobs whose parent-side effective value every task installs in its worker.
-_FORWARDED_KNOBS = (BLOCKED_THRESHOLD, KERNEL_BACKEND)
+_FORWARDED_KNOBS = (BLOCKED_THRESHOLD,)
 
 
 def _knob_values() -> Dict[str, Any]:
@@ -258,8 +257,8 @@ class WorkerPool:
     after ``recycle_after`` completed cells and respawned on crash or
     timeout, so the pool survives arbitrary cell behaviour.  ``timeout`` is
     the default per-cell wall-clock budget (overridable per submit).  Each
-    task carries the parent's effective blocked threshold and kernel
-    backend, so workers and parent agree even when jobs differ.
+    task carries the parent's effective blocked threshold, so workers and
+    parent agree even when jobs differ.
 
     The pool is a context manager::
 

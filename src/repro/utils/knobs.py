@@ -5,9 +5,8 @@ beside the code that consumes it.  A knob resolves, in priority order:
 
 1. a per-process programmatic override (:meth:`Knob.set`, or the scoped
    :meth:`Knob.overridden` that ``ExecutionSpec`` uses for a sweep);
-2. its environment variable, parsed once per raw string — the kernel
-   backend resolves on every dispatched primitive, so a memo keyed by the
-   raw string keeps :meth:`Knob.get` to an override check, one
+2. its environment variable, parsed once per raw string — a memo keyed by
+   the raw string keeps :meth:`Knob.get` to an override check, one
    ``os.environ.get`` and a compare, while a changed environment is still
    picked up;
 3. its default.

@@ -73,12 +73,10 @@ def numerical_gradient(function, array: np.ndarray, epsilon: float = 1e-6) -> np
 MALFORMED_KNOB_VALUES = [
     ("REPRO_BLOCKED_THRESHOLD", "banana", "must be an integer"),
     ("REPRO_BLOCKED_THRESHOLD", "-3", "must be >= 0"),
+    ("REPRO_BLOCKED_THRESHOLD", "", "must be an integer"),
     ("REPRO_BLOCK_ROWS", "banana", "must be an integer"),
     ("REPRO_BLOCK_ROWS", "0", "must be >= 1"),
-    ("REPRO_KERNEL_BACKEND", "banana", "unknown kernel backend 'banana'"),
-    ("REPRO_KERNEL_THREADS", "junk", "must be an integer"),
-    ("REPRO_KERNEL_THREADS", "0", "must be >= 1"),
-    ("REPRO_KERNEL_THREADS", "-2", "must be >= 1"),
+    ("REPRO_BLOCK_ROWS", "2.0", "must be an integer"),
 ]
 
 

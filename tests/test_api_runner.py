@@ -182,26 +182,66 @@ class TestRunExperiment:
             with pytest.raises(ConfigurationError):
                 run_experiment(tiny_attack_spec(**broken))
 
+    def test_removed_use_graph_view_override_rejected(self):
+        """BGC poisons through the graph overlay only; the flag is gone."""
+        spec = tiny_attack_spec(
+            attack={"name": "bgc", "overrides": {"epochs": 2, "use_graph_view": False}}
+        )
+        with pytest.raises(ConfigurationError, match="use_graph_view"):
+            run_experiment(spec)
+
     def test_dataset_overrides_other_than_seed_rejected(self):
         spec = tiny_attack_spec(dataset={"name": "tiny", "overrides": {"nodes": 10}})
         with pytest.raises(ConfigurationError, match="only 'seed'"):
             run_experiment(spec)
 
-    def test_defense_without_a_protocol_names_all_four(self):
+    def test_registered_non_defense_is_rejected(self):
         from repro.registry import DEFENSES
 
         DEFENSES.register("no-protocol-test", factory=lambda **kwargs: object())
         spec = tiny_attack_spec(attack=None, trigger=None, defense="no-protocol-test")
         try:
-            with pytest.raises(ConfigurationError, match="implements none of") as info:
+            with pytest.raises(ConfigurationError, match="not a repro.defenses.Defense"):
                 run_experiment(spec)
         finally:
             DEFENSES.unregister("no-protocol-test")
-        for protocol in ("retrain", "apply_to_condensed", "detect", "wrap"):
-            assert protocol in str(info.value)
+
+    def test_stub_defense_runs_through_run_experiment(self):
+        """A registered ``Defense`` subclass is applied by the defend stage:
+        it sees the attacked leg and victim, and its predictor is scored."""
+        from repro.condensation.base import CondensedGraph
+        from repro.defenses import Defense
+        from repro.registry import DEFENSES
+
+        calls = []
+
+        class StubDefense(Defense):
+            def defend(self, condensed, model, graph, evaluation, rng):
+                calls.append((condensed, model, graph, evaluation, rng))
+                return model
+
+        DEFENSES.register("stub-defense-test", factory=StubDefense)
+        try:
+            record = run_experiment(tiny_attack_spec(defense="stub-defense-test"))
+        finally:
+            DEFENSES.unregister("stub-defense-test")
+        assert record.ok and len(calls) == 1
+        condensed, _, graph, evaluation, rng = calls[0]
+        assert isinstance(condensed, CondensedGraph)
+        assert graph.name == "tiny" and evaluation.epochs == 10
+        assert isinstance(rng, np.random.Generator)
+        # The stub returns the victim itself, so the defended column is the
+        # attacked one.
+        assert record.defense_cta == record.attack_cta
+        assert record.defense_asr == record.attack_asr
+        assert record.defense_cta_delta == 0.0
 
 
 class TestRunSweep:
+    def test_removed_kernel_backend_execution_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="kernel_backend"):
+            run_sweep(smoke_sweep(), execution={"backend": "serial", "kernel_backend": "numpy"})
+
     def test_grid_produces_one_record_per_cell(self):
         records = run_sweep(smoke_sweep())
         assert len(records) == 4

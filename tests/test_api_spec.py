@@ -236,6 +236,11 @@ class TestExecutionSpec:
         with pytest.raises(ConfigurationError, match="unknown execution keys"):
             ExecutionSpec.coerce({"backend": "process", "worker": 4})
 
+    def test_kernel_backend_key_is_rejected(self):
+        """There is one kernel backend, so the execution key is gone."""
+        with pytest.raises(ConfigurationError, match="kernel_backend"):
+            ExecutionSpec.coerce({"kernel_backend": "numpy"})
+
     def test_coerce_rejects_wrong_type(self):
         with pytest.raises(ConfigurationError):
             ExecutionSpec.coerce("process")

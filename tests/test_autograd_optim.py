@@ -1,11 +1,11 @@
-"""Unit tests for the SGD and Adam optimisers."""
+"""Unit tests for the Adam optimiser and its base class."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.autograd import Adam, SGD, Tensor
+from repro.autograd import Adam, Tensor
 from repro.autograd.module import Module, Parameter
 from repro.exceptions import AutogradError
 
@@ -20,15 +20,15 @@ def quadratic_loss(param: Parameter, target: np.ndarray) -> Tensor:
 class TestOptimizerBase:
     def test_empty_parameter_list_raises(self):
         with pytest.raises(AutogradError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_non_positive_lr_raises(self):
         with pytest.raises(AutogradError):
-            SGD([Parameter(np.ones(2))], lr=0.0)
+            Adam([Parameter(np.ones(2))], lr=0.0)
 
     def test_zero_grad(self):
         p = Parameter(np.ones(3))
-        optimizer = SGD([p], lr=0.1)
+        optimizer = Adam([p], lr=0.1)
         quadratic_loss(p, np.zeros(3)).backward()
         assert p.grad is not None
         optimizer.zero_grad()
@@ -36,48 +36,9 @@ class TestOptimizerBase:
 
     def test_step_skips_parameters_without_grad(self):
         p = Parameter(np.ones(3))
-        optimizer = SGD([p], lr=0.1)
+        optimizer = Adam([p], lr=0.1)
         optimizer.step()  # no gradient accumulated; should be a no-op
         np.testing.assert_allclose(p.data, np.ones(3))
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        target = np.array([1.0, -2.0, 3.0])
-        p = Parameter(np.zeros(3))
-        optimizer = SGD([p], lr=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            quadratic_loss(p, target).backward()
-            optimizer.step()
-        np.testing.assert_allclose(p.data, target, atol=1e-6)
-
-    def test_momentum_accelerates(self):
-        target = np.array([5.0])
-        plain = Parameter(np.zeros(1))
-        momentum = Parameter(np.zeros(1))
-        opt_plain = SGD([plain], lr=0.01)
-        opt_momentum = SGD([momentum], lr=0.01, momentum=0.9)
-        for _ in range(50):
-            for p, opt in ((plain, opt_plain), (momentum, opt_momentum)):
-                opt.zero_grad()
-                quadratic_loss(p, target).backward()
-                opt.step()
-        assert abs(momentum.data[0] - 5.0) < abs(plain.data[0] - 5.0)
-
-    def test_weight_decay_shrinks_solution(self):
-        target = np.array([10.0])
-        decayed = Parameter(np.zeros(1))
-        optimizer = SGD([decayed], lr=0.05, weight_decay=1.0)
-        for _ in range(500):
-            optimizer.zero_grad()
-            quadratic_loss(decayed, target).backward()
-            optimizer.step()
-        assert 0.0 < decayed.data[0] < 10.0
-
-    def test_invalid_momentum_raises(self):
-        with pytest.raises(AutogradError):
-            SGD([Parameter(np.ones(1))], lr=0.1, momentum=1.0)
 
 
 class TestAdam:

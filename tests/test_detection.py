@@ -8,13 +8,15 @@ import pytest
 from repro.condensation.base import CondensedGraph
 from repro.defenses.detection import (
     DetectionReport,
+    Detector,
     FeatureOutlierConfig,
     FeatureOutlierDetector,
     SpectralSignatureConfig,
     SpectralSignatureDetector,
-    detection_summary,
     remove_flagged_nodes,
 )
+from repro.evaluation import EvaluationConfig
+from repro.evaluation.pipeline import train_model_on_condensed
 from repro.exceptions import DefenseError
 from repro.registry import DEFENSES
 from repro.utils.seed import new_rng
@@ -151,13 +153,42 @@ class TestDetectorConfigs:
         assert detector.contamination == 0.2
 
 
-class TestDetectionSummary:
-    def test_summary_keys(self, condensed_with_outlier):
-        reports = {
-            "outlier": FeatureOutlierDetector().detect(condensed_with_outlier),
-            "spectral": SpectralSignatureDetector().detect(condensed_with_outlier),
-        }
-        summary = detection_summary(condensed_with_outlier, reports)
-        assert summary["condensed_nodes"] == 12.0
-        assert "outlier_flagged" in summary
-        assert "spectral_max_score" in summary
+DETECTORS = [
+    (FeatureOutlierDetector, FeatureOutlierConfig),
+    (SpectralSignatureDetector, SpectralSignatureConfig),
+]
+DETECTOR_IDS = ["feature-outlier", "spectral-signature"]
+
+
+@pytest.mark.parametrize("detector_cls, config_cls", DETECTORS, ids=DETECTOR_IDS)
+class TestDetectorBase:
+    """Both detectors share one ``Detector``: config, ``detect`` and ``defend``."""
+
+    def test_contamination_keyword_overrides_a_copy_of_the_config(
+        self, detector_cls, config_cls, condensed_with_outlier
+    ):
+        config = config_cls(contamination=0.1)
+        detector = detector_cls(config, contamination=0.25)
+        assert isinstance(detector, Detector)
+        assert detector.contamination == 0.25 and config.contamination == 0.1
+        report = detector.detect(condensed_with_outlier)
+        assert report.num_flagged == round(0.25 * condensed_with_outlier.num_nodes)
+        assert report.contamination == 0.25
+
+    def test_defend_retrains_without_the_flagged_nodes(
+        self, detector_cls, config_cls, condensed_with_outlier, small_graph
+    ):
+        condensed = CondensedGraph(
+            features=small_graph.features[:12],
+            labels=condensed_with_outlier.labels,
+            adjacency=condensed_with_outlier.adjacency,
+            method="gcond-x",
+        )
+        evaluation = EvaluationConfig(epochs=3, hidden=8)
+        detector = detector_cls(config_cls(contamination=0.2))
+        defended = detector.defend(condensed, None, small_graph, evaluation, new_rng(5))
+        kept = remove_flagged_nodes(condensed, detector.detect(condensed))
+        assert kept.num_nodes < condensed.num_nodes
+        retrained = train_model_on_condensed(kept, small_graph, evaluation, new_rng(5))
+        for name, value in retrained.state_dict().items():
+            np.testing.assert_array_equal(defended.state_dict()[name], value)

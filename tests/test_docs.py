@@ -27,7 +27,7 @@ import repro  # noqa: F401  (imports populate the registries)
 from helpers import import_all_repro_modules
 from repro.api import ExperimentSpec, SweepSpec
 from repro.api.spec import COMPONENT_FIELDS
-from repro.registry import all_registries
+from repro.registry import DEFENSES, all_registries
 from repro.utils.knobs import KNOBS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -86,23 +86,19 @@ class TestRegistryContract:
             f"{missing} — update the registry table"
         )
 
-    def test_every_kernel_backend_is_documented(self):
-        from repro.kernels import available_kernel_backends
-
-        api_text = _doc_text("api.md")
-        missing = [
-            name
-            for name in available_kernel_backends()
-            if f"`{name}`" not in api_text
-        ]
-        assert not missing, (
-            "registered kernel backends missing from docs/api.md: "
-            f"{missing} — update the kernel-backend table"
-        )
-        # The env-var table claims completeness: its rows are the declared knobs.
+    def test_env_table_lists_every_knob(self):
+        """The env-var table claims completeness: its rows are the declared knobs."""
         import_all_repro_modules()
-        rows = re.findall(r"^\| `(REPRO_\w+)` \|", api_text, re.MULTILINE)
+        rows = re.findall(r"^\| `(REPRO_\w+)` \|", _doc_text("api.md"), re.MULTILINE)
         assert sorted(rows) == sorted(KNOBS)
+
+    def test_every_defense_documents_defend(self):
+        """Each row of the defense table names ``defend``, the one protocol."""
+        api_text = _doc_text("api.md")
+        for name in DEFENSES.available():
+            row = re.search(rf"^\| `{re.escape(name)}` \|([^\n]*)$", api_text, re.MULTILINE)
+            assert row is not None, f"defense {name!r} has no row in docs/api.md"
+            assert "`defend`" in row.group(1), f"the {name!r} row does not name defend"
 
 
 class TestJsonBlocks:

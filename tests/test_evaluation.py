@@ -1,11 +1,11 @@
-"""Unit tests for metrics, the evaluation pipeline and result aggregation."""
+"""Unit tests for metrics, the evaluation pipeline and reporting."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.attack.trigger import TriggerConfig, TriggerGenerator
+from repro.attack.trigger import TriggerConfig, TriggerGenerator, generate_hard_triggers
 from repro.condensation import CondensationConfig, CondensedGraph, make_condenser
 from repro.evaluation import (
     EvaluationConfig,
@@ -14,15 +14,18 @@ from repro.evaluation import (
     format_percent,
     format_table,
 )
-from repro.evaluation.experiment import ExperimentResult, aggregate_runs
+from repro.defenses import RandSmoothConfig, SmoothedModel
 from repro.evaluation.pipeline import (
     evaluate_backdoor,
     evaluate_clean,
-    evaluate_condensed_graph,
+    predict_on_graph,
     train_model_on_condensed,
+    triggered_test_graph,
 )
 from repro.exceptions import ConfigurationError
 from repro.utils.seed import new_rng
+
+from reference.subgraph import attach_trigger_subgraph
 
 
 class TestMetrics:
@@ -95,15 +98,6 @@ class TestPipeline:
         asr = evaluate_backdoor(model, small_graph, generator, target_class=0)
         assert 0.0 <= asr <= 1.0
 
-    def test_evaluate_condensed_graph_without_generator_has_nan_asr(self, small_graph, rng):
-        condenser = make_condenser("dc-graph", CondensationConfig(epochs=2, ratio=0.3))
-        condensed = condenser.condense(small_graph, rng)
-        result = evaluate_condensed_graph(
-            condensed, small_graph, EvaluationConfig(epochs=10, hidden=8), rng
-        )
-        assert np.isnan(result.asr)
-        assert result.condensation_method == "dc-graph"
-
     def test_different_architectures_supported(self, small_graph, rng):
         condenser = make_condenser("gcond-x", CondensationConfig(epochs=2, ratio=0.3))
         condensed = condenser.condense(small_graph, rng)
@@ -121,35 +115,119 @@ class TestPipeline:
             EvaluationConfig(epochs=0)
 
 
-class TestAggregation:
-    def test_aggregate_runs(self):
-        mean, std = aggregate_runs([0.5, 0.7])
-        assert mean == pytest.approx(0.6)
-        assert std == pytest.approx(0.1)
+def _materialised_triggered_graph(graph, generator, target_class, test_index=None):
+    """The triggered test graph built the pre-overlay way: CSR surgery, a
+    feature vstack and a ``with_delta`` on the test nodes."""
+    test_index = graph.split.test if test_index is None else test_index
+    features, structures = generate_hard_triggers(
+        generator, graph.adjacency, graph.features, test_index
+    )
+    adjacency, node_features, _ = attach_trigger_subgraph(
+        graph.adjacency, graph.features, test_index, features, structures
+    )
+    num_new = node_features.shape[0] - graph.num_nodes
+    return graph.with_delta(
+        test_index,
+        adjacency=adjacency,
+        features=node_features,
+        labels=np.concatenate([graph.labels, np.full(num_new, target_class, dtype=np.int64)]),
+        name=f"{graph.name}-triggered",
+    )
 
-    def test_aggregate_empty(self):
-        mean, std = aggregate_runs([])
-        assert np.isnan(mean)
-        assert np.isnan(std)
 
-    def test_experiment_result_row(self):
-        result = ExperimentResult(
-            dataset="cora",
-            condenser="gcond",
-            ratio=0.013,
-            clean_cta_mean=0.8,
-            clean_cta_std=0.01,
-            clean_asr_mean=0.1,
-            clean_asr_std=0.01,
-            attack_cta_mean=0.79,
-            attack_cta_std=0.02,
-            attack_asr_mean=0.99,
-            attack_asr_std=0.01,
+class TestTriggeredTestGraph:
+    """The overlay triggered graph equals the materialised reference, and
+    every predictor family scores the same ASR on both."""
+
+    TARGET = 1
+
+    @pytest.fixture
+    def pair(self, small_graph, rng):
+        generator = TriggerGenerator(
+            small_graph.num_features, rng, TriggerConfig(trigger_size=3, hidden=8)
         )
-        row = result.as_row()
-        assert row["dataset"] == "cora"
-        assert row["ASR"] == 0.99
-        assert "C-CTA" in row
+        overlay = triggered_test_graph(small_graph, generator, self.TARGET)
+        reference = _materialised_triggered_graph(small_graph, generator, self.TARGET)
+        return overlay, reference
+
+    @staticmethod
+    def assert_same_graph(overlay, reference, base, test_index):
+        assert overlay.is_view
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(overlay.adjacency, part), getattr(reference.adjacency, part)
+            )
+        np.testing.assert_array_equal(np.asarray(overlay.features), reference.features)
+        np.testing.assert_array_equal(overlay.labels, reference.labels)
+        assert overlay.derivation.base is base
+        np.testing.assert_array_equal(overlay.derivation.changed_nodes, test_index)
+
+    def test_overlay_matches_materialised_reference(self, pair, small_graph):
+        overlay, reference = pair
+        self.assert_same_graph(overlay, reference, small_graph, small_graph.split.test)
+
+    @pytest.mark.parametrize("trigger_size", [1, 2, 5])
+    def test_overlay_matches_reference_at_every_trigger_size(
+        self, small_graph, rng, trigger_size
+    ):
+        generator = TriggerGenerator(
+            small_graph.num_features, rng, TriggerConfig(trigger_size=trigger_size, hidden=8)
+        )
+        overlay = triggered_test_graph(small_graph, generator, self.TARGET)
+        reference = _materialised_triggered_graph(small_graph, generator, self.TARGET)
+        assert overlay.num_nodes == small_graph.num_nodes + trigger_size * len(
+            small_graph.split.test
+        )
+        self.assert_same_graph(overlay, reference, small_graph, small_graph.split.test)
+
+    def test_overlay_on_an_explicit_test_index(self, small_graph, rng):
+        generator = TriggerGenerator(
+            small_graph.num_features, rng, TriggerConfig(trigger_size=2, hidden=8)
+        )
+        subset = small_graph.split.test[::3]
+        overlay = triggered_test_graph(small_graph, generator, self.TARGET, test_index=subset)
+        reference = _materialised_triggered_graph(
+            small_graph, generator, self.TARGET, test_index=subset
+        )
+        self.assert_same_graph(overlay, reference, small_graph, subset)
+
+    def test_host_graph_is_untouched(self, small_graph, rng):
+        adjacency = small_graph.adjacency.copy()
+        features = np.array(small_graph.features, copy=True)
+        labels = small_graph.labels.copy()
+        generator = TriggerGenerator(
+            small_graph.num_features, rng, TriggerConfig(trigger_size=3, hidden=8)
+        )
+        triggered_test_graph(small_graph, generator, self.TARGET)
+        assert (small_graph.adjacency != adjacency).nnz == 0
+        np.testing.assert_array_equal(small_graph.features, features)
+        np.testing.assert_array_equal(small_graph.labels, labels)
+
+    @pytest.mark.parametrize(
+        "kind", ["gcn", "sgc", "sntk", "smoothed-gcn", "smoothed-sntk"]
+    )
+    def test_asr_identical_on_overlay_and_reference(self, pair, small_graph, kind):
+        overlay, reference = pair
+        condenser = "gc-sntk" if kind.endswith("sntk") else "gcond-x"
+        condensed = make_condenser(condenser, CondensationConfig(epochs=2, ratio=0.3)).condense(
+            small_graph, new_rng(3)
+        )
+        architecture = "sgc" if kind == "sgc" else "gcn"
+        model = train_model_on_condensed(
+            condensed,
+            small_graph,
+            EvaluationConfig(architecture=architecture, epochs=10, hidden=8),
+            new_rng(4),
+        )
+        if kind.startswith("smoothed"):
+            model = SmoothedModel(model, RandSmoothConfig(num_samples=3))
+        on_overlay = predict_on_graph(model, overlay)
+        on_reference = predict_on_graph(model, reference)
+        np.testing.assert_array_equal(on_overlay, on_reference)
+        test = small_graph.split.test
+        assert attack_success_rate(
+            on_overlay, small_graph.labels, test, self.TARGET
+        ) == attack_success_rate(on_reference, small_graph.labels, test, self.TARGET)
 
 
 class TestReporting:

@@ -7,7 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import GraphValidationError
-from repro.graph.subgraph import attach_trigger_subgraph, induced_subgraph, k_hop_subgraph
+from repro.graph.subgraph import drop_undirected_edges, induced_subgraph, k_hop_subgraph
+
+from reference.subgraph import attach_trigger_subgraph
 
 
 @pytest.fixture
@@ -147,3 +149,49 @@ class TestAttachTrigger:
             chain, features, np.array([1, 2, 3]), trig_feat, trig_adj
         )
         assert new_adj.max() <= 1.0
+
+
+class TestDropUndirectedEdges:
+    @pytest.fixture
+    def weighted(self):
+        """Weighted symmetric adjacency with a stored diagonal."""
+        dense = np.zeros((5, 5))
+        for i, weight in enumerate([0.5, 1.5, 2.0, 3.0]):
+            dense[i, i + 1] = dense[i + 1, i] = weight
+        dense[0, 3] = dense[3, 0] = 4.0
+        np.fill_diagonal(dense, 9.0)
+        return sp.csr_matrix(dense)
+
+    def test_flagged_edges_go_with_their_mirrors(self, weighted):
+        upper = sp.triu(weighted, k=1).tocoo()
+        drop = np.zeros(upper.nnz, dtype=bool)
+        drop[[0, 2]] = True
+        expected = weighted.toarray()
+        for r, c in zip(upper.row[drop], upper.col[drop]):
+            expected[r, c] = expected[c, r] = 0.0
+        result = drop_undirected_edges(weighted, drop)
+        np.testing.assert_array_equal(result.toarray(), expected)
+        np.testing.assert_array_equal(result.diagonal(), weighted.diagonal())
+
+    def test_nothing_flagged_returns_the_input(self, weighted):
+        drop = np.zeros(sp.triu(weighted, k=1).nnz, dtype=bool)
+        assert drop_undirected_edges(weighted, drop) is weighted
+
+    def test_everything_flagged_leaves_only_the_diagonal(self, weighted):
+        drop = np.ones(sp.triu(weighted, k=1).nnz, dtype=bool)
+        result = drop_undirected_edges(weighted, drop)
+        np.testing.assert_array_equal(result.toarray(), np.diag(weighted.diagonal()))
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_mask_follows_the_inputs_own_stored_order(self, weighted, fmt):
+        """Whatever the format, the mask indexes ``sp.triu`` of that input,
+        and the result is CSR."""
+        adjacency = weighted.asformat(fmt)
+        upper = sp.triu(adjacency, k=1).tocoo()
+        drop = np.isin(upper.row * 5 + upper.col, [0 * 5 + 1, 2 * 5 + 3])
+        assert drop.sum() == 2
+        expected = weighted.toarray()
+        expected[[0, 1, 2, 3], [1, 0, 3, 2]] = 0.0
+        result = drop_undirected_edges(adjacency, drop)
+        assert result.format == "csr"
+        np.testing.assert_array_equal(result.toarray(), expected)

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from helpers import build_small_graph
 from repro.attack.bgc import BGC, BGCConfig
 from repro.attack.trigger import TriggerConfig
+from repro.autograd import Tensor
 from repro.condensation import CondensationConfig
 from repro.condensation.gcond import GCondX
 from repro.exceptions import GraphValidationError
@@ -172,6 +173,40 @@ class TestPropagatedView:
         )
         with pytest.raises(IndexError):
             view.gather(np.array([5]))
+
+
+class TestArrayCoercion:
+    """``np.asarray`` / ``Tensor`` over a view reuse the cached matrix when
+    the dtype already matches; another dtype or ``copy`` still copies."""
+
+    @pytest.fixture(params=["stacked", "propagated"])
+    def view(self, request, rng):
+        if request.param == "stacked":
+            return StackedFeatures(rng.normal(size=(5, 3)), rng.normal(size=(2, 3)))
+        return PropagatedView(
+            rng.normal(size=(5, 3)), np.array([1, 6]), rng.normal(size=(2, 3)), num_rows=7
+        )
+
+    def test_float64_coercion_shares_the_cache(self, view):
+        cached = view.materialize()
+        assert np.shares_memory(np.asarray(view, dtype=np.float64), cached)
+        assert np.shares_memory(np.asarray(view), cached)
+        assert np.shares_memory(Tensor(view).data, cached)
+
+    def test_other_dtype_or_copy_returns_a_copy(self, view):
+        cached = view.materialize()
+        as_float32 = np.asarray(view, dtype=np.float32)
+        assert as_float32.dtype == np.float32
+        np.testing.assert_array_equal(as_float32, cached.astype(np.float32))
+        copied = np.array(view)
+        assert not np.shares_memory(copied, cached)
+        np.testing.assert_array_equal(copied, cached)
+
+    def test_graph_view_features_share_the_cache(self, small_graph, rng):
+        view = poison_graph_view(small_graph, *_trigger_blocks(small_graph, rng))
+        cached = view.features.materialize()
+        assert np.shares_memory(np.asarray(view.features, dtype=np.float64), cached)
+        assert np.shares_memory(Tensor(view.features).data, cached)
 
 
 # --------------------------------------------------------------------- #

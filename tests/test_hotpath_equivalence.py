@@ -56,13 +56,17 @@ from repro.graph.normalize import (
     self_loop_degrees,
 )
 from repro.graph.propagation import sgc_precompute, sgc_precompute_hops
-from repro.graph.subgraph import attach_trigger_subgraph, attach_trigger_subgraph_coo
 from repro.graph.view import PropagatedView
 from repro.models.gcn import GCN
 from repro.models.trainer import Trainer, TrainingConfig
 from repro.utils.seed import new_rng
 
 from reference.selection import DenseFeatureSelector
+from reference.subgraph import (
+    MaterialisedBGC,
+    attach_trigger_subgraph,
+    attach_trigger_subgraph_coo,
+)
 
 ATOL = 1e-10
 
@@ -491,19 +495,18 @@ class TestGraphViewEquivalence:
         assert abs(view_loss - mat_loss) <= ATOL
         np.testing.assert_allclose(view_features, mat_features, rtol=0.0, atol=ATOL)
 
-    def test_bgc_view_flag_is_bit_identical(self, small_graph):
-        """BGC with use_graph_view on/off: same history, same condensed graph."""
+    def test_bgc_view_matches_materialised_bgc(self, small_graph):
+        """BGC (view) vs MaterialisedBGC: same history, same condensed graph."""
         from repro.attack.bgc import BGC, BGCConfig
         from repro.attack.trigger import TriggerConfig
         from repro.condensation.base import CondensationConfig
         from repro.condensation.gcond import GCondX
 
-        def run(use_view: bool):
-            attack = BGC(
+        def run(attack_cls):
+            attack = attack_cls(
                 BGCConfig(
                     poison_number=3,
                     epochs=2,
-                    use_graph_view=use_view,
                     trigger=TriggerConfig(trigger_size=2, hidden=16),
                 )
             )
@@ -512,7 +515,7 @@ class TestGraphViewEquivalence:
             )
             return attack.run(small_graph, condenser, new_rng(13))
 
-        with_view, without_view = run(True), run(False)
+        with_view, without_view = run(BGC), run(MaterialisedBGC)
         assert with_view.history == without_view.history
         np.testing.assert_array_equal(
             with_view.condensed.features, without_view.condensed.features
@@ -520,6 +523,42 @@ class TestGraphViewEquivalence:
         np.testing.assert_array_equal(
             with_view.poisoned_nodes, without_view.poisoned_nodes
         )
+
+    @pytest.mark.parametrize("condenser", ["gcond", "dc-graph", "gc-sntk"])
+    def test_bgc_view_matches_materialised_bgc_under_every_condenser(
+        self, small_graph, condenser
+    ):
+        """Structure-learning, one-step and KRR condensers all see the same
+        poisoned graph through the overlay as through the materialised one."""
+        from repro.attack.bgc import BGC, BGCConfig
+        from repro.attack.trigger import TriggerConfig
+        from repro.condensation.base import CondensationConfig
+        from repro.condensation.dc_graph import DCGraph
+        from repro.condensation.gc_sntk import GCSNTK
+        from repro.condensation.gcond import GCond
+
+        condenser_cls = {"gcond": GCond, "dc-graph": DCGraph, "gc-sntk": GCSNTK}[condenser]
+
+        def run(attack_cls):
+            attack = attack_cls(
+                BGCConfig(
+                    poison_number=3,
+                    epochs=2,
+                    trigger=TriggerConfig(trigger_size=2, hidden=16),
+                )
+            )
+            condenser = condenser_cls(
+                CondensationConfig(epochs=1, ratio=0.2), cache=PropagationCache()
+            )
+            return attack.run(small_graph, condenser, new_rng(13))
+
+        with_view, without_view = run(BGC), run(MaterialisedBGC)
+        assert with_view.history == without_view.history
+        for part in ("features", "adjacency", "labels"):
+            np.testing.assert_array_equal(
+                getattr(with_view.condensed, part), getattr(without_view.condensed, part)
+            )
+        np.testing.assert_array_equal(with_view.poisoned_nodes, without_view.poisoned_nodes)
 
 
 # --------------------------------------------------------------------- #

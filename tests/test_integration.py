@@ -8,7 +8,6 @@ graph so the whole module runs in seconds.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.attack import BGC, BGCConfig, TriggerConfig
@@ -125,41 +124,11 @@ class TestDefensesEndToEnd:
     def test_randsmooth_defense_pipeline(self, scenario):
         graph = scenario["graph"]
         result = scenario["result"]
-        smoothed = RandSmoothDefense(RandSmoothConfig(num_samples=3)).wrap(
-            scenario["backdoored_model"]
+        smoothed = RandSmoothDefense(RandSmoothConfig(num_samples=3)).defend(
+            result.condensed, scenario["backdoored_model"], graph,
+            scenario["evaluation"], new_rng(12),
         )
         cta = evaluate_clean(smoothed, graph)
         asr = evaluate_backdoor(smoothed, graph, result.generator, result.target_class)
         assert 0.0 <= cta <= 1.0
         assert 0.0 <= asr <= 1.0
-
-
-class TestExperimentRunnerSmoke:
-    def test_runner_produces_aggregated_cell(self, monkeypatch):
-        """ExperimentRunner on a miniature configuration produces a full row."""
-        from repro.evaluation.experiment import ExperimentRunner
-        import repro.evaluation.experiment as experiment_module
-
-        graph = build_small_graph(seed=31, nodes_per_class=30)
-        monkeypatch.setattr(experiment_module, "load_dataset", lambda name, seed=0: graph)
-
-        runner = ExperimentRunner(
-            condensation_config=CondensationConfig(epochs=3, ratio=0.3),
-            attack_config=BGCConfig(
-                poison_ratio=0.3,
-                epochs=3,
-                surrogate_steps=10,
-                generator_steps=1,
-                update_batch_size=4,
-                trigger=TriggerConfig(trigger_size=2, hidden=8),
-                selection=SelectionConfig(num_clusters=2, selector_epochs=10),
-            ),
-            evaluation_config=EvaluationConfig(epochs=20, hidden=8),
-            num_seeds=1,
-        )
-        cell = runner.run_cell("small-sbm", "gcond-x", ratio=0.3)
-        row = cell.as_row()
-        assert np.isfinite(row["CTA"])
-        assert np.isfinite(row["ASR"])
-        assert np.isfinite(row["C-CTA"])
-        assert cell.dataset == "small-sbm"

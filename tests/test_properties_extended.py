@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.autograd import Adam, SGD, Tensor
+from repro.autograd import Adam
 from repro.autograd.module import Parameter
 from repro.condensation.base import CondensedGraph
 from repro.defenses import PruneConfig, PruneDefense
@@ -23,28 +23,6 @@ def _random_condensed(seed: int, n: int, d: int, num_classes: int) -> CondensedG
 
 
 class TestOptimizerProperties:
-    @given(
-        dim=st.integers(min_value=1, max_value=6),
-        lr=st.floats(min_value=1e-3, max_value=0.2),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_sgd_step_moves_against_gradient(self, dim, lr, seed):
-        generator = new_rng(seed)
-        start = generator.normal(size=dim)
-        target = generator.normal(size=dim)
-        param = Parameter(start.copy())
-        optimizer = SGD([param], lr=lr)
-        optimizer.zero_grad()
-        diff = param - Tensor(target)
-        (diff * diff).sum().backward()
-        before = float(((start - target) ** 2).sum())
-        optimizer.step()
-        after = float(((param.data - target) ** 2).sum())
-        # A single small SGD step on a convex quadratic never increases the loss
-        # (lr is kept below 1/L = 0.5 for this objective).
-        assert after <= before + 1e-12
-
     @given(
         dim=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=1000),
@@ -113,34 +91,18 @@ class TestSelectionScoreProperties:
 
 
 class TestKernelBackendProperties:
-    """Algebraic invariants every kernel backend must satisfy.
+    """Algebraic invariants of the kernel backend.
 
-    Shapes are drawn by hypothesis; each property is checked for every
-    registered backend plus a forced-parallel :class:`ThreadedBackend`
-    (the registered ``threaded`` singleton serialises on 1-core hosts).
-    Linearity holds to float tolerance only — the reference itself
-    reassociates ``A(x+y)`` vs ``Ax+Ay`` — while structural properties
-    (identity no-op, transpose involution) are exact.
+    Shapes are drawn by hypothesis.  Linearity holds to float tolerance
+    only — the backend reassociates ``A(x+y)`` vs ``Ax+Ay`` — while
+    structural properties (identity no-op, transpose involution) are exact.
     """
 
     @staticmethod
     def _backends():
-        from repro.kernels import (
-            ThreadedBackend,
-            active_backend,
-            available_kernel_backends,
-            set_kernel_backend,
-        )
+        from repro.kernels import active_backend
 
-        instances = []
-        for name in available_kernel_backends():
-            previous = set_kernel_backend(name)
-            try:
-                instances.append(active_backend())
-            finally:
-                set_kernel_backend(previous)
-        instances.append(ThreadedBackend(workers=3))
-        return instances
+        return [active_backend()]
 
     @given(
         n=st.integers(min_value=1, max_value=12),

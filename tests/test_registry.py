@@ -10,6 +10,7 @@ import pytest
 import repro  # noqa: F401  — importing the package populates every registry
 from repro.attack.bgc import BGC, BGCConfig
 from repro.condensation.base import CondensationConfig, Condenser
+from repro.defenses import Defense
 from repro.defenses.prune import PruneDefense
 from repro.exceptions import ConfigurationError
 from repro.graph.data import GraphData
@@ -200,12 +201,7 @@ class TestRegistryCompleteness:
         "name", ["prune", "randsmooth", "feature-outlier", "spectral-signature"]
     )
     def test_defenses_buildable(self, name):
-        defense = DEFENSES.build(name)
-        assert (
-            hasattr(defense, "apply_to_condensed")
-            or hasattr(defense, "wrap")
-            or hasattr(defense, "detect")
-        )
+        assert isinstance(DEFENSES.build(name), Defense)
 
     def test_prune_defense_config_binding(self):
         defense = DEFENSES.build("prune", prune_fraction=0.5)

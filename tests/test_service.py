@@ -51,7 +51,6 @@ from repro.exceptions import (
     SweepExecutionError,
 )
 from repro.graph.blocked import BLOCKED_THRESHOLD, blocked_threshold
-from repro.kernels import KERNEL_BACKEND, kernel_backend_name
 from repro.registry import CONDENSERS
 from repro.service import (
     CondensationService,
@@ -306,38 +305,6 @@ class TestPoolBitIdentity:
         for a, b in zip(serial_baseline, records):
             assert_records_identical(a, b)
 
-    def test_threaded_kernel_under_pool_matches_serial_numpy(self, serial_baseline):
-        """Regression: pool workers apply the sweep's kernel backend.
-
-        Records must be bit-identical to the serial numpy baseline — the
-        threaded backend's chunked kernels preserve per-row accumulation
-        order, and the worker-side ``set_kernel_backend`` pin must not leak
-        into later dispatches once the sweep ends.
-        """
-        records = run_sweep(
-            smoke_sweep(),
-            execution=ExecutionSpec(
-                backend="pool", workers=2, kernel_backend="threaded"
-            ),
-        )
-        assert len(records) == len(serial_baseline)
-        for a, b in zip(serial_baseline, records):
-            assert_records_identical(a, b)
-        assert kernel_backend_name() == "numpy"
-
-    def test_pool_workers_resolve_kernel_environment(
-        self, monkeypatch, serial_baseline
-    ):
-        """Workers see the parent's ``REPRO_KERNEL_BACKEND`` resolution even
-        when the sweep's ``ExecutionSpec`` leaves ``kernel_backend`` unset."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "threaded")
-        records = run_sweep(
-            smoke_sweep(), execution=ExecutionSpec(backend="pool", workers=2)
-        )
-        assert len(records) == len(serial_baseline)
-        for a, b in zip(serial_baseline, records):
-            assert_records_identical(a, b)
-
     def test_pool_backend_reports_merged_cache_stats(self):
         records = run_sweep(
             smoke_sweep(), execution=ExecutionSpec(backend="pool", workers=2)
@@ -404,12 +371,12 @@ class TestWorkerPool:
 
     @needs_fork
     def test_each_task_carries_the_parents_knob_values(self):
-        """A worker forked before the parent's overrides still applies them,
-        and follows the parent again once they are restored."""
+        """A worker forked before the parent's override still applies it,
+        and follows the parent again once it is restored."""
 
         class _KnobProbe:
             def condense(self, graph, rng):
-                raise RuntimeError(f"knobs {blocked_threshold()} {kernel_backend_name()}")
+                raise RuntimeError(f"threshold {blocked_threshold()}")
 
         CONDENSERS.register("svc-knob-probe-test", factory=lambda **kwargs: _KnobProbe())
         probe = ExperimentSpec.from_dict(
@@ -417,13 +384,13 @@ class TestWorkerPool:
         )
         try:
             with WorkerPool(1) as pool:
-                with BLOCKED_THRESHOLD.overridden(0), KERNEL_BACKEND.overridden("threaded"):
+                with BLOCKED_THRESHOLD.overridden(0):
                     (overridden,) = self.run_cells(pool, [probe])
                 (restored,) = self.run_cells(pool, [probe])
         finally:
             CONDENSERS.unregister("svc-knob-probe-test")
-        assert "knobs 0 threaded" in overridden.error["message"]
-        parent = f"knobs {blocked_threshold()} {kernel_backend_name()}"
+        assert "threshold 0" in overridden.error["message"]
+        parent = f"threshold {blocked_threshold()}"
         assert parent in restored.error["message"]
 
     def test_submit_before_start_rejected(self):

@@ -1,7 +1,8 @@
 """Property-based invariants of trigger attachment over randomized graphs.
 
-Both attachment implementations — the CSR-surgery fast path
-(:func:`attach_trigger_subgraph`) and the COO-rebuild reference
+Both materialised attachment references in ``tests/reference/subgraph.py``
+— the CSR surgery (:func:`attach_trigger_subgraph`, over the production
+:func:`~repro.graph.subgraph.attach_trigger_adjacency`) and the COO rebuild
 (:func:`attach_trigger_subgraph_coo`) — must satisfy the same structural
 invariants on arbitrary inputs drawn from the library's own graph
 generators:
@@ -24,8 +25,9 @@ from repro.graph.generators import (
     degree_corrected_sbm,
     stochastic_block_model,
 )
-from repro.graph.subgraph import attach_trigger_subgraph, attach_trigger_subgraph_coo
 from repro.utils.seed import new_rng
+
+from reference.subgraph import attach_trigger_subgraph, attach_trigger_subgraph_coo
 
 ATTACH_PATHS = [
     pytest.param(attach_trigger_subgraph, id="csr-surgery"),

@@ -96,5 +96,5 @@ class TestPublicAPI:
     def test_top_level_exports(self):
         import repro
 
-        for name in ("load_dataset", "make_condenser", "BGC", "ExperimentRunner"):
+        for name in ("load_dataset", "make_condenser", "BGC", "run_experiment"):
             assert hasattr(repro, name)
