@@ -148,12 +148,17 @@ def print_header(title: str) -> None:
 
 
 def print_rows(rows: List[Dict[str, object]], columns: Optional[List[str]] = None) -> None:
-    """Print result rows as an aligned table with percentages."""
+    """Print result rows as an aligned table, metrics as percentages.
+
+    A metric column is a CTA or ASR rate (``CTA``, ``C-ASR``, ``dASR``,
+    ``BGC CTA``, ...); every other column (``ratio``, ``feature_scale``, ...)
+    prints as it is.
+    """
     rendered = []
     for row in rows:
         formatted = {}
         for key, value in row.items():
-            if isinstance(value, float) and key not in ("ratio",):
+            if isinstance(value, float) and ("CTA" in key or "ASR" in key):
                 formatted[key] = format_percent(value)
             else:
                 formatted[key] = value

@@ -22,8 +22,9 @@ On top of the condensation-epoch regimes, the benchmark times the other two
 per-epoch costs of the attack loop and the **full attack epoch** in two
 configurations:
 
-* **generator update** — per-node ``local_trigger_loss`` loop (PR 1) vs the
-  batched block-diagonal loss (`batched_local_trigger_loss`);
+* **generator update** — per-node ``local_trigger_loss`` loop (PR 1, now in
+  ``tests/reference/trigger.py``) vs the batched block-diagonal loss
+  (`batched_local_trigger_loss`);
 * **trigger attachment** — COO rebuild (PR 1) vs CSR surgery;
 * **attack epoch (PR 1)** — per-node update + COO attach + full
   ``gcn_normalize`` of every derived graph + incremental propagation, i.e.
@@ -119,16 +120,12 @@ from repro.attack.trigger import (
     TriggerGenerator,
     batched_local_trigger_loss,
     generate_hard_triggers,
-    local_trigger_loss,
 )
 from repro.autograd import Adam, Tensor
 from repro.autograd import functional as F
 from repro.condensation import CondensationConfig
 from repro.condensation.gcond import GCondX
-from repro.condensation.gradient_matching import (
-    gradient_distance,
-    per_class_model_gradient,
-)
+from repro.condensation.gradient_matching import gradient_distance
 from repro.datasets import load_dataset
 from repro.graph.cache import PropagationCache
 from repro.graph.data import GraphData
@@ -138,13 +135,16 @@ from repro.graph.propagation import sgc_precompute
 from repro.graph.splits import make_planetoid_split
 from repro.utils.seed import new_rng, spawn_rngs
 
-# The materialised attachment paths are pinned references kept with the tests.
+# The slow paths (materialised attachment, per-node trigger loss, per-class
+# gradient) are pinned references kept with the tests.
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from reference.gradient_matching import per_class_model_gradient  # noqa: E402
 from reference.subgraph import (  # noqa: E402
     MaterialisedBGC,
     attach_trigger_subgraph,
     attach_trigger_subgraph_coo,
 )
+from reference.trigger import local_trigger_loss  # noqa: E402
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 

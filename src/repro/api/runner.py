@@ -292,7 +292,9 @@ class Leg:
 
     An attack leg also carries what the ``evaluate`` stage needs to trigger
     the test nodes: a BGC-style attack's node-adaptive ``generator``, or
-    :class:`NaivePoison`'s universal feature ``pattern``.
+    :class:`NaivePoison`'s universal feature ``pattern``, and the
+    ``test_nodes`` the trigger targets (a directed attack's source-class
+    test nodes, otherwise every test node).
     """
 
     condensed: CondensedGraph
@@ -301,14 +303,13 @@ class Leg:
     generator: Any = None
     pattern: np.ndarray | None = None
     target_class: int = 0
+    test_nodes: np.ndarray | None = None
 
     def triggered_graph(self, graph: GraphData) -> GraphData | GraphView:
-        """``graph`` with this leg's trigger attached to every test node."""
+        """``graph`` with this leg's trigger attached to each of its ``test_nodes``."""
         if self.pattern is not None:
-            return NaivePoison.attach_universal_trigger(
-                graph, graph.split.test, self.pattern
-            )
-        return triggered_test_graph(graph, self.generator, self.target_class)
+            return NaivePoison.attach_universal_trigger(graph, self.test_nodes, self.pattern)
+        return triggered_test_graph(graph, self.generator, self.target_class, self.test_nodes)
 
 
 def _stage_keys(spec: ExperimentSpec, attack) -> Dict[str, tuple]:
@@ -360,12 +361,19 @@ def _attack_leg(
     node-adaptive generator triggers the test nodes;
     :class:`NaivePoison` returns ``(condensed, universal_pattern)``, blended
     into the test-node features.  ``select`` is passed to attacks that take
-    a selection hook (those with a ``selection_key``).
+    a selection hook (those with a ``selection_key``).  A directed attack
+    (BGC with ``directed``) targets only its ``source_class`` test nodes,
+    so only those are triggered and scored.
     """
     if select is not None:
         result = attack.run(graph, condenser, rng, select=select)
     else:
         result = attack.run(graph, condenser, rng)
+    test = graph.split.test
+    if getattr(attack.config, "directed", False):
+        test = test[graph.labels[test] == attack.config.source_class]
+    else:
+        test = test.copy()  # a memo freezes the leg's arrays, never the graph's
     if isinstance(result, tuple):
         condensed, pattern = result
         return Leg(
@@ -374,6 +382,7 @@ def _attack_leg(
             int(condensed.metadata.get("poisoned_nodes", 0)),
             pattern=pattern,
             target_class=int(getattr(attack.config, "target_class", 0)),
+            test_nodes=test,
         )
     return Leg(
         result.condensed,
@@ -381,6 +390,7 @@ def _attack_leg(
         int(result.poisoned_nodes.size),
         generator=result.generator,
         target_class=int(result.target_class),
+        test_nodes=test,
     )
 
 
@@ -418,7 +428,7 @@ def _evaluate(
     def asr(model: Predictor) -> float:
         predictions = predict_on_graph(model, triggered)
         return attack_success_rate(
-            predictions, graph.labels, graph.split.test, attack_leg.target_class
+            predictions, graph.labels, attack_leg.test_nodes, attack_leg.target_class
         )
 
     record.attack_asr = asr(victim)

@@ -25,7 +25,6 @@ from repro.attack.trigger import (
     UniversalTriggerGenerator,
     batched_local_trigger_loss,
     generate_hard_triggers,
-    local_trigger_loss,
 )
 from repro.attack.bgc import BGC, BGCConfig, BGCResult
 from repro.attack.naive import NaivePoison
@@ -48,7 +47,6 @@ __all__ = [
     "UniversalTriggerGenerator",
     "batched_local_trigger_loss",
     "generate_hard_triggers",
-    "local_trigger_loss",
     "BGC",
     "BGCConfig",
     "BGCResult",

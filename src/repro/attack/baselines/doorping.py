@@ -5,38 +5,22 @@ learning a universal trigger that is re-optimised while the distilled dataset
 is being produced.  The graph adaptation used in the BGC paper's Figure 4
 keeps the two distinguishing choices of DOORPING — a *universal* (shared)
 trigger and updates interleaved with condensation — and borrows BGC's
-representative-node selection for the poisoned set.  Because the trigger is
-not node-adaptive it transfers less well than BGC's generator, which is the
-gap Figure 4 illustrates.
+representative-node selection for the poisoned set.  It is therefore BGC's
+loop with one change, the generator: a
+:class:`~repro.attack.trigger.UniversalTriggerGenerator`.  Because the
+trigger is not node-adaptive it transfers less well than BGC's generator,
+which is the gap Figure 4 illustrates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
 
-import numpy as np
-
-from repro.attack.bgc import BGCResult
-from repro.attack.selection import RepresentativeNodeSelector, SelectionConfig
-from repro.attack.trigger import (
-    TriggerConfig,
-    UniversalTriggerGenerator,
-    generate_hard_triggers,
-    local_trigger_loss,
-)
-from repro.autograd import Adam, Parameter, Tensor
-from repro.autograd import functional as F
-from repro.condensation.base import CondensedGraph, Condenser
+from repro.attack.bgc import BGC, bgc_config
+from repro.attack.selection import SelectionConfig
+from repro.attack.trigger import TriggerConfig, UniversalTriggerGenerator
 from repro.exceptions import AttackError
-from repro.graph.data import GraphData
-from repro.graph.normalize import dense_gcn_normalize
-from repro.graph.splits import SplitIndices
-from repro.graph.view import poison_graph_view
 from repro.registry import ATTACKS
-from repro.utils.logging import get_logger
-
-logger = get_logger("attack.baselines.doorping")
 
 
 @dataclass
@@ -64,162 +48,15 @@ class DoorpingConfig:
 
 
 @ATTACKS.register("doorping", config_cls=DoorpingConfig)
-class DoorpingAttack:
-    """Universal-trigger attack interleaved with condensation."""
+class DoorpingAttack(BGC):
+    """BGC's interleaved loop refreshing one universal trigger.
+
+    ``trigger_steps`` is BGC's ``generator_steps``; every other field keeps
+    its BGC meaning.
+    """
+
+    generator_cls = UniversalTriggerGenerator
 
     def __init__(self, config: DoorpingConfig | None = None) -> None:
-        self.config = config or DoorpingConfig()
-
-    def run(
-        self, graph: GraphData, condenser: Condenser, rng: np.random.Generator
-    ) -> BGCResult:
-        """Execute the attack and return the poisoned condensed graph."""
-        config = self.config
-        working = graph.training_view() if graph.inductive else graph
-
-        budget = (
-            config.poison_number
-            if config.poison_number is not None
-            else max(1, int(round(config.poison_ratio * working.split.train.size)))
-        )
-        selector = RepresentativeNodeSelector(config.selection)
-        poisoned_nodes = selector.select(working, budget, config.target_class, rng)
-
-        poisoned_labels = working.labels.copy()
-        poisoned_labels[poisoned_nodes] = config.target_class
-        poisoned_train = np.union1d(working.split.train, poisoned_nodes)
-        base_poisoned = working.with_(
-            labels=poisoned_labels,
-            split=SplitIndices(
-                train=poisoned_train, val=working.split.val, test=working.split.test
-            ),
-        )
-
-        condenser.initialize(base_poisoned, rng)
-        generator = UniversalTriggerGenerator(working.num_features, rng, config.trigger)
-        generator.calibrate(working.features)
-        optimizer = Adam(generator.parameters(), lr=config.trigger.learning_rate)
-        encoder_inputs = generator.encode_inputs(working.adjacency, working.features)
-
-        history: List[Dict[str, float]] = []
-        for epoch in range(config.epochs):
-            condensed = condenser.synthetic()
-            surrogate_weight = self._train_surrogate(condensed, rng)
-            trigger_loss = self._update_trigger(
-                working, encoder_inputs, generator, optimizer, surrogate_weight, rng
-            )
-            poisoned_graph = self._build_poisoned_graph(
-                working, base_poisoned, generator, poisoned_nodes
-            )
-            matching_loss = condenser.epoch_step(poisoned_graph)
-            history.append(
-                {
-                    "epoch": float(epoch),
-                    "trigger_loss": float(trigger_loss),
-                    "condensation_loss": float(matching_loss),
-                }
-            )
-
-        return BGCResult(
-            condensed=condenser.synthetic(),
-            generator=generator,
-            target_class=config.target_class,
-            poisoned_nodes=poisoned_nodes,
-            history=history,
-        )
-
-    # -------------------------------------------------------------- #
-    # Internals
-    # -------------------------------------------------------------- #
-    def _train_surrogate(
-        self, condensed: CondensedGraph, rng: np.random.Generator
-    ) -> np.ndarray:
-        config = self.config
-        adjacency = condensed.adjacency
-        if np.allclose(adjacency, np.eye(adjacency.shape[0])):
-            propagated = condensed.features
-        else:
-            normalized = dense_gcn_normalize(adjacency)
-            propagated = condensed.features
-            for _ in range(config.surrogate_hops):
-                propagated = normalized @ propagated
-        num_classes = max(int(condensed.labels.max()) + 1, config.target_class + 1)
-        weight = Parameter(
-            rng.normal(scale=0.1, size=(condensed.features.shape[1], num_classes))
-        )
-        optimizer = Adam([weight], lr=config.surrogate_lr)
-        inputs = Tensor(propagated)
-        for _ in range(config.surrogate_steps):
-            optimizer.zero_grad()
-            loss = F.cross_entropy(inputs.matmul(weight), condensed.labels)
-            loss.backward()
-            optimizer.step()
-        return weight.data.copy()
-
-    def _update_trigger(
-        self,
-        working: GraphData,
-        encoder_inputs: np.ndarray,
-        generator: UniversalTriggerGenerator,
-        optimizer: Adam,
-        surrogate_weight: np.ndarray,
-        rng: np.random.Generator,
-    ) -> float:
-        config = self.config
-        weight_tensor = Tensor(surrogate_weight)
-        last_loss = float("nan")
-        for _ in range(config.trigger_steps):
-            batch = rng.choice(
-                working.num_nodes,
-                size=min(config.update_batch_size, working.num_nodes),
-                replace=False,
-            )
-            optimizer.zero_grad()
-            total = None
-            for node in batch:
-                node_loss = local_trigger_loss(
-                    int(node),
-                    working,
-                    encoder_inputs,
-                    generator,
-                    weight_tensor,
-                    target_class=config.target_class,
-                    max_neighbors=config.max_neighbors,
-                    num_hops=config.surrogate_hops,
-                )
-                total = node_loss if total is None else total + node_loss
-            loss = total * (1.0 / len(batch))
-            loss.backward()
-            optimizer.step()
-            last_loss = float(loss.item())
-        return last_loss
-
-    def _build_poisoned_graph(
-        self,
-        working: GraphData,
-        base_poisoned: GraphData,
-        generator: UniversalTriggerGenerator,
-        poisoned_nodes: np.ndarray,
-    ):
-        """Per-epoch poisoned graph as a zero-copy view.
-
-        DOORPING interleaves trigger refreshes with condensation exactly like
-        BGC, so it gets the same hot-path treatment: the poisoned graph is a
-        :class:`~repro.graph.view.GraphView` (no per-epoch feature vstack)
-        whose recorded delta lets the shared cache propagate it
-        incrementally.  (Before PR 4 this built a derivation-free
-        ``GraphData`` and silently paid a full propagation every epoch.)
-        """
-        features, adjacency = generate_hard_triggers(
-            generator, working.adjacency, working.features, poisoned_nodes
-        )
-        return poison_graph_view(
-            working,
-            poisoned_nodes,
-            features,
-            adjacency,
-            labels=base_poisoned.labels,
-            trigger_label=self.config.target_class,
-            split=base_poisoned.split.copy(),
-            name=f"{working.name}-doorping",
-        )
+        config = config or DoorpingConfig()
+        super().__init__(bgc_config(config, generator_steps=config.trigger_steps))

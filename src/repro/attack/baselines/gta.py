@@ -8,34 +8,27 @@ the original graph once, *before* condensation, and then condenses the
 poisoned graph with an unmodified condenser.  Because the triggers are never
 refreshed during condensation their malicious signal partially washes out,
 which is exactly the gap BGC closes.
+
+Everything but that schedule is BGC's code: the selection, the batched
+generator update and the poisoned-graph builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from repro.attack.bgc import BGCResult
-from repro.attack.selection import RepresentativeNodeSelector, SelectionConfig
-from repro.attack.trigger import (
-    TriggerConfig,
-    TriggerGenerator,
-    generate_hard_triggers,
-    local_trigger_loss,
-)
-from repro.autograd import Adam, Parameter, Tensor
-from repro.autograd import functional as F
+from repro.attack.bgc import BGC, BGCResult, bgc_config
+from repro.attack.selection import SelectionConfig
+from repro.attack.surrogate import fit_linear_surrogate
+from repro.attack.trigger import TriggerConfig
 from repro.condensation.base import Condenser
 from repro.exceptions import AttackError
 from repro.graph.data import GraphData
 from repro.graph.propagation import sgc_precompute
-from repro.graph.splits import SplitIndices
-from repro.graph.view import poison_graph_view
 from repro.registry import ATTACKS
-from repro.utils.logging import get_logger
-
-logger = get_logger("attack.baselines.gta")
 
 
 @dataclass
@@ -62,133 +55,57 @@ class GTAConfig:
 
 
 @ATTACKS.register("gta", config_cls=GTAConfig)
-class GTAAttack:
-    """Poison the original graph with a statically trained trigger generator, then condense."""
+class GTAAttack(BGC):
+    """Poison the original graph with a statically trained trigger generator, then condense.
+
+    ``generator_epochs`` is the number of generator steps, all taken before
+    condensation against one surrogate of the original graph.
+    """
 
     def __init__(self, config: GTAConfig | None = None) -> None:
-        self.config = config or GTAConfig()
+        config = config or GTAConfig()
+        super().__init__(bgc_config(config, generator_steps=config.generator_epochs))
 
     def run(
-        self, graph: GraphData, condenser: Condenser, rng: np.random.Generator
+        self,
+        graph: GraphData,
+        condenser: Condenser,
+        rng: np.random.Generator,
+        select: Callable[[GraphData, np.random.Generator], np.ndarray] | None = None,
     ) -> BGCResult:
-        """Execute the attack; the result type matches :class:`~repro.attack.bgc.BGCResult`."""
-        config = self.config
-        working = graph.training_view() if graph.inductive else graph
+        """Select, fit the surrogate, train the generator, poison once, condense.
 
-        budget = (
-            config.poison_number
-            if config.poison_number is not None
-            else max(1, int(round(config.poison_ratio * working.split.train.size)))
-        )
-        selector = RepresentativeNodeSelector(config.selection)
-        poisoned_nodes = selector.select(working, budget, config.target_class, rng)
-
+        ``rng`` is drawn in that order; ``select`` is :meth:`BGC.run`'s hook.
+        The poisoned graph is condensed for many epochs, so it is
+        materialised, with its delta against the original recorded: the
+        condenser's first propagation of it is incremental.
+        """
+        working, poisoned_nodes, base_poisoned = self._poison_labels(graph, rng, select)
         surrogate_weight = self._train_surrogate_on_original(working, rng)
-        generator = TriggerGenerator(working.num_features, rng, config.trigger)
-        generator.calibrate(working.features)
-        self._train_generator(working, generator, surrogate_weight, rng)
-
-        poisoned_graph = self._poison_graph(working, generator, poisoned_nodes)
+        generator, optimizer, encoder_inputs = self._start_generator(working, rng)
+        self._update_generator(
+            working, encoder_inputs, generator, optimizer, surrogate_weight, rng
+        )
+        poisoned_graph = self._build_poisoned_graph(
+            working, base_poisoned, generator, poisoned_nodes, encoder_inputs
+        ).materialize()
         condensed = condenser.condense(poisoned_graph, rng)
         condensed.method = condenser.name
         return BGCResult(
             condensed=condensed,
             generator=generator,
-            target_class=config.target_class,
+            target_class=self.config.target_class,
             poisoned_nodes=poisoned_nodes,
         )
 
-    # -------------------------------------------------------------- #
-    # Surrogate trained on the original graph (the GTA threat model)
-    # -------------------------------------------------------------- #
     def _train_surrogate_on_original(
         self, working: GraphData, rng: np.random.Generator
     ) -> np.ndarray:
+        """The GTA threat model: an SGC surrogate of the clean training nodes."""
         config = self.config
         propagated = sgc_precompute(working.adjacency, working.features, config.surrogate_hops)
-        weight = Parameter(
-            rng.normal(scale=0.1, size=(working.num_features, working.num_classes))
-        )
-        optimizer = Adam([weight], lr=config.surrogate_lr)
         train = working.split.train
-        inputs = Tensor(propagated[train])
-        labels = working.labels[train]
-        for _ in range(config.surrogate_steps):
-            optimizer.zero_grad()
-            loss = F.cross_entropy(inputs.matmul(weight), labels)
-            loss.backward()
-            optimizer.step()
-        return weight.data.copy()
-
-    # -------------------------------------------------------------- #
-    # Static generator training (no refresh during condensation)
-    # -------------------------------------------------------------- #
-    def _train_generator(
-        self,
-        working: GraphData,
-        generator: TriggerGenerator,
-        surrogate_weight: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        config = self.config
-        optimizer = Adam(generator.parameters(), lr=config.trigger.learning_rate)
-        encoder_inputs = generator.encode_inputs(working.adjacency, working.features)
-        weight_tensor = Tensor(surrogate_weight)
-        for _ in range(config.generator_epochs):
-            batch = rng.choice(
-                working.num_nodes,
-                size=min(config.update_batch_size, working.num_nodes),
-                replace=False,
-            )
-            optimizer.zero_grad()
-            total = None
-            for node in batch:
-                node_loss = local_trigger_loss(
-                    int(node),
-                    working,
-                    encoder_inputs,
-                    generator,
-                    weight_tensor,
-                    target_class=config.target_class,
-                    max_neighbors=config.max_neighbors,
-                    num_hops=config.surrogate_hops,
-                )
-                total = node_loss if total is None else total + node_loss
-            loss = total * (1.0 / len(batch))
-            loss.backward()
-            optimizer.step()
-
-    def _poison_graph(
-        self,
-        working: GraphData,
-        generator: TriggerGenerator,
-        poisoned_nodes: np.ndarray,
-    ) -> GraphData:
-        """Poison the graph once, up front (the GTA threat model).
-
-        Unlike the per-epoch streams of BGC/DOORPING, this graph is condensed
-        for many epochs, so it is materialised — but through the shared
-        :func:`~repro.graph.view.poison_graph_view` builder, whose
-        :meth:`~repro.graph.view.GraphView.materialize` records the delta
-        against ``working``: the condenser's *first* propagation of the
-        poisoned graph is incremental instead of a cold full recompute.
-        """
-        features, adjacency = generate_hard_triggers(
-            generator, working.adjacency, working.features, poisoned_nodes
+        return fit_linear_surrogate(
+            propagated[train], working.labels[train], working.num_classes,
+            config.surrogate_steps, config.surrogate_lr, rng,
         )
-        labels = working.labels.copy()
-        labels[poisoned_nodes] = self.config.target_class
-        train = np.union1d(working.split.train, poisoned_nodes)
-        view = poison_graph_view(
-            working,
-            poisoned_nodes,
-            features,
-            adjacency,
-            labels=labels,
-            trigger_label=self.config.target_class,
-            split=SplitIndices(train=train, val=working.split.val, test=working.split.test),
-            name=f"{working.name}-gta",
-        )
-        return view.materialize()
-
-

@@ -16,8 +16,8 @@ utility, yet encodes the trigger → target-class association.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -32,13 +32,10 @@ from repro.attack.trigger import (
     batched_local_trigger_loss,
     generate_hard_triggers,
 )
-from repro.autograd import Adam, Parameter, Tensor
-from repro.autograd import functional as F
+from repro.attack.surrogate import fit_linear_surrogate
+from repro.autograd import Adam, Tensor
 from repro.condensation.base import CondensedGraph, Condenser
-from repro.condensation.gradient_matching import (
-    closed_form_surrogate_steps,
-    normalize_dense_tensor,
-)
+from repro.condensation.gradient_matching import closed_form_surrogate_steps
 from repro.exceptions import AttackError
 from repro.graph.data import GraphData
 from repro.graph.normalize import dense_gcn_normalize
@@ -100,6 +97,17 @@ class BGCConfig:
             raise AttackError("directed attacks require a source_class")
 
 
+def bgc_config(config, **renamed) -> BGCConfig:
+    """A :class:`BGCConfig` with ``config``'s same-named fields, plus ``renamed``.
+
+    GTA and DOORPING run on BGC's code: each config names a subset of BGC's
+    fields and calls the generator's step count something else.
+    """
+    names = {f.name for f in fields(BGCConfig)}
+    shared = {f.name: getattr(config, f.name) for f in fields(config) if f.name in names}
+    return BGCConfig(**shared, **renamed)
+
+
 @dataclass
 class BGCResult:
     """Everything the attacker hands over (and keeps) after a BGC run."""
@@ -114,6 +122,9 @@ class BGCResult:
 @ATTACKS.register("bgc", config_cls=BGCConfig)
 class BGC:
     """Backdoor attack against graph condensation (the paper's method)."""
+
+    #: The trigger generator :meth:`run` trains (DOORPING swaps in a universal one).
+    generator_cls = TriggerGenerator
 
     def __init__(self, config: BGCConfig | None = None) -> None:
         self.config = config or BGCConfig()
@@ -141,37 +152,10 @@ class BGC:
         :meth:`selection_key`, which lets a caller serve it from a memo.
         """
         config = self.config
-        working = graph.training_view() if graph.inductive else graph
-        if config.target_class >= working.num_classes:
-            raise AttackError(
-                f"target_class {config.target_class} out of range for "
-                f"{working.num_classes} classes"
-            )
-
-        poisoned_nodes = (select or self.select_poisoned_nodes)(working, rng)
-        poisoned_labels = working.labels.copy()
-        poisoned_labels[poisoned_nodes] = config.target_class
-        poisoned_train = np.union1d(working.split.train, poisoned_nodes)
-        base_poisoned = working.with_(
-            labels=poisoned_labels,
-            split=SplitIndices(
-                train=poisoned_train,
-                val=working.split.val,
-                test=working.split.test,
-            ),
-        )
-
+        working, poisoned_nodes, base_poisoned = self._poison_labels(graph, rng, select)
         condenser.initialize(base_poisoned, rng)
-        generator = TriggerGenerator(working.num_features, rng, config.trigger)
-        generator.calibrate(working.features)
-        generator_optimizer = Adam(generator.parameters(), lr=config.trigger.learning_rate)
-        encoder_inputs = generator.encode_inputs(working.adjacency, working.features)
+        generator, generator_optimizer, encoder_inputs = self._start_generator(working, rng)
         self._surrogate_state = None  # fresh warm-start lineage per run
-        # Constant per-node trigger scaffolds (local sets, host adjacency
-        # blocks, host feature rows) are shared across every generator step
-        # and attack epoch of this run — `working` and max_neighbors are
-        # fixed — so their sparse gathers are paid once per node per run.
-        self._scaffold_cache = {}
 
         history: List[Dict[str, float]] = []
         for epoch in range(config.epochs):
@@ -193,10 +177,8 @@ class BGC:
             )
             if epoch % max(1, config.epochs // 5) == 0:
                 logger.debug(
-                    "bgc epoch %d trigger loss %.4f matching loss %.4f",
-                    epoch,
-                    trigger_loss,
-                    matching_loss,
+                    "%s epoch %d trigger loss %.4f matching loss %.4f",
+                    type(self).__name__, epoch, trigger_loss, matching_loss,
                 )
 
         return BGCResult(
@@ -206,6 +188,50 @@ class BGC:
             poisoned_nodes=poisoned_nodes,
             history=history,
         )
+
+    # -------------------------------------------------------------- #
+    # Set-up shared with GTA and DOORPING
+    # -------------------------------------------------------------- #
+    def _poison_labels(
+        self,
+        graph: GraphData,
+        rng: np.random.Generator,
+        select: Callable[[GraphData, np.random.Generator], np.ndarray] | None,
+    ) -> Tuple[GraphData, np.ndarray, GraphData]:
+        """The graph the attacker sees, its poisoned nodes, and that graph
+        with the poisoned nodes relabelled to the target class and added to
+        the training split."""
+        config = self.config
+        working = graph.training_view() if graph.inductive else graph
+        if config.target_class >= working.num_classes:
+            raise AttackError(
+                f"target_class {config.target_class} out of range for "
+                f"{working.num_classes} classes"
+            )
+        poisoned_nodes = (select or self.select_poisoned_nodes)(working, rng)
+        poisoned_labels = working.labels.copy()
+        poisoned_labels[poisoned_nodes] = config.target_class
+        base_poisoned = working.with_(
+            labels=poisoned_labels,
+            split=SplitIndices(
+                train=np.union1d(working.split.train, poisoned_nodes),
+                val=working.split.val,
+                test=working.split.test,
+            ),
+        )
+        return working, poisoned_nodes, base_poisoned
+
+    def _start_generator(
+        self, working: GraphData, rng: np.random.Generator
+    ) -> Tuple[TriggerGenerator, Adam, np.ndarray]:
+        """A fresh :attr:`generator_cls`, its optimiser and its encoder inputs
+        for ``working``, computed once per run; resets the run's scaffold
+        cache (see :meth:`_update_generator`)."""
+        generator = self.generator_cls(working.num_features, rng, self.config.trigger)
+        generator.calibrate(working.features)
+        optimizer = Adam(generator.parameters(), lr=self.config.trigger.learning_rate)
+        self._scaffold_cache = {}
+        return generator, optimizer, generator.encode_inputs(working.adjacency, working.features)
 
     # -------------------------------------------------------------- #
     # Poisoned-node selection
@@ -273,31 +299,14 @@ class BGC:
           Adam, no autograd graph.
         """
         config = self.config
-        if not config.surrogate_warm_start:
-            propagated = self._propagate_condensed(condensed)
-            num_classes = max(int(condensed.labels.max()) + 1, config.target_class + 1)
-            weight = Parameter(
-                rng.normal(scale=0.1, size=(condensed.features.shape[1], num_classes))
-            )
-            optimizer = Adam([weight], lr=config.surrogate_lr)
-            inputs = Tensor(propagated)
-            for _ in range(config.surrogate_steps):
-                optimizer.zero_grad()
-                logits = inputs.matmul(weight)
-                loss = F.cross_entropy(logits, condensed.labels)
-                loss.backward()
-                optimizer.step()
-            return weight.data.copy()
-        return self._train_surrogate_warm(condensed, rng)
-
-    def _train_surrogate_warm(
-        self, condensed: CondensedGraph, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Warm-start leg of :meth:`_train_surrogate` (closed-form steps)."""
-        config = self.config
         propagated = self._propagate_condensed(condensed)
         num_classes = max(int(condensed.labels.max()) + 1, config.target_class + 1)
-        shape = (condensed.features.shape[1], num_classes)
+        if not config.surrogate_warm_start:
+            return fit_linear_surrogate(
+                propagated, condensed.labels, num_classes,
+                config.surrogate_steps, config.surrogate_lr, rng,
+            )
+        shape = (propagated.shape[1], num_classes)
         state = self._surrogate_state
         if state is None or state["weight"].shape != shape:
             state = {

@@ -37,8 +37,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.attack.sampled import _gather_rows, _softmax
-from repro.autograd import Adam, Parameter, Tensor
-from repro.autograd import functional as F
+from repro.attack.surrogate import fit_linear_surrogate
 from repro.condensation.base import CondensedGraph, Condenser
 from repro.exceptions import AttackError
 from repro.graph.cache import PropagationCache, get_default_cache
@@ -258,15 +257,7 @@ class NodeInjectionAttack:
         config = self.config
         propagated = cache.propagated(working, config.surrogate_hops)
         train = np.asarray(working.split.train, dtype=np.int64)
-        inputs = Tensor(_gather_rows(propagated, train))
-        weight = Parameter(
-            rng.normal(scale=0.1, size=(working.num_features, working.num_classes))
+        return fit_linear_surrogate(
+            _gather_rows(propagated, train), working.labels[train], working.num_classes,
+            config.surrogate_steps, config.surrogate_lr, rng,
         )
-        optimizer = Adam([weight], lr=config.surrogate_lr)
-        targets = working.labels[train]
-        for _ in range(config.surrogate_steps):
-            optimizer.zero_grad()
-            loss = F.cross_entropy(inputs.matmul(weight), targets)
-            loss.backward()
-            optimizer.step()
-        return weight.data.copy()

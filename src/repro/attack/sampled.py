@@ -57,8 +57,7 @@ from repro.attack.selection import (
     RepresentativeNodeSelector,
     SelectionConfig,
 )
-from repro.autograd import Adam, Parameter, Tensor
-from repro.autograd import functional as F
+from repro.attack.surrogate import fit_linear_surrogate
 from repro.condensation.base import CondensedGraph, Condenser
 from repro.exceptions import AttackError
 from repro.graph.blocked import BlockedArray
@@ -492,15 +491,7 @@ class SampledEdgeAttack:
         """Linear SGC surrogate trained on the attacker's flipped labels."""
         config = self.config
         propagated = cache.propagated(working, config.surrogate_hops)
-        inputs = Tensor(_gather_rows(propagated, train))
-        targets = labels[train]
-        weight = Parameter(
-            rng.normal(scale=0.1, size=(working.num_features, working.num_classes))
+        return fit_linear_surrogate(
+            _gather_rows(propagated, train), labels[train], working.num_classes,
+            config.surrogate_steps, config.surrogate_lr, rng,
         )
-        optimizer = Adam([weight], lr=config.surrogate_lr)
-        for _ in range(config.surrogate_steps):
-            optimizer.zero_grad()
-            loss = F.cross_entropy(inputs.matmul(weight), targets)
-            loss.backward()
-            optimizer.step()
-        return weight.data.copy()

@@ -121,7 +121,8 @@ class TriggerGenerator(Module):
         Identical to :meth:`_encode` for the MLP and GCN encoders (row-wise
         linear stacks); the transformer encoder treats each row as its own
         length-1 sequence instead of attending across the batch, matching
-        what :meth:`trigger_for_node` computes per node.
+        what the per-node reference (``tests/reference/trigger.py``)
+        computes one node at a time.
         """
         if self.config.encoder == "transformer":
             projected = self.input_projection(inputs)
@@ -139,29 +140,15 @@ class TriggerGenerator(Module):
         structure = F.sigmoid(structure_logits)
         return features, structure
 
-    def trigger_for_node(self, node_input: np.ndarray) -> Tuple[Tensor, Tensor]:
-        """Differentiable trigger (features ``(t, d)``, soft adjacency ``(t, t)``) for one node."""
-        inputs = Tensor(np.asarray(node_input, dtype=np.float64).reshape(1, -1))
-        flat_features, flat_structure = self.forward(inputs)
-        t = self.config.trigger_size
-        features = flat_features.reshape(t, self.num_features)
-        soft = flat_structure.reshape(t, t)
-        symmetric = (soft + soft.T) * 0.5
-        structure = F.straight_through_binarize(symmetric, threshold=0.5)
-        # Zero the diagonal: trigger nodes carry no self-loops of their own.
-        mask = Tensor(1.0 - np.eye(t))
-        return features, structure * mask
-
     def triggers_for_nodes(self, node_inputs: np.ndarray) -> Tuple[Tensor, Tensor]:
         """Differentiable triggers for a whole batch in one forward pass.
 
         Returns ``(features, structures)`` with shapes ``(B, t, d)`` and
-        ``(B, t, t)``; row ``i`` equals :meth:`trigger_for_node` of input
-        ``i`` (up to float rounding), but the batch shares one autograd
-        graph.  Row independence is preserved for every encoder — the
-        transformer encoder runs per-token (see :meth:`_encode_rowwise`)
-        rather than attending across whichever nodes happen to share the
-        batch.
+        ``(B, t, t)``; row ``i`` equals the trigger of input ``i`` alone
+        (up to float rounding), but the batch shares one autograd graph.
+        Row independence is preserved for every encoder — the transformer
+        encoder runs per-token (see :meth:`_encode_rowwise`) rather than
+        attending across whichever nodes happen to share the batch.
         """
         inputs = Tensor(np.asarray(node_inputs, dtype=np.float64))
         if inputs.ndim != 2:
@@ -229,7 +216,7 @@ class UniversalTriggerGenerator(Module):
 
     This is the DOORPING-style trigger: one learnable block of trigger-node
     features with a fixed fully connected internal structure.  It exposes the
-    same ``encode_inputs`` / ``generate`` / ``trigger_for_node`` interface as
+    same ``encode_inputs`` / ``generate`` / ``triggers_for_nodes`` interface as
     :class:`TriggerGenerator` so the attack and evaluation code can use either
     interchangeably.
     """
@@ -263,12 +250,6 @@ class UniversalTriggerGenerator(Module):
         """Node inputs are irrelevant for a universal trigger; pass features through."""
         del graph_adjacency
         return np.asarray(features, dtype=np.float64)
-
-    def trigger_for_node(self, node_input: np.ndarray) -> Tuple[Tensor, Tensor]:
-        """Return the shared differentiable trigger regardless of the node."""
-        del node_input
-        bounded = F.tanh(self.trigger_features) * self._feature_bound
-        return bounded, Tensor(self._structure)
 
     def triggers_for_nodes(self, node_inputs: np.ndarray) -> Tuple[Tensor, Tensor]:
         """The shared trigger broadcast over the batch, gradients accumulating."""
@@ -308,71 +289,6 @@ def _local_node_set(csr, node: int, max_neighbors: int) -> np.ndarray:
     return np.concatenate(([node], neighbors)).astype(np.int64)
 
 
-def local_trigger_loss(
-    node: int,
-    graph,
-    encoder_inputs: np.ndarray,
-    generator,
-    surrogate_weight: Tensor,
-    target_class: int,
-    max_neighbors: int = 10,
-    num_hops: int = 2,
-) -> Tensor:
-    """Surrogate cross-entropy for one trigger-attached node on its local subgraph.
-
-    The computation graph is the node's sampled 1-hop neighbourhood plus the
-    trigger block.  Features are projected through the surrogate weight before
-    propagation, so each evaluation costs a few hundred kiloflops while the
-    gradient still flows into the trigger features and structure (and from
-    there into the generator parameters).
-
-    This is the *reference* path: :func:`batched_local_trigger_loss` computes
-    the same quantity for a whole batch in a single autograd graph and is
-    pinned to this function by equivalence tests.
-    """
-    from repro.condensation.gradient_matching import normalize_dense_tensor
-
-    trigger_features, trigger_structure = generator.trigger_for_node(encoder_inputs[node])
-    trigger_size = trigger_features.shape[0]
-
-    local = _local_node_set(graph.adjacency, node, max_neighbors)
-    n_local = local.size
-    csr = graph.adjacency
-
-    base = csr[local][:, local].toarray()
-    connector_cols = np.zeros((n_local, trigger_size))
-    connector_cols[0, 0] = 1.0
-    connector_rows = np.zeros((trigger_size, n_local))
-    connector_rows[0, 0] = 1.0
-
-    top = Tensor.concatenate([Tensor(base), Tensor(connector_cols)], axis=1)
-    bottom = Tensor.concatenate([Tensor(connector_rows), trigger_structure], axis=1)
-    local_adjacency = Tensor.concatenate([top, bottom], axis=0)
-    normalized = normalize_dense_tensor(local_adjacency)
-
-    host_projection = graph.features[local] @ surrogate_weight.data
-    trigger_projection = trigger_features.matmul(surrogate_weight)
-    projected = Tensor.concatenate([Tensor(host_projection), trigger_projection], axis=0)
-
-    hidden = projected
-    for _ in range(num_hops):
-        hidden = normalized.matmul(hidden)
-    return F.cross_entropy(hidden[0:1], np.array([target_class]))
-
-
-def _batched_gcn_normalize(adjacency: Tensor) -> Tensor:
-    """Batched differentiable GCN normalisation of ``(B, m, m)`` blocks.
-
-    Elementwise identical to applying
-    :func:`repro.condensation.gradient_matching.normalize_dense_tensor` to
-    each block (same self-loop handling and epsilon).  Delegates to the fused
-    :func:`repro.autograd.functional.batched_gcn_normalize` — one analytic
-    vjp instead of a six-primitive chain, which dominated the cost of an
-    attack-epoch generator step.
-    """
-    return F.batched_gcn_normalize(adjacency)
-
-
 def batched_local_trigger_loss(
     nodes: np.ndarray,
     graph,
@@ -384,16 +300,19 @@ def batched_local_trigger_loss(
     num_hops: int = 2,
     scaffold_cache: dict | None = None,
 ) -> Tensor:
-    """Mean of :func:`local_trigger_loss` over ``nodes`` as ONE autograd graph.
+    """Mean surrogate cross-entropy of trigger-attached ``nodes``, as ONE autograd graph.
 
-    Each node's local computation graph (sampled 1-hop neighbourhood plus
-    trigger block) is an independent connected component, so the whole batch
-    is propagated as a block-diagonal system: local sets are padded to a
-    common width with isolated filler rows (a filler row carries only its
-    self-loop, so no real row ever reads it), stacked into ``(B, m, m)``
-    blocks, normalised and propagated with batched dense ops.  The result
-    matches averaging the per-node reference to float rounding — values *and*
-    gradients — while replacing ``B`` small autograd graphs with one.
+    A node's loss is taken on its local computation graph (sampled 1-hop
+    neighbourhood plus trigger block), with features projected through the
+    surrogate weight before propagation.  Each such graph is an independent
+    connected component, so the whole batch is propagated as a
+    block-diagonal system: local sets are padded to a common width with
+    isolated filler rows (a filler row carries only its self-loop, so no
+    real row ever reads it), stacked into ``(B, m, m)`` blocks, normalised
+    and propagated with batched dense ops.  The result matches averaging the
+    per-node reference loop (``tests/reference/trigger.py``) to float
+    rounding — values *and* gradients — while replacing ``B`` small autograd
+    graphs with one.
 
     ``scaffold_cache`` memoises each node's constant scaffold — its local
     node set, the induced host adjacency block and the host feature rows —
@@ -449,7 +368,7 @@ def batched_local_trigger_loss(
     base[:, 0, n_host] = 1.0
     base[:, n_host, 0] = 1.0
     local_adjacency = F.embed_blocks(base, trigger_structures, n_host, n_host)
-    normalized = _batched_gcn_normalize(local_adjacency)
+    normalized = F.batched_gcn_normalize(local_adjacency)
 
     # Project features through the surrogate before propagation, as in the
     # reference: host rows are constants, trigger rows carry gradients.

@@ -27,7 +27,6 @@ from repro.condensation.gradient_matching import (
     GradientMatchingCondenser,
     all_class_model_gradients,
     gradient_distance,
-    per_class_model_gradient,
 )
 from repro.condensation.dc_graph import DCGraph
 from repro.condensation.gcond import GCond, GCondX
@@ -43,7 +42,6 @@ __all__ = [
     "GradientMatchingCondenser",
     "all_class_model_gradients",
     "gradient_distance",
-    "per_class_model_gradient",
     "DCGraph",
     "GCond",
     "GCondX",

@@ -37,41 +37,6 @@ logger = get_logger("condensation.gradient_matching")
 # --------------------------------------------------------------------- #
 # Numpy-side helpers (real-graph gradients are constants w.r.t. S)
 # --------------------------------------------------------------------- #
-def per_class_model_gradient(
-    propagated: np.ndarray,
-    labels: np.ndarray,
-    weight: np.ndarray,
-    index: np.ndarray,
-    num_classes: int,
-) -> np.ndarray:
-    """Closed-form gradient of the CE loss of a linear model w.r.t. ``weight``.
-
-    Parameters
-    ----------
-    propagated:
-        ``(N, d)`` propagated feature matrix ``H``.
-    labels:
-        ``(N,)`` integer labels.
-    weight:
-        ``(d, C)`` current surrogate weight.
-    index:
-        Node subset over which the loss is computed.
-    num_classes:
-        Total number of classes ``C``.
-    """
-    index = np.asarray(index, dtype=np.int64)
-    if index.size == 0:
-        return np.zeros_like(weight)
-    h = propagated[index]
-    logits = h @ weight
-    logits = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    targets = np.zeros_like(probs)
-    targets[np.arange(index.size), labels[index]] = 1.0
-    return h.T @ (probs - targets) / index.size
-
-
 def all_class_model_gradients(
     propagated: np.ndarray,
     labels: np.ndarray,
@@ -79,14 +44,15 @@ def all_class_model_gradients(
     index: np.ndarray,
     num_classes: int,
 ) -> Dict[int, np.ndarray]:
-    """Vectorised counterpart of :func:`per_class_model_gradient` for all classes.
+    """Closed-form CE gradient of a linear model w.r.t. ``weight``, per class.
 
     The softmax residual ``softmax(HW) - Y`` is computed in a single pass
     over every node in ``index``; the per-class gradients are then derived
     with masked segment-sums (one contiguous slice per class after a stable
     sort by label) instead of ``C`` separate logits/softmax passes.  Rows are
-    processed in the same relative order as the per-class routine, so the
-    results agree to floating-point round-off.
+    processed in the same relative order as the per-class reference in
+    ``tests/reference/gradient_matching.py``, so the results agree to
+    floating-point round-off.
 
     Returns a mapping ``class -> (d, C)`` gradient covering exactly the
     classes present in ``labels[index]``.
@@ -110,7 +76,7 @@ def all_class_model_gradients(
     residual[np.arange(index.size), index_labels] -= 1.0
 
     # Stable sort keeps each class's rows in their original relative order,
-    # making every per-class slice bit-identical to the scalar routine.
+    # making every per-class slice bit-identical to the per-class reference.
     order = np.argsort(index_labels, kind="stable")
     sorted_labels = index_labels[order]
     h_sorted = h[order]

@@ -142,3 +142,80 @@ class TestDoorping:
             DoorpingConfig(poison_ratio=None, poison_number=None)
         with pytest.raises(AttackError):
             DoorpingConfig(epochs=0)
+
+
+class TestBaselinesRunOnBGC:
+    """GTA and DOORPING are BGC with one choice changed, bound from their own configs."""
+
+    @staticmethod
+    def _sweep(attack: dict):
+        from repro.api import SweepSpec, run_sweep
+
+        return run_sweep(
+            SweepSpec.from_dict(
+                {
+                    "name": f"{attack['name']}-select",
+                    "base": {
+                        "dataset": "tiny",
+                        "attack": attack,
+                        "trigger": {"overrides": {"trigger_size": 2}},
+                        "evaluation": {"overrides": {"epochs": 10}},
+                    },
+                    "axes": {
+                        "condenser": [
+                            {"name": "gcond", "overrides": {"epochs": 2, "ratio": 0.2}},
+                            {"name": "gc-sntk", "overrides": {"epochs": 2, "ratio": 0.2}},
+                        ],
+                        "seed": [5],
+                    },
+                }
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            {"name": "doorping", "overrides": {"epochs": 2, "poison_ratio": 0.2}},
+            {"name": "gta", "overrides": {"generator_epochs": 3, "poison_ratio": 0.2}},
+        ],
+    )
+    def test_two_condensers_share_one_selection(self, attack):
+        sweep = self._sweep(attack)
+        assert all(record.ok for record in sweep)
+        assert sweep.memo_stats["select_hits"] == 1
+        assert sweep.memo_stats["select_misses"] == 1
+
+    @pytest.mark.parametrize("name", ["doorping", "gta"])
+    def test_bgc_only_fields_are_rejected(self, name):
+        from repro.api import ExperimentSpec, run_experiment
+        from repro.exceptions import ConfigurationError
+
+        spec = ExperimentSpec.from_dict(
+            {"dataset": "tiny", "condenser": "gcond",
+             "attack": {"name": name, "overrides": {"directed": True}}}
+        )
+        with pytest.raises(ConfigurationError, match="unknown override 'directed'"):
+            run_experiment(spec)
+
+    def test_step_counts_bind_from_json(self):
+        from repro.api import ExperimentSpec
+        from repro.api.runner import _resolve_attack
+
+        def attack(payload: str):
+            return _resolve_attack(ExperimentSpec.from_json(payload))
+
+        doorping = attack(
+            '{"dataset": "tiny", "condenser": "gcond",'
+            ' "attack": {"name": "doorping", "overrides": {"trigger_steps": 5}}}'
+        )
+        gta = attack(
+            '{"dataset": "tiny", "condenser": "gcond",'
+            ' "attack": {"name": "gta", "overrides": {"generator_epochs": 7}}}'
+        )
+        assert isinstance(doorping, DoorpingAttack) and doorping.config.generator_steps == 5
+        assert isinstance(gta, GTAAttack) and gta.config.generator_steps == 7
+
+    def test_doorping_runs_bgc_loop(self):
+        from repro.attack.bgc import BGC
+
+        assert DoorpingAttack.run is BGC.run

@@ -4,7 +4,10 @@ Each fast path is pinned here to the reference implementation it replaced,
 at ``atol=1e-10``:
 
 * ``batched_local_trigger_loss`` vs the per-node ``local_trigger_loss`` —
-  same loss *and* same parameter gradients;
+  same loss *and* same parameter gradients — and GTA and DOORPING runs on
+  the batched loss vs the same runs on the per-node loop
+  (``tests/reference/trigger.py``) — same poisoned nodes and condensed
+  adjacency, features and generator weights within ``atol``;
 * CSR-surgery ``attach_trigger_subgraph`` vs the COO-rebuild reference —
   identical sparse matrices (indptr / indices / data);
 * ``incremental_gcn_normalize`` (and its ``PropagationCache`` integration)
@@ -35,7 +38,6 @@ from repro.attack.trigger import (
     TriggerGenerator,
     UniversalTriggerGenerator,
     batched_local_trigger_loss,
-    local_trigger_loss,
 )
 from repro.autograd import Tensor
 from repro.condensation.gradient_matching import all_class_model_gradients
@@ -67,6 +69,7 @@ from reference.subgraph import (
     attach_trigger_subgraph,
     attach_trigger_subgraph_coo,
 )
+from reference.trigger import PerNodeDoorping, PerNodeGTA, local_trigger_loss
 
 ATOL = 1e-10
 
@@ -177,6 +180,54 @@ class TestBatchedTriggerLossEquivalence:
             np.array([3]), small_graph, inputs, generator, weight, **kwargs
         )
         assert abs(batched.item() - reference.item()) <= ATOL
+
+
+class TestBaselineAttacksMatchPerNodeLoss:
+    """GTA and DOORPING on the batched loss vs the per-node loop they used to run."""
+
+    @staticmethod
+    def _configs():
+        from repro.attack.baselines import DoorpingConfig, GTAConfig
+        from repro.attack.selection import SelectionConfig
+
+        shared = dict(
+            poison_ratio=0.3,
+            update_batch_size=4,
+            trigger=TriggerConfig(trigger_size=2, hidden=16),
+            selection=SelectionConfig(num_clusters=2, selector_epochs=15),
+        )
+        return {
+            "gta": GTAConfig(generator_epochs=3, surrogate_steps=20, **shared),
+            "doorping": DoorpingConfig(epochs=2, trigger_steps=2, surrogate_steps=10, **shared),
+        }
+
+    @pytest.mark.parametrize("condenser", ["gcond", "gc-sntk"])
+    @pytest.mark.parametrize("attack", ["gta", "doorping"])
+    def test_same_nodes_adjacency_and_weights(self, small_graph, attack, condenser):
+        from repro.attack.baselines import DoorpingAttack, GTAAttack
+        from repro.condensation import CondensationConfig, make_condenser
+
+        shipped_cls, reference_cls = {
+            "gta": (GTAAttack, PerNodeGTA),
+            "doorping": (DoorpingAttack, PerNodeDoorping),
+        }[attack]
+        config = self._configs()[attack]
+
+        def run(attack_cls):
+            return attack_cls(config).run(
+                small_graph,
+                make_condenser(condenser, CondensationConfig(epochs=2, ratio=0.2)),
+                new_rng(21),
+            )
+
+        shipped, reference = run(shipped_cls), run(reference_cls)
+        np.testing.assert_array_equal(shipped.poisoned_nodes, reference.poisoned_nodes)
+        np.testing.assert_array_equal(shipped.condensed.adjacency, reference.condensed.adjacency)
+        np.testing.assert_allclose(
+            shipped.condensed.features, reference.condensed.features, rtol=0.0, atol=ATOL
+        )
+        for ours, theirs in zip(shipped.generator.parameters(), reference.generator.parameters()):
+            np.testing.assert_allclose(ours.data, theirs.data, rtol=0.0, atol=ATOL)
 
 
 # --------------------------------------------------------------------- #

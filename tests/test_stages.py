@@ -208,6 +208,35 @@ class TestEvaluateOnce:
             defended, graph, leg.generator, leg.target_class
         )
 
+    def test_directed_cell_scores_only_source_class_test_nodes(self):
+        """The Table VI protocol: a directed attack's every ASR is taken on
+        the source-class test nodes, the only ones its trigger targets."""
+        from repro.evaluation.pipeline import evaluate_backdoor
+
+        attack = {"name": "bgc", "overrides": {"epochs": 2, "poison_ratio": 0.2,
+                                               "directed": True, "source_class": 1}}
+        # Seed 1: the victim's ASR over every test node (0.54) is not its
+        # ASR over the source class (1.0), so the test tells them apart.
+        spec = ExperimentSpec.from_dict({**BGC_CELL, "attack": attack, "seed": 1})
+        memo = StageMemo()
+        record = run_experiment(spec, memo=memo)
+        values = {key: value for key, (value, _) in memo._entries.items()}
+        keys = runner._stage_keys(spec, runner._resolve_attack(spec))
+        leg = values[("attack_leg", keys["attack_leg"])]
+        graph = runner._load_graph(spec)
+        test = graph.split.test
+        source_test = test[graph.labels[test] == 1]
+        np.testing.assert_array_equal(leg.test_nodes, source_test)
+        victim = values[("fit", keys["victim_fit"])]
+        assert record.attack_asr != evaluate_backdoor(victim, graph, leg.generator, leg.target_class)
+        for field, key in (("attack_asr", ("fit", keys["victim_fit"])),
+                           ("clean_asr", ("fit", keys["clean_fit"])),
+                           ("defense_asr", ("defend", keys["defend"]))):
+            reference = evaluate_backdoor(
+                values[key], graph, leg.generator, leg.target_class, test_index=source_test
+            )
+            assert getattr(record, field) == reference
+
     def test_bgc_cell_builds_one_triggered_graph(self, monkeypatch):
         built = []
         original = runner.triggered_test_graph
