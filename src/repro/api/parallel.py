@@ -113,15 +113,18 @@ def prepare_handoff(
 ) -> Tuple[Dict[Tuple[str, int], GraphData], Dict[Tuple[str, int], bytes]]:
     """Load each dataset shard once and pre-pay its base propagation.
 
-    Returns ``(graphs, warm)``: the loaded graph and the pickled
-    ``export_base_chains`` payload per dataset key.  The parent computes the
-    chains with exactly the code a worker would run, so the handoff changes
-    *where* base propagation happens, never its floats.  Under ``fork`` the
-    pickled payload is never consumed — workers inherit the warmed cache
-    through copy-on-write pages and ``warm`` stays empty; it is built only
-    for the ``spawn`` path, whose workers start with an empty cache.  A
-    dataset that fails to load is skipped here; its cells fail in their
-    workers and surface through the fault-isolation path.
+    Returns ``(graphs, warm)``: the loaded graph per dataset key and, under
+    ``spawn`` only, its pickled ``export_base_chains`` payload.  The parent
+    computes the chains with exactly the code a worker would run, so the
+    handoff changes *where* base propagation happens, never its floats.
+    Under ``fork`` no payload is built and ``warm`` stays empty: a pool
+    started after this call inherits the warmed cache through copy-on-write
+    pages, but a worker that was already running (a service worker on a job
+    naming a new dataset) receives only the graph and recomputes the chains
+    itself.  Under ``spawn``, whose workers start with an empty cache, the
+    payload ships with each worker's first cell on the dataset.  A dataset
+    that fails to load is skipped here; its cells fail in their workers and
+    surface through the fault-isolation path.
     """
     if start_method is None:
         start_method = preferred_start_method()

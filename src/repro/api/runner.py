@@ -549,7 +549,6 @@ CACHE_COUNTER_KEYS = (
     "misses",
     "incremental_updates",
     "incremental_normalizations",
-    "buffer_reuses",
 )
 
 

@@ -76,9 +76,9 @@ class GTAAttack(BGC):
         """Select, fit the surrogate, train the generator, poison once, condense.
 
         ``rng`` is drawn in that order; ``select`` is :meth:`BGC.run`'s hook.
-        The poisoned graph is condensed for many epochs, so it is
-        materialised, with its delta against the original recorded: the
-        condenser's first propagation of it is incremental.
+        The condenser condenses the poisoned view as is: its first
+        propagation of it is incremental against the original's cached
+        chain, and every later epoch is a cache hit.
         """
         working, poisoned_nodes, base_poisoned = self._poison_labels(graph, rng, select)
         surrogate_weight = self._train_surrogate_on_original(working, rng)
@@ -88,7 +88,7 @@ class GTAAttack(BGC):
         )
         poisoned_graph = self._build_poisoned_graph(
             working, base_poisoned, generator, poisoned_nodes, encoder_inputs
-        ).materialize()
+        )
         condensed = condenser.condense(poisoned_graph, rng)
         condensed.method = condenser.name
         return BGCResult(

@@ -140,8 +140,7 @@ class NodeInjectionAttack:
             )
 
         final = self._injected_view(working, features, hosts)
-        poisoned_graph = final.materialize()
-        condensed = condenser.condense(poisoned_graph, rng)
+        condensed = condenser.condense(final, rng)
         condensed.method = condenser.name
         condensed.metadata["poisoned_nodes"] = float(config.num_injected)
         return condensed, features.mean(axis=0)

@@ -320,12 +320,9 @@ class SampledEdgeAttack:
             )
 
         final = self._flipped_view(working, flips, labels, split)
-        poisoned_graph = (
-            final.materialize()
-            if isinstance(final, GraphView)
-            else final.with_(labels=labels, split=split)
-        )
-        condensed = condenser.condense(poisoned_graph, rng)
+        if not isinstance(final, GraphView):
+            final = final.with_(labels=labels, split=split)
+        condensed = condenser.condense(final, rng)
         condensed.method = condenser.name
         condensed.metadata["poisoned_nodes"] = float(poisoned_nodes.size)
         condensed.metadata["flipped_edges"] = float(len(flips))

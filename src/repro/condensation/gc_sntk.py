@@ -158,7 +158,9 @@ class GCSNTK(Condenser):
     def _init_support(
         self, graph: GraphData, budget: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        propagated = self._real_propagated(graph)
+        # Initialisation reads the whole product (its std scales the noise;
+        # a blocked base streams its own), so it takes the materialised one.
+        propagated = self._cache.propagated(graph, self.config.num_hops)
         features = []
         labels = []
         train_index = graph.split.train
@@ -185,9 +187,7 @@ class GCSNTK(Condenser):
         # fragile id()-keyed memo that could serve stale features after
         # garbage collection recycled an address.  GraphViews take the
         # difference-form path; epoch_step only gathers the training rows.
-        if getattr(graph, "is_view", False):
-            return self._cache.propagated_view(graph, self.config.num_hops)
-        return self._cache.propagated(graph, self.config.num_hops)
+        return self._cache.propagated_view(graph, self.config.num_hops)
 
     def _require_state(self) -> _SNTKState:
         if self._state is None:

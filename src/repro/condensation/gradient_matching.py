@@ -524,7 +524,9 @@ class GradientMatchingCondenser(Condenser):
         train_labels = graph.labels[train_index]
         # Noise is scaled by the feature standard deviation so the class
         # signal of the sampled rows is perturbed, not drowned out.
-        noise_scale = self.config.feature_init_noise * float(graph.features.std())
+        noise_scale = self.config.feature_init_noise * float(
+            np.asarray(graph.features).std()
+        )
         for cls in range(graph.num_classes):
             count = int(budget[cls])
             if count == 0:
@@ -547,9 +549,8 @@ class GradientMatchingCondenser(Condenser):
     def _real_propagated(self, graph: GraphData):
         """Propagated real features; rows are read via ``result[index]``.
 
-        The clean condensation loop hits the shared cache's memo every epoch;
-        a delta-carrying poisoned ``GraphData`` is propagated incrementally,
-        and a zero-copy :class:`~repro.graph.view.GraphView` takes the
+        The clean condensation loop hits the shared cache's memo every epoch,
+        and a poisoned :class:`~repro.graph.view.GraphView` takes the
         difference-form path — the returned
         :class:`~repro.graph.view.PropagatedView` never materialises the
         ``(N, F)`` product, and :func:`all_class_model_gradients` only
@@ -557,9 +558,7 @@ class GradientMatchingCondenser(Condenser):
         """
         if not self.propagate_real:
             return graph.features
-        if getattr(graph, "is_view", False):
-            return self._cache.propagated_view(graph, self.config.num_hops)
-        return self._cache.propagated(graph, self.config.num_hops)
+        return self._cache.propagated_view(graph, self.config.num_hops)
 
     def _synthetic_propagated(self, detach: bool) -> Tensor:
         state = self._require_state()

@@ -8,6 +8,7 @@ helpers here keep the historical function API (:func:`load_dataset`,
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
@@ -43,6 +44,14 @@ class DatasetSpec:
     val_fraction: float = 0.25
     reference_nodes: int = 0
     extras: Dict[str, float] = field(default_factory=dict)
+
+
+def _dataset_seed(name: str, seed: int) -> int:
+    """Mix the dataset name into the seed so datasets differ at equal seeds.
+
+    Uses crc32 (not ``hash``) so the value is stable across interpreter runs.
+    """
+    return (zlib.crc32(name.lower().encode("utf-8")) + 1_000_003 * int(seed)) % (2**31)
 
 
 def register_dataset(spec: DatasetSpec, loader: LoaderFn) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import DatasetSpec, register_dataset
+from repro.datasets.base import DatasetSpec, _dataset_seed, register_dataset
 from repro.graph.data import GraphData
 from repro.graph.generators import class_correlated_features, degree_corrected_sbm
 from repro.graph.splits import make_planetoid_split
@@ -64,16 +64,6 @@ def _edge_probabilities(spec: DatasetSpec) -> tuple[float, float]:
     inter_nodes = spec.num_nodes - avg_block
     p_out = min(1.0, (1.0 - spec.homophily) * spec.avg_degree / max(inter_nodes, 1.0))
     return p_in, p_out
-
-
-def _dataset_seed(name: str, seed: int) -> int:
-    """Mix the dataset name into the seed so datasets differ at equal seeds.
-
-    Uses crc32 (not ``hash``) so the value is stable across interpreter runs.
-    """
-    import zlib
-
-    return (zlib.crc32(name.lower().encode("utf-8")) + 1_000_003 * int(seed)) % (2**31)
 
 
 CORA_SPEC = DatasetSpec(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import DatasetSpec, register_dataset
+from repro.datasets.base import DatasetSpec, _dataset_seed, register_dataset
 from repro.graph.data import GraphData
 from repro.graph.generators import class_correlated_features, degree_corrected_sbm
 from repro.graph.splits import make_inductive_split
@@ -81,13 +81,6 @@ def _zipf_blocks(num_nodes: int, num_classes: int, rng: np.random.Generator) -> 
     sizes[0] += num_nodes - sizes.sum()
     rng.shuffle(sizes)
     return sizes.tolist()
-
-
-def _dataset_seed(name: str, seed: int) -> int:
-    """Deterministic (crc32-based) per-dataset seed mixing."""
-    import zlib
-
-    return (zlib.crc32(name.lower().encode("utf-8")) + 1_000_003 * int(seed)) % (2**31)
 
 
 FLICKR_SPEC = DatasetSpec(

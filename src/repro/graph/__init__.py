@@ -19,7 +19,6 @@ from repro.graph.propagation import (
     sgc_precompute,
     sgc_precompute_hops,
     incremental_sgc_delta,
-    incremental_sgc_precompute,
     reachable_rows,
     appnp_propagate,
     chebyshev_polynomials,
@@ -70,7 +69,6 @@ __all__ = [
     "sgc_precompute",
     "sgc_precompute_hops",
     "incremental_sgc_delta",
-    "incremental_sgc_precompute",
     "reachable_rows",
     "appnp_propagate",
     "chebyshev_polynomials",

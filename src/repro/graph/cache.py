@@ -10,15 +10,16 @@ of trigger-attached rows.  :class:`PropagationCache` removes that cost:
   matrices handed to the model layer, per object with weakref-based eviction
   so a recycled ``id()`` can never serve stale data);
 * SGC hop chains ``[X, ÂX, ..., Â^K X]`` are memoised per ``(key, num_hops)``;
-* a graph carrying a :class:`~repro.graph.data.GraphDelta` derivation is
-  propagated **incrementally**: only the K-hop closed neighbourhood of the
-  changed rows is recomputed, all other rows are copied from the base's
-  cached chain (see :mod:`repro.graph.propagation` for the math and why the
-  result is exact, not approximate);
-* a :class:`~repro.graph.view.GraphView` takes the fully zero-copy path via
-  :meth:`PropagationCache.propagated_view`, which returns the incremental
-  update in *difference form* (a :class:`~repro.graph.view.PropagatedView`)
-  without ever materialising the ``(N', F)`` result.
+* a derived graph — a :class:`~repro.graph.view.GraphView`, or any graph
+  carrying a :class:`~repro.graph.data.GraphDelta` derivation — is
+  propagated **incrementally**, in *difference form*:
+  :meth:`PropagationCache.propagated_view` recomputes only the K-hop closed
+  neighbourhood of the changed rows and returns a
+  :class:`~repro.graph.view.PropagatedView` (the base's cached product plus
+  the dirty rows) without materialising the ``(N', F)`` result (see
+  :mod:`repro.graph.propagation` for the math and why the result is exact,
+  not approximate).  :meth:`PropagationCache.propagated` is the same product
+  materialised once, by the view itself.
 
 Keys and shards
 ---------------
@@ -34,7 +35,8 @@ graph's derivation chain, i.e. the underlying dataset), each holding at most
 stream of derived poisoned graphs only ever churns its own dataset's shard —
 several datasets (a sweep, a multi-tenant service process) coexist without
 evicting each other's base chains.  Base graphs stay resident within a shard
-because every incremental update refreshes their recency.
+because every incremental update refreshes their recency.  An evicted entry
+releases its products: nothing outside the LRU keeps them alive.
 
 All returned matrices are shared between callers and must be treated as
 read-only.  The module-level default cache (:func:`get_default_cache`) is
@@ -45,11 +47,10 @@ one propagation, as does an SNTK evaluation of that graph.
 
 from __future__ import annotations
 
-import sys
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,18 +62,14 @@ from repro.graph.normalize import (
     incremental_gcn_normalize,
     self_loop_degrees,
 )
-from repro.graph.propagation import (
-    incremental_sgc_delta,
-    incremental_sgc_precompute,
-    sgc_precompute_hops,
-)
+from repro.graph.propagation import incremental_sgc_delta, sgc_precompute_hops
 from repro.graph.view import PropagatedView
 
 
 class _Entry:
     """Cached artefacts of one graph key."""
 
-    __slots__ = ("normalized", "degrees", "nonnegative", "hops", "views", "provenance")
+    __slots__ = ("normalized", "degrees", "nonnegative", "hops", "views")
 
     def __init__(self) -> None:
         self.normalized: Optional[sp.csr_matrix] = None
@@ -83,15 +80,12 @@ class _Entry:
         #: lets incremental propagation skip its O(nnz) ``abs`` copy.
         self.nonnegative: bool = False
         #: hop index -> ``Â^k X``; a *full* chain ``0..K`` for directly
-        #: propagated graphs, possibly only the final hop for derived graphs.
+        #: propagated graphs, only the final hop (the base's own product) for
+        #: a label-only variant.
         self.hops: Dict[int, np.ndarray] = {}
         #: hop index -> difference-form products (PropagatedView) served by
         #: :meth:`PropagationCache.propagated_view` for derived graphs.
         self.views: Dict[int, PropagatedView] = {}
-        #: hop index -> (base_key, dirty_rows) for incrementally computed
-        #: products; lets a retired buffer be *patched* instead of refilled
-        #: when the next update shares the same base (see _take_buffer).
-        self.provenance: Dict[int, tuple] = {}
 
 
 class PropagationCache:
@@ -104,7 +98,7 @@ class PropagationCache:
         ``K`` dense ``(N, F)`` products, so the default is small —
         deliberately so: the attack loop produces a *stream* of one-shot
         derived keys, and the sooner they are evicted, the sooner their
-        buffers recycle through the pool instead of faulting in fresh pages.
+        products are freed.
     max_shards:
         Maximum number of resident shards (one shard per root graph, i.e.
         per dataset).  Least-recently-used shards are retired whole.
@@ -120,19 +114,11 @@ class PropagationCache:
         #: shard key (root graph version) -> LRU of graph key -> entry.
         self._shards: "OrderedDict[int, OrderedDict[object, _Entry]]" = OrderedDict()
         self._raw_normalized: Dict[int, tuple] = {}
-        # Retired (N, F) product buffers with their patch provenance,
-        # recycled into incremental updates.  Touching fresh pages costs more
-        # than the incremental flops, so the pool matters as much as the
-        # memoisation on page-fault-bound hosts.
-        self._buffer_pool: Dict[
-            Tuple[int, int], List[Tuple[np.ndarray, Optional[tuple]]]
-        ] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.incremental_updates = 0
         self.incremental_normalizations = 0
-        self.buffer_reuses = 0
 
     # -------------------------------------------------------------- #
     # Keying
@@ -157,9 +143,7 @@ class PropagationCache:
             shard = OrderedDict()
             self._shards[shard_key] = shard
             while len(self._shards) > self.max_shards:
-                _, evicted_shard = self._shards.popitem(last=False)
-                for entry in evicted_shard.values():
-                    self._retire(entry)
+                self._shards.popitem(last=False)
         else:
             self._shards.move_to_end(shard_key)
         return shard
@@ -245,101 +229,56 @@ class PropagationCache:
         )
 
     def propagated(self, graph, num_hops: int) -> np.ndarray:
-        """``Â^K X`` for ``graph``, incremental when a derivation is available.
+        """``Â^K X`` for ``graph``: :meth:`propagated_view`, materialised.
 
-        The returned array is shared: treat it as read-only.
+        A derived graph's difference-form product is materialised once (the
+        :class:`~repro.graph.view.PropagatedView` caches it), so repeated
+        calls return the same array.  The returned array is shared: treat
+        it as read-only.
         """
         with self._lock:
-            entry = self._lookup(graph)
-            if entry is not None:
-                cached = entry.hops.get(num_hops)
-                if cached is not None:
-                    self.hits += 1
-                    return cached
-                view = entry.views.get(num_hops)
-                if view is not None:
-                    # A difference-form product is already resident (the
-                    # zero-copy path ran first): materialise it once.
-                    self.hits += 1
-                    entry.hops[num_hops] = view.materialize()
-                    return entry.hops[num_hops]
-            self.misses += 1
-
-            delta = graph.derivation
-            if delta is not None:
-                # Resolve the base chain BEFORE creating this graph's entry:
-                # with a minimal LRU the derived insertion would otherwise
-                # evict the very base it is about to be patched against,
-                # silently reverting every epoch to a full recompute.
-                base_hops = self._chain(delta.base, num_hops)
-                shard = self._shard(self._shard_key(graph))
-                entry = self._entry(shard, self._key(graph))
-                if delta.changed_nodes.size == 0 and graph.num_nodes == delta.base.num_nodes:
-                    # Pure metadata variant (labels / split only): share the
-                    # base's product outright.
-                    result = base_hops[num_hops]
-                else:
-                    out, stale_rows = self._take_buffer(
-                        (graph.num_nodes, graph.num_features),
-                        self._key(delta.base),
-                        num_hops,
-                    )
-                    normalized = self.normalized(graph)
-                    result, dirty_rows = incremental_sgc_precompute(
-                        normalized,
-                        graph.features,
-                        base_hops,
-                        delta.changed_nodes,
-                        num_hops,
-                        out=out,
-                        stale_rows=stale_rows,
-                        nonnegative=entry.nonnegative,
-                    )
-                    entry.provenance[num_hops] = (
-                        self._key(delta.base),
-                        num_hops,
-                        dirty_rows,
-                    )
-                    self.incremental_updates += 1
-                entry.hops[num_hops] = result
-                return result
-
-            chain = self._chain(graph, num_hops)
-            return chain[num_hops]
+            product = self.propagated_view(graph, num_hops)
+            if isinstance(product, PropagatedView):
+                return product.materialize()
+            return product
 
     def propagated_view(self, graph, num_hops: int):
         """``Â^K X`` for ``graph`` in difference form — the zero-copy path.
 
-        For a derived graph whose base chain is resident this returns a
-        :class:`~repro.graph.view.PropagatedView` (base product + dirty rows)
-        without materialising the ``(N', F)`` result; consumers gather the
-        rows they need (cost ∝ rows gathered).  For base graphs — or
-        whenever the materialised product is already cached — the plain
-        ``(N, F)`` array is returned instead; both satisfy the same
-        row-gather protocol (``result[index_array]``).
+        For a derived graph (a :class:`~repro.graph.view.GraphView`, or any
+        graph whose :class:`~repro.graph.data.GraphDelta` changes or appends
+        rows) this returns a :class:`~repro.graph.view.PropagatedView` (base
+        product + dirty rows) without materialising the ``(N', F)`` result;
+        consumers gather the rows they need (cost ∝ rows gathered).  A base
+        graph gets its cached hop product, and a label-only variant (empty
+        delta, no appended rows) shares its base's product outright; both
+        satisfy the same row-gather protocol (``result[index_array]``).
         """
         with self._lock:
             entry = self._lookup(graph)
             if entry is not None:
                 cached = entry.hops.get(num_hops)
+                if cached is None:
+                    cached = entry.views.get(num_hops)
                 if cached is not None:
                     self.hits += 1
                     return cached
-                view = entry.views.get(num_hops)
-                if view is not None:
-                    self.hits += 1
-                    return view
+            self.misses += 1
 
             delta = graph.derivation
             if delta is None:
-                return self.propagated(graph, num_hops)
-            if delta.changed_nodes.size == 0 and graph.num_nodes == delta.base.num_nodes:
-                return self.propagated(graph, num_hops)
-
-            self.misses += 1
+                return self._chain(graph, num_hops)[num_hops]
+            # Resolve the base chain BEFORE creating this graph's entry: with
+            # a minimal LRU the derived insertion would otherwise evict the
+            # very base it is about to be patched against, silently reverting
+            # every epoch to a full recompute.
             base_hops = self._chain(delta.base, num_hops)
             shard = self._shard(self._shard_key(graph))
             entry = self._entry(shard, self._key(graph))
+            if delta.changed_nodes.size == 0 and graph.num_nodes == delta.base.num_nodes:
+                # Pure metadata variant (labels / split only).
+                entry.hops[num_hops] = base_hops[num_hops]
+                return entry.hops[num_hops]
             normalized = self.normalized(graph)
             dirty_rows, dirty_values = incremental_sgc_delta(
                 normalized,
@@ -367,23 +306,17 @@ class PropagationCache:
         the state a fresh cache needs to serve incremental updates against
         this base without re-paying base propagation.  The payload contains
         only plain numpy/scipy containers, so it pickles cleanly across a
-        process boundary (the parallel sweep executor ships it to every
-        worker assigned a cell on this dataset shard).  Returns an empty
-        mapping when nothing is resident.  Exporting counts neither as a hit
-        nor as a miss.
+        process boundary (the worker pool ships it only under the ``spawn``
+        start method, with each worker's first cell on this dataset shard).
+        Returns an empty mapping when nothing is resident.  Exporting counts
+        neither as a hit nor as a miss.
         """
         with self._lock:
             shard = self._shards.get(self._shard_key(graph))
             entry = shard.get(self._key(graph)) if shard is not None else None
             if entry is None:
                 return {}
-            payload: Dict[str, object] = {
-                "hops": {
-                    hop: product
-                    for hop, product in entry.hops.items()
-                    if isinstance(product, (np.ndarray, BlockedArray))
-                }
-            }
+            payload: Dict[str, object] = {"hops": dict(entry.hops)}
             if entry.normalized is not None:
                 payload["normalized"] = entry.normalized
                 payload["degrees"] = entry.degrees
@@ -428,22 +361,20 @@ class PropagationCache:
                     entry.hops[int(hop)] = np.asarray(product)
 
     def invalidate(self, graph=None) -> None:
-        """Drop every cached artefact (entries, raw memo, recycled buffers).
+        """Drop every cached artefact (entries and the raw-matrix memo).
 
         Needed only when a graph's arrays are mutated in place, which breaks
         the immutability convention the version token relies on.  The clear
         is deliberately *total* even when ``graph`` is given: cached products
-        can be shared across keys (label-only variants), recycled buffers
-        carry provenance against a base key, and derived entries embed base
-        rows — a surgical per-key drop would leave stale data reachable
-        through any of those paths.  ``graph`` is kept in the signature as
+        can be shared across keys (label-only variants), and derived entries
+        embed base rows — a surgical per-key drop would leave stale data
+        reachable through either path.  ``graph`` is kept in the signature as
         documentation of intent at call sites.
         """
         del graph
         with self._lock:
             self._shards.clear()
             self._raw_normalized.clear()
-            self._buffer_pool.clear()
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters (useful in tests and benchmarks)."""
@@ -453,7 +384,6 @@ class PropagationCache:
                 "misses": self.misses,
                 "incremental_updates": self.incremental_updates,
                 "incremental_normalizations": self.incremental_normalizations,
-                "buffer_reuses": self.buffer_reuses,
                 "graphs": sum(len(shard) for shard in self._shards.values()),
                 "shards": len(self._shards),
                 "raw_matrices": len(self._raw_normalized),
@@ -509,63 +439,8 @@ class PropagationCache:
         else:
             shard.move_to_end(key)
         while len(shard) > self.max_graphs:
-            _, evicted = shard.popitem(last=False)
-            self._retire(evicted)
+            shard.popitem(last=False)
         return entry
-
-    #: How many retired buffers to keep per (N, F) shape.
-    _POOL_DEPTH = 2
-
-    def _retire(self, entry: _Entry) -> None:
-        """Recycle an evicted entry's product buffers nobody else references.
-
-        The refcount check is what makes reuse safe: an array still held by a
-        caller (or shared with another entry, or aliased by ``graph.features``
-        for hop 0, or embedded as a ``PropagatedView`` base) has extra
-        references and is left alone.  Expected count 3 = ``entry.hops`` +
-        the local variable + ``getrefcount``'s argument (``items()``
-        iteration would add a fourth via its yielded tuple).
-        """
-        for hop in list(entry.hops):
-            product = entry.hops[hop]
-            if (
-                isinstance(product, np.ndarray)
-                and product.base is None
-                and product.ndim == 2
-                and sys.getrefcount(product) == 3
-            ):
-                pool = self._buffer_pool.setdefault(product.shape, [])
-                if len(pool) < self._POOL_DEPTH:
-                    pool.append((product, entry.provenance.get(hop)))
-        entry.hops.clear()
-        entry.views.clear()
-        entry.provenance.clear()
-
-    def _take_buffer(
-        self, shape: Tuple[int, int], base_key: object, num_hops: int
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Pop a retired buffer for reuse, preferring a *patchable* one.
-
-        Returns ``(buffer, stale_rows)``: when the buffer held a product over
-        the same base graph (same key, same hop count), ``stale_rows`` names
-        the only rows differing from the embedded base product, and the
-        incremental kernel patches them instead of refilling the buffer.
-        """
-        pool = self._buffer_pool.get(shape)
-        if not pool:
-            return None, None
-        for position, (buffer, provenance) in enumerate(pool):
-            if (
-                provenance is not None
-                and provenance[0] == base_key
-                and provenance[1] == num_hops
-            ):
-                pool.pop(position)
-                self.buffer_reuses += 1
-                return buffer, provenance[2]
-        buffer, _ = pool.pop()
-        self.buffer_reuses += 1
-        return buffer, None
 
     def _chain(self, graph, num_hops: int) -> List[np.ndarray]:
         """Full hop chain ``[X, ..., Â^K X]`` for ``graph``, cached per hop.
@@ -581,8 +456,6 @@ class PropagationCache:
         if all(k in entry.hops for k in range(num_hops + 1)):
             return [entry.hops[k] for k in range(num_hops + 1)]
         features = graph.features
-        if hasattr(features, "materialize"):
-            features = features.materialize()
         if num_hops >= 1 and graph.num_nodes * graph.num_features > blocked_threshold():
             # Above the size threshold every propagated hop lives in a
             # memory-mapped BlockedArray (bit-identical values, bounded RSS);

@@ -11,11 +11,12 @@ instances are immutable by convention, the token identifies the *content* of
 :class:`repro.graph.cache.PropagationCache` — unlike ``id()``, a version is
 never reused after garbage collection.
 
-A transformation that only perturbs a few rows of an existing graph (e.g. the
-BGC attack attaching trigger subgraphs to a handful of nodes) should be built
-with :meth:`GraphData.with_delta`, which records a :class:`GraphDelta`
-derivation.  Downstream propagation code can then recompute only the affected
-K-hop neighbourhood instead of the whole graph.
+A graph derived from an existing one records how it differs in a
+:class:`GraphDelta` derivation, so propagation can recompute only the
+affected K-hop neighbourhood instead of the whole graph.  Two kinds of graph
+carry one: a label-only variant from :meth:`GraphData.with_` (an empty
+delta), and every poisoned graph, which is a
+:class:`~repro.graph.view.GraphView` overlay on its host graph.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class GraphData:
     inductive: bool = False
     metadata: Dict[str, float] = field(default_factory=dict)
     #: Optional derivation record linking this graph to the base it was built
-    #: from (see :class:`GraphDelta` and :meth:`with_delta`).
+    #: from (see :class:`GraphDelta` and :meth:`with_`).
     derivation: Optional[GraphDelta] = field(default=None, repr=False, compare=False)
     #: Monotonic content token; assigned at construction, never reused.
     version: int = field(default=0, init=False, repr=False, compare=False)
@@ -212,8 +213,9 @@ class GraphData:
         graph is recorded, so :class:`~repro.graph.cache.PropagationCache`
         can serve the base's propagated features without any recomputation.
         Replacing ``adjacency`` or ``features`` drops the derivation (the
-        caller no longer guarantees the delta contract); use
-        :meth:`with_delta` instead to keep incremental propagation available.
+        caller no longer guarantees the delta contract); a graph that changes
+        a few rows and keeps incremental propagation available is built as a
+        :class:`~repro.graph.view.GraphView` instead.
         """
         if "adjacency" in changes or "features" in changes:
             changes.setdefault("derivation", None)
@@ -221,19 +223,6 @@ class GraphData:
             changes["derivation"] = GraphDelta(
                 base=self, changed_nodes=np.empty(0, dtype=np.int64)
             )
-        return replace(self, **changes)
-
-    def with_delta(self, changed_nodes: np.ndarray, **changes) -> "GraphData":
-        """Return a variant recording *which* rows differ from this graph.
-
-        ``changed_nodes`` must satisfy the :class:`GraphDelta` contract: it
-        lists every pre-existing node whose feature row or incident edge set
-        the new ``adjacency`` / ``features`` modify; appended nodes (rows
-        beyond ``self.num_nodes``) are implied.  The returned graph carries a
-        derivation against ``self``, enabling incremental K-hop propagation
-        proportional to the delta instead of the graph.
-        """
-        changes["derivation"] = GraphDelta(base=self, changed_nodes=changed_nodes)
         return replace(self, **changes)
 
     def copy(self) -> "GraphData":

@@ -26,10 +26,10 @@ in this *difference form* throughout: per hop it evaluates only
 ``H'_k[D_k] = Â'[D_k, :N]·H_{k-1}  +  Â'[D_k, D_{k-1}]·E_{k-1}``
 
 — two sparse products whose cost is proportional to the dirty neighbourhood,
-not the graph — and materialises the full ``(N', F)`` result exactly once at
-the end (clean rows copied from the cached base product, dirty rows
-scattered in).  Avoiding per-hop full-size buffers matters as much as the
-flops: a fresh ``N×F`` allocation per hop costs thousands of page faults.
+not the graph — and returns the final hop's dirty rows and their values.  It
+never allocates an ``(N', F)`` buffer: the cache wraps the result in a
+:class:`~repro.graph.view.PropagatedView`, which reads clean rows from the
+cached base product and materialises the full matrix only when asked.
 """
 
 from __future__ import annotations
@@ -133,21 +133,41 @@ def incremental_sgc_delta(
     num_hops: int,
     nonnegative: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Difference form of :func:`incremental_sgc_precompute`: dirty rows only.
+    """Incremental ``Â'^K X'`` of a graph derived from a cached base, in
+    difference form: dirty rows only.
 
-    Runs the same exact K-hop recursion but never materialises the full
-    ``(N', F)`` result: it returns ``(dirty_rows, dirty_values)`` where every
-    row outside ``dirty_rows`` of ``Â'^K X'`` equals the corresponding row of
-    the cached base product ``base_hops[num_hops]``.  This is the kernel
-    behind :meth:`repro.graph.cache.PropagationCache.propagated_view` — the
-    zero-copy path of the attack loop, whose consumers only ever gather a
-    handful of rows (the training set) from the propagated matrix.
+    Runs the exact K-hop recursion of the module docstring but never
+    materialises the full ``(N', F)`` result: it returns ``(dirty_rows,
+    dirty_values)`` where every row outside ``dirty_rows`` of ``Â'^K X'``
+    equals the corresponding row of the cached base product
+    ``base_hops[num_hops]`` (appended rows are always dirty).  This is the
+    kernel behind :meth:`repro.graph.cache.PropagationCache.propagated_view`,
+    whose consumers only ever gather a handful of rows (the training set)
+    from the propagated matrix.
 
-    Parameters match :func:`incremental_sgc_precompute` except that
-    ``features`` may be any object exposing either numpy fancy indexing or a
-    ``gather(rows)`` method (``(len(rows), F)`` float64 copy) — in particular
-    a :class:`repro.graph.view.StackedFeatures`, which is how the poisoned
-    feature matrix avoids its ``(N', F)`` vstack entirely.
+    Parameters
+    ----------
+    normalized:
+        Normalised operator ``Â'`` of the *derived* graph, shape ``(N', N')``.
+    features:
+        Feature matrix ``X'`` of the derived graph, shape ``(N', F)``: any
+        object exposing either numpy fancy indexing or a ``gather(rows)``
+        method (``(len(rows), F)`` float64 copy) — in particular a
+        :class:`repro.graph.view.StackedFeatures`, which is how the poisoned
+        feature matrix avoids its ``(N', F)`` vstack entirely.
+    base_hops:
+        The base graph's hop chain ``[X, ÂX, ..., Â^K X]`` (at least
+        ``num_hops + 1`` entries), as produced by :func:`sgc_precompute_hops`.
+    changed_nodes:
+        Pre-existing rows violating prefix equality with the base — the
+        :class:`~repro.graph.data.GraphDelta` contract set.
+    num_hops:
+        Number of propagation hops ``K``.
+    nonnegative:
+        Declare the operator entry-wise non-negative (true for any
+        GCN-normalised adjacency of a non-negative graph): frontier expansion
+        then runs on ``normalized`` directly instead of taking a full O(nnz)
+        ``abs`` copy per call.
 
     Returns
     -------
@@ -221,98 +241,6 @@ def incremental_sgc_delta(
             delta[base_part] -= base_hops[hop][rows[base_part]]
 
     return rows, values
-
-
-def incremental_sgc_precompute(
-    normalized: sp.spmatrix,
-    features: np.ndarray,
-    base_hops: Sequence[np.ndarray],
-    changed_nodes: np.ndarray,
-    num_hops: int,
-    out: Optional[np.ndarray] = None,
-    stale_rows: Optional[np.ndarray] = None,
-    nonnegative: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Incrementally compute ``Â'^K X'`` for a graph derived from a cached base.
-
-    Parameters
-    ----------
-    normalized:
-        Normalised operator ``Â'`` of the *derived* graph, shape ``(N', N')``.
-    features:
-        Feature matrix ``X'`` of the derived graph, shape ``(N', F)``.
-    base_hops:
-        The base graph's hop chain ``[X, ÂX, ..., Â^K X]`` (at least
-        ``num_hops + 1`` entries), as produced by :func:`sgc_precompute_hops`.
-    changed_nodes:
-        Pre-existing rows violating prefix equality with the base — the
-        :class:`~repro.graph.data.GraphDelta` contract set.
-    num_hops:
-        Number of propagation hops ``K``.
-    out:
-        Optional preallocated ``(N', F)`` output buffer.  Fresh multi-MB
-        allocations fault in every page, so callers that run once per epoch
-        (the :class:`~repro.graph.cache.PropagationCache` buffer pool) reuse
-        retired buffers here.
-    stale_rows:
-        Only meaningful together with ``out``: asserts that ``out`` already
-        holds a previous product of the *same* ``base_hops[num_hops]`` and
-        differs from it in ``stale_rows`` only.  The materialisation then
-        resets those rows and writes the new dirty rows instead of copying
-        the whole base product — this makes the per-epoch cost of the BGC
-        attack loop fully proportional to the trigger neighbourhood.
-    nonnegative:
-        Declare the operator entry-wise non-negative (true for any
-        GCN-normalised adjacency of a non-negative graph): frontier expansion
-        then runs on ``normalized`` directly instead of taking a full O(nnz)
-        ``abs`` copy per call.
-
-    Returns
-    -------
-    result, dirty_rows:
-        The propagated ``(N', F)`` matrix and the rows that were recomputed
-        (i.e. where it may differ from the embedded base product) — callers
-        pass the latter back as ``stale_rows`` when recycling ``result``.
-
-    Only rows within the K-hop closed neighbourhood of
-    ``changed_nodes ∪ appended rows`` are recomputed; all other rows are
-    copied from ``base_hops`` (see the module docstring for why this is
-    exact).
-    """
-    if num_hops == 0:
-        # Validation (and the gather of stacked features, should a caller
-        # hand one in) still runs through the delta kernel.
-        incremental_sgc_delta(normalized, features, base_hops, changed_nodes, 0)
-        if hasattr(features, "materialize"):
-            return features.materialize(), np.empty(0, dtype=np.int64)
-        return np.asarray(features, dtype=np.float64), np.empty(0, dtype=np.int64)
-
-    rows, values = incremental_sgc_delta(
-        normalized, features, base_hops, changed_nodes, num_hops, nonnegative=nonnegative
-    )
-    n_total = normalized.shape[0]
-    n_base = base_hops[0].shape[0]
-
-    if out is not None and out.shape == (n_total, features.shape[1]):
-        result = out
-        if stale_rows is not None:
-            # ``out`` differs from the embedded base product only in
-            # stale_rows; appended rows are always in ``rows`` and get
-            # overwritten below, so resetting the pre-existing stale rows
-            # restores base equality everywhere outside ``rows``.
-            stale_base = stale_rows[stale_rows < n_base]
-            result[stale_base] = base_hops[num_hops][stale_base]
-        else:
-            result[:n_base] = base_hops[num_hops]
-            if n_total > n_base:
-                result[n_base:] = 0.0
-    else:
-        result = np.empty((n_total, features.shape[1]), dtype=np.float64)
-        result[:n_base] = base_hops[num_hops]
-        if n_total > n_base:
-            result[n_base:] = 0.0
-    result[rows] = values
-    return result, rows
 
 
 def appnp_propagate(

@@ -24,11 +24,13 @@ attachment (see ROADMAP §Performance).  This module removes the copy:
   per-epoch ``(N, F)`` result materialisation disappears as well.
 
 :class:`~repro.graph.cache.PropagationCache` keys views by
-``(base version, overlay token)`` — see :attr:`GraphView.cache_key` — and
-every trigger attachment goes through :func:`poison_graph_view` — the
-attacks' per-epoch poisoned graphs and the triggered test graph.
-:meth:`GraphView.materialize` recovers a plain delta-carrying ``GraphData``
-and is the pinned reference path for the equivalence tests.
+``(base version, overlay token)`` — see :attr:`GraphView.cache_key`.  Every
+poisoned graph is a view: every trigger attachment goes through
+:func:`poison_graph_view` (the attacks' per-epoch poisoned graphs and the
+triggered test graph), and the edge-flip and node-injection attacks build
+theirs directly; each attack condenses its view as is.  The materialised
+equivalent — a delta-carrying ``GraphData`` with one feature vstack — is the
+pinned reference in ``tests/reference/subgraph.py``.
 """
 
 from __future__ import annotations
@@ -227,10 +229,12 @@ class PropagatedView:
         propagated matrix, cost ∝ ``len(rows)``."""
         rows = _as_row_index(rows, self._num_rows)
         position = self._dirty_position[rows]
-        out = np.empty((rows.size, self.base_product.shape[1]), dtype=np.float64)
-        clean = position < 0
-        out[clean] = self.base_product[rows[clean]]
-        out[~clean] = self.dirty_values[position[~clean]]
+        # One gather from the base product (dirty rows borrow row 0), then
+        # the dirty rows written over it: as cheap as indexing the
+        # materialised matrix.
+        dirty = position >= 0
+        out = self.base_product[np.where(dirty, 0, rows)]
+        out[dirty] = self.dirty_values[position[dirty]]
         return out
 
     def __getitem__(self, index):
@@ -296,9 +300,6 @@ class GraphView:
         gets a unique token (the attack loop never repeats an overlay).
     """
 
-    #: Lets duck-typed consumers pick the zero-copy code path without
-    #: importing this module (``getattr(graph, "is_view", False)``).
-    is_view = True
     #: A view is never split into a training view again.
     inductive = False
 
@@ -314,7 +315,7 @@ class GraphView:
         metadata: Dict[str, float] | None = None,
         overlay_key=None,
     ) -> None:
-        if getattr(base, "is_view", False):
+        if isinstance(base, GraphView):
             raise GraphValidationError(
                 "GraphView bases must be materialised GraphData instances; "
                 "stack overlays into one view instead of chaining views"
@@ -385,26 +386,6 @@ class GraphView:
         """Return the (out-)degree of every node."""
         return np.asarray(self.adjacency.sum(axis=1)).reshape(-1)
 
-    # ------------------------------------------------------------------ #
-    # Materialisation (the pinned reference path)
-    # ------------------------------------------------------------------ #
-    def materialize(self) -> GraphData:
-        """The equivalent delta-carrying :class:`~repro.graph.data.GraphData`.
-
-        Pays the feature vstack this view exists to avoid — used by the
-        equivalence tests and by consumers (model training) that need a
-        contiguous feature array.
-        """
-        return self.base.with_delta(
-            self.derivation.changed_nodes,
-            adjacency=self.adjacency,
-            features=self.features.materialize(),
-            labels=self.labels.copy(),
-            split=self.split.copy(),
-            name=self.name,
-            metadata=dict(self.metadata),
-        )
-
     def __repr__(self) -> str:
         return (
             f"GraphView(base={self.base.name!r}, nodes={self.num_nodes}, "
@@ -427,7 +408,7 @@ def poison_graph_view(
     """Attach one trigger block per target node as a poisoned-graph view.
 
     Equivalent in content to the materialised attachment (CSR surgery, a
-    feature vstack and :meth:`GraphData.with_delta`, pinned in
+    feature vstack and a delta-carrying ``GraphData``, pinned in
     ``tests/reference/subgraph.py``) — same adjacency, same delta
     (``target_nodes``) — but the ``(N + P·t, F)`` feature matrix stays a
     :class:`StackedFeatures`, so no vstack is paid.

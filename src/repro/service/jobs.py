@@ -403,10 +403,12 @@ class CondensationService:
             job._finish(JobStatus.FAILED, error)
             return
         # Load each dataset once and warm its propagation shard in the
-        # service parent; workers receive it by fork inheritance or by a
-        # one-time per-worker shipment (see WorkerPool).  Cells the store
-        # will answer still pass through here, which keeps the handoff
-        # simple — the loads are memoised, so a warm service pays nothing.
+        # service parent.  A worker started before the load receives the
+        # graph by a one-time per-worker shipment; under fork it computes
+        # its own chains, under spawn it gets them as a warm payload (see
+        # WorkerPool).  Cells the store will answer still pass through
+        # here, which keeps the handoff simple — the loads are memoised, so
+        # a warm service pays nothing.
         graphs, warm = prepare_handoff(specs)
         if not job._set_running(len(specs)):
             return  # cancelled while queued

@@ -42,11 +42,16 @@ cell of a group no other worker holds, else the queue head.
 
 **Cache handoff** — workers forked at :meth:`WorkerPool.start` inherit the
 parent's dataset memo and warmed :class:`~repro.graph.cache.PropagationCache`
-through copy-on-write pages.  For datasets the parent loaded *after* a
-worker started (a later job on a fresh dataset, or any dataset under the
-``spawn`` fallback), the first task naming that dataset ships the loaded
-graph plus a pickled ``export_base_chains`` payload to that worker — once
-per worker per dataset, not once per cell.
+through copy-on-write pages.  For a dataset the parent loaded *after* a
+worker started (a later job on a fresh dataset — every service worker on
+the first job naming a dataset), the first task naming that dataset ships
+the loaded graph to that worker — once per worker per dataset, not once per
+cell.  Under ``fork`` the graph is all it ships: the worker recomputes the
+base propagation chain the parent just computed, on its first cell on that
+dataset (shipping dense chains would pickle about 3·N·F floats per worker,
+a trade no workload measures).  Only under the ``spawn`` fallback, whose
+workers start with an empty cache, does that task also carry a pickled
+``export_base_chains`` payload, which warms the worker's cache.
 """
 
 from __future__ import annotations
@@ -133,8 +138,8 @@ def _pool_worker_main(
     *cell* from a dying *process*.  A shipped ``graph`` is installed into the
     worker's dataset memo (so later cells on the same dataset need no
     payload) and its ``warm_payload`` — a pickled ``export_base_chains``
-    snapshot — warms the worker's propagation cache exactly once per
-    dataset.  The scratch root is pinned before any work so blocked-engine
+    snapshot, built only under ``spawn`` — warms the worker's propagation
+    cache exactly once per dataset.  The scratch root is pinned before any work so blocked-engine
     block files land where the parent's crash cleanup will look; the
     worker's scratch directory is removed on the way out.
     """

@@ -84,3 +84,16 @@ def import_all_repro_modules() -> None:
     """Import every module under ``repro`` so every declared knob is registered."""
     for module in pkgutil.walk_packages(repro.__path__, "repro."):
         importlib.import_module(module.name)
+
+
+def spy_on_condense(condenser) -> list:
+    """Record every graph handed to ``condenser.condense`` (which still runs)."""
+    seen = []
+    condense = condenser.condense
+
+    def spy(graph, rng):
+        seen.append(graph)
+        return condense(graph, rng)
+
+    condenser.condense = spy
+    return seen

@@ -1,16 +1,19 @@
-"""The materialised trigger attachment that the graph overlay replaced.
+"""The materialised poisoned graph that the graph overlay replaced.
 
-Every attack and the ASR evaluation attach triggers through
-:func:`repro.graph.view.poison_graph_view`, which keeps the host feature
-matrix and the trigger rows as two stacked blocks.  These references build
-the same poisoned graph with one ``(N + P*t, d)`` feature vstack: the CSR
-surgery :func:`attach_trigger_subgraph`, the original COO rebuild
-:func:`attach_trigger_subgraph_coo`, and :class:`MaterialisedBGC`, the BGC
-attack poisoning through a delta-carrying ``GraphData`` instead of a view.
+Every attack and the ASR evaluation build their poisoned graphs as a
+:class:`repro.graph.view.GraphView`, which keeps the host feature matrix and
+the trigger rows as two stacked blocks.  These references build the same
+poisoned graph as a delta-carrying ``GraphData`` with one ``(N + P*t, d)``
+feature vstack: :func:`with_delta` derives such a graph, :func:`materialize`
+turns a view into one, the CSR surgery :func:`attach_trigger_subgraph` and
+the original COO rebuild :func:`attach_trigger_subgraph_coo` attach triggers
+with the vstack, and :class:`MaterialisedBGC` is the BGC attack poisoning
+through a materialised graph instead of a view.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Tuple
 
 import numpy as np
@@ -19,8 +22,39 @@ import scipy.sparse as sp
 from repro.attack.bgc import BGC
 from repro.attack.trigger import TriggerGenerator, generate_hard_triggers
 from repro.exceptions import GraphValidationError
-from repro.graph.data import GraphData
+from repro.graph.data import GraphData, GraphDelta
 from repro.graph.subgraph import attach_trigger_adjacency
+from repro.graph.view import GraphView
+
+
+def with_delta(graph: GraphData, changed_nodes: np.ndarray, **changes) -> GraphData:
+    """A variant of ``graph`` recording *which* rows differ from it.
+
+    ``changed_nodes`` must satisfy the :class:`GraphDelta` contract: it lists
+    every pre-existing node whose feature row or incident edge set the new
+    ``adjacency`` / ``features`` modify; appended nodes (rows beyond
+    ``graph.num_nodes``) are implied.  The result carries a derivation
+    against ``graph``, so the propagation cache updates it incrementally.
+    """
+    changes["derivation"] = GraphDelta(base=graph, changed_nodes=changed_nodes)
+    return replace(graph, **changes)
+
+
+def materialize(view: GraphView) -> GraphData:
+    """The delta-carrying ``GraphData`` equivalent of ``view``.
+
+    Pays the feature vstack the view exists to avoid.
+    """
+    return with_delta(
+        view.base,
+        view.derivation.changed_nodes,
+        adjacency=view.adjacency,
+        features=view.features.materialize(),
+        labels=view.labels.copy(),
+        split=view.split.copy(),
+        name=view.name,
+        metadata=dict(view.metadata),
+    )
 
 
 def _validate_trigger_blocks(
@@ -182,7 +216,8 @@ class MaterialisedBGC(BGC):
         )
         num_new = new_features.shape[0] - working.num_nodes
         trigger_labels = np.full(num_new, self.config.target_class, dtype=np.int64)
-        return working.with_delta(
+        return with_delta(
+            working,
             poisoned_nodes,
             adjacency=new_adjacency,
             features=new_features,

@@ -11,8 +11,10 @@ from repro.attack.baselines.gta import GTAConfig
 from repro.attack.naive import NaivePoisonConfig
 from repro.attack.trigger import TriggerConfig
 from repro.attack.selection import SelectionConfig
+from helpers import spy_on_condense
 from repro.condensation import CondensationConfig, make_condenser
 from repro.exceptions import AttackError
+from repro.graph.view import GraphView
 from repro.utils.seed import new_rng
 
 
@@ -83,6 +85,27 @@ class TestGTA:
             result.generator, small_graph.adjacency, small_graph.features, np.array([0, 1])
         )
         assert features.shape[0] == 2
+
+    def test_condenses_the_poisoned_view(self, small_graph, rng):
+        """The poisoned graph reaches the condenser as a view, never vstacked."""
+        attack = GTAAttack(
+            GTAConfig(
+                poison_ratio=0.3,
+                generator_epochs=1,
+                surrogate_steps=5,
+                trigger=FAST_TRIGGER,
+                selection=FAST_SELECTION,
+            )
+        )
+        condenser = fast_condenser()
+        seen = spy_on_condense(condenser)
+        result = attack.run(small_graph, condenser, rng)
+        (poisoned,) = seen
+        assert isinstance(poisoned, GraphView)
+        assert poisoned.base is small_graph
+        np.testing.assert_array_equal(
+            poisoned.derivation.changed_nodes, np.unique(result.poisoned_nodes)
+        )
 
     def test_invalid_config(self):
         with pytest.raises(AttackError):

@@ -24,7 +24,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_small_graph
+from helpers import build_small_graph, spy_on_condense
 from test_api_parallel import assert_records_identical
 from repro.api import ExecutionSpec, SweepSpec, run_sweep
 from repro.attack.injection import InjectionConfig, NodeInjectionAttack
@@ -40,6 +40,7 @@ from repro.attack.sampled import (
 from repro.datasets import load_dataset
 from repro.exceptions import AttackError, GraphValidationError
 from repro.graph.subgraph import append_node_edges, toggle_edges
+from repro.graph.view import GraphView
 from repro.registry import ATTACKS, CONDENSERS
 from repro.utils.memory import current_rss_bytes, peak_rss_bytes, reset_peak_rss
 from repro.utils.seed import new_rng
@@ -320,6 +321,31 @@ class TestSameSeedDeterminism:
         condensed_a, _ = attack.run(small_graph, _tiny_condenser(), new_rng(7))
         condensed_b, _ = attack.run(small_graph, _tiny_condenser(), new_rng(8))
         assert not np.array_equal(condensed_a.features, condensed_b.features)
+
+
+class TestPoisonedViewIsCondensed:
+    """Both attackers hand the condenser their poisoned view, never a vstack."""
+
+    def test_prbcd_condenses_its_flip_view(self, small_graph):
+        attack = SampledEdgeAttack(SampledEdgeConfig(**_fast_kwargs(block_size=64)))
+        condenser = _tiny_condenser()
+        seen = spy_on_condense(condenser)
+        condensed, _ = attack.run(small_graph, condenser, new_rng(7))
+        (poisoned,) = seen
+        assert isinstance(poisoned, GraphView)
+        assert poisoned.base is small_graph
+        assert condensed.metadata["flipped_edges"] > 0
+
+    def test_injection_condenses_its_injected_view(self, small_graph):
+        attack = NodeInjectionAttack(
+            InjectionConfig(num_injected=2, feature_steps=2, surrogate_steps=10)
+        )
+        condenser = _tiny_condenser()
+        seen = spy_on_condense(condenser)
+        attack.run(small_graph, condenser, new_rng(7))
+        (poisoned,) = seen
+        assert isinstance(poisoned, GraphView)
+        assert poisoned.num_nodes == small_graph.num_nodes + 2
 
 
 # ------------------------------------------------------------------ #

@@ -23,9 +23,10 @@ from repro.evaluation.pipeline import (
     triggered_test_graph,
 )
 from repro.exceptions import ConfigurationError
+from repro.graph.view import GraphView
 from repro.utils.seed import new_rng
 
-from reference.subgraph import attach_trigger_subgraph
+from reference.subgraph import attach_trigger_subgraph, with_delta
 
 
 class TestMetrics:
@@ -126,7 +127,8 @@ def _materialised_triggered_graph(graph, generator, target_class, test_index=Non
         graph.adjacency, graph.features, test_index, features, structures
     )
     num_new = node_features.shape[0] - graph.num_nodes
-    return graph.with_delta(
+    return with_delta(
+        graph,
         test_index,
         adjacency=adjacency,
         features=node_features,
@@ -152,7 +154,7 @@ class TestTriggeredTestGraph:
 
     @staticmethod
     def assert_same_graph(overlay, reference, base, test_index):
-        assert overlay.is_view
+        assert isinstance(overlay, GraphView)
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(
                 getattr(overlay.adjacency, part), getattr(reference.adjacency, part)

@@ -32,6 +32,8 @@ from repro.models.gcn import GCN
 from repro.models.trainer import Trainer, TrainingConfig
 from repro.utils.seed import new_rng
 
+from reference.subgraph import materialize
+
 
 def _trigger_blocks(graph, rng, num_targets=3, trigger_size=2):
     targets = np.sort(rng.choice(graph.num_nodes, size=num_targets, replace=False))
@@ -216,7 +218,7 @@ class TestGraphView:
     def test_poison_view_matches_materialised_content(self, small_graph, rng):
         targets, features, adjacency = _trigger_blocks(small_graph, rng)
         view = poison_graph_view(small_graph, targets, features, adjacency)
-        materialised = view.materialize()
+        materialised = materialize(view)
         assert view.num_nodes == materialised.num_nodes
         assert (view.adjacency != materialised.adjacency).nnz == 0
         np.testing.assert_array_equal(

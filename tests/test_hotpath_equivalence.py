@@ -13,10 +13,10 @@ at ``atol=1e-10``:
 * ``incremental_gcn_normalize`` (and its ``PropagationCache`` integration)
   vs a full ``gcn_normalize`` — under single-row and multi-row deltas;
 * the zero-copy :class:`~repro.graph.view.GraphView` path (stacked-block
-  features, difference-form propagation) vs the materialised
-  ``GraphData.with_delta`` path — same condensation metrics *and* same
-  synthetic-graph gradients, for the gradient-matching and GC-SNTK
-  condensers and for a full BGC run;
+  features, difference-form propagation) vs the materialised delta-carrying
+  ``GraphData`` (``tests/reference/subgraph.py``) — same condensation
+  metrics *and* same synthetic-graph gradients, for the gradient-matching
+  and GC-SNTK condensers and for a full BGC run;
 * the poisoned-node selector training on CSR features vs the dense-feature
   reference (``tests/reference/selection.py``) — hidden representations
   within ``atol``, identical selected nodes on cora and citeseer.
@@ -68,6 +68,7 @@ from reference.subgraph import (
     MaterialisedBGC,
     attach_trigger_subgraph,
     attach_trigger_subgraph_coo,
+    with_delta,
 )
 from reference.trigger import PerNodeDoorping, PerNodeGTA, local_trigger_loss
 
@@ -313,7 +314,8 @@ class TestAttachmentEquivalence:
             graph.adjacency, graph.features, targets,
             rng.normal(size=(2, 2, 6)), np.ones((2, 2, 2)),
         )
-        poisoned = graph.with_delta(
+        poisoned = with_delta(
+            graph,
             targets,
             adjacency=new_adj,
             features=new_feat,
@@ -447,7 +449,8 @@ class TestIncrementalNormalizeEquivalence:
             trigger_features, trigger_adjacency,
         )
         labels = np.concatenate([small_graph.labels, np.zeros(6, dtype=np.int64)])
-        poisoned = small_graph.with_delta(
+        poisoned = with_delta(
+            small_graph,
             targets, adjacency=new_adj, features=new_feat, labels=labels
         )
         normalized = cache.normalized(poisoned)
@@ -486,7 +489,8 @@ def _poisoned_pair(graph, seed: int, num_targets: int = 3, trigger_size: int = 2
     new_adj, new_feat, _ = attach_trigger_subgraph(
         graph.adjacency, graph.features, targets, trigger_features, trigger_adjacency
     )
-    materialised = graph.with_delta(
+    materialised = with_delta(
+        graph,
         targets,
         adjacency=new_adj,
         features=new_feat,
@@ -637,7 +641,8 @@ def _poison_with_delta(graph, seed: int, num_targets: int = 3, trigger_size: int
     labels = np.concatenate(
         [graph.labels, np.zeros(new_adj.shape[0] - graph.num_nodes, dtype=np.int64)]
     )
-    poisoned = graph.with_delta(
+    poisoned = with_delta(
+        graph,
         targets, adjacency=new_adj, features=new_feat, labels=labels
     )
     return poisoned, new_adj, new_feat

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from repro.condensation.gcond import GCond, GCondX
 from repro.exceptions import GraphValidationError
 from repro.graph.cache import PropagationCache
 from repro.graph.data import GraphData, GraphDelta
-from repro.graph.propagation import incremental_sgc_precompute, sgc_precompute
+from repro.graph.propagation import incremental_sgc_delta, sgc_precompute
 from repro.graph.splits import SplitIndices
 from repro.utils.seed import new_rng
+
+from reference.subgraph import with_delta
 
 
 def _random_delta(graph: GraphData, rng: np.random.Generator):
@@ -53,7 +56,8 @@ def _random_delta(graph: GraphData, rng: np.random.Generator):
     labels = np.concatenate(
         [graph.labels, rng.integers(0, graph.num_classes, size=num_new)]
     )
-    return graph.with_delta(
+    return with_delta(
+        graph,
         changed,
         adjacency=sp.csr_matrix(dense),
         features=features,
@@ -108,7 +112,7 @@ class TestVersionTokens:
 
     def test_with_delta_validates_changed_nodes(self, small_graph):
         with pytest.raises(GraphValidationError):
-            small_graph.with_delta(np.array([small_graph.num_nodes]))
+            with_delta(small_graph, np.array([small_graph.num_nodes]))
 
     def test_delta_may_only_append_nodes(self, small_graph):
         shrunk = sp.csr_matrix((5, 5))
@@ -158,7 +162,7 @@ class TestIncrementalEquivalence:
 
     def test_incremental_kernel_rejects_short_chain(self, small_graph):
         with pytest.raises(GraphValidationError):
-            incremental_sgc_precompute(
+            incremental_sgc_delta(
                 sp.eye(small_graph.num_nodes, format="csr"),
                 small_graph.features,
                 [small_graph.features],
@@ -218,22 +222,24 @@ class TestCacheBehaviour:
         after = cache.propagated(small_graph, 2)
         np.testing.assert_allclose(after, before * 3.0, rtol=1e-10)
 
-    def test_invalidate_discards_provenance_tagged_buffers(self, small_graph):
-        """Regression: a pooled buffer patched against a mutated base.
+    def test_invalidate_recomputes_derived_products_after_base_mutation(
+        self, small_graph
+    ):
+        """Regression: a derived product patched against a stale base.
 
-        After an in-place base mutation plus invalidate(), a recycled buffer
-        whose provenance matched the (unchanged) base version used to be
-        patched in place, returning pre-mutation values on rows outside the
-        stale/dirty sets.  invalidate() must clear the pool too.
+        The base keeps its version through an in-place mutation, so only
+        invalidate() stops the next derived graph from being patched
+        against the pre-mutation chain — every derived product must be
+        recomputed from the mutated base.
         """
         rng = new_rng(21)
         cache = PropagationCache(max_graphs=2)
-        for _ in range(4):  # warm the pool with provenance-tagged buffers
-            derived = TestBufferPool._fixed_shape_delta(small_graph, rng)
+        for _ in range(4):  # derived products of the pre-mutation base
+            derived = TestDerivedProductStream._fixed_shape_delta(small_graph, rng)
             cache.propagated(derived, 2)
         small_graph.features[:] = small_graph.features * 2.0
         cache.invalidate(small_graph)
-        derived = TestBufferPool._fixed_shape_delta(small_graph, rng)
+        derived = TestDerivedProductStream._fixed_shape_delta(small_graph, rng)
         expected = sgc_precompute(derived.adjacency, derived.features, 2)
         np.testing.assert_allclose(
             cache.propagated(derived, 2), expected, rtol=0.0, atol=1e-10
@@ -438,13 +444,14 @@ class TestWarmStartHandoff:
         assert target.misses == 0
 
 
-class TestBufferPool:
-    """The retired-buffer pool must recycle aggressively but never alias."""
+class TestDerivedProductStream:
+    """An attack-style stream of same-shape derived graphs: every product is
+    exact, none aliases another, and the LRU releases what it evicts."""
 
     @staticmethod
     def _fixed_shape_delta(graph, rng, num_new=2):
         """A delta variant with a fixed appended-node count, so successive
-        products share a shape and exercise the provenance patch path."""
+        products share a shape."""
         n = graph.num_nodes
         changed = np.sort(rng.choice(n, size=3, replace=False))
         dense = np.zeros((n + num_new, n + num_new))
@@ -455,11 +462,12 @@ class TestBufferPool:
             [graph.features.copy(), rng.normal(size=(num_new, graph.num_features))]
         )
         labels = np.concatenate([graph.labels, np.zeros(num_new, dtype=np.int64)])
-        return graph.with_delta(
+        return with_delta(
+            graph,
             changed, adjacency=sp.csr_matrix(dense), features=features, labels=labels
         )
 
-    def test_steady_state_reuses_buffers_and_stays_exact(self, small_graph):
+    def test_steady_state_stream_stays_exact(self, small_graph):
         rng = new_rng(9)
         cache = PropagationCache(max_graphs=2)
         for _ in range(8):
@@ -468,7 +476,6 @@ class TestBufferPool:
             expected = sgc_precompute(derived.adjacency, derived.features, 2)
             np.testing.assert_allclose(product, expected, rtol=0.0, atol=1e-10)
             del product
-        assert cache.stats()["buffer_reuses"] > 0
 
     def test_live_products_are_never_recycled(self, small_graph):
         rng = new_rng(10)
@@ -484,6 +491,18 @@ class TestBufferPool:
             for other in later[index + 1 :]:
                 assert not np.shares_memory(product, other)
         np.testing.assert_array_equal(held, held_snapshot)
+
+    def test_evicted_product_is_released(self, small_graph):
+        """Nothing outside the LRU keeps an evicted derived product alive."""
+        rng = new_rng(11)
+        cache = PropagationCache(max_graphs=2)
+        first = self._fixed_shape_delta(small_graph, rng)
+        product = weakref.ref(cache.propagated(first, 2))
+        for _ in range(4):
+            cache.propagated(self._fixed_shape_delta(small_graph, rng), 2)
+        del first
+        gc.collect()
+        assert product() is None
 
 
 class TestRawAdjacencyMemo:
