@@ -26,6 +26,7 @@ __all__ = [
     "nll_loss",
     "mse_loss",
     "dropout",
+    "dropout_mask",
     "spmm",
     "one_hot",
     "l2_norm_squared",
@@ -320,10 +321,21 @@ def embed_blocks(base: np.ndarray, blocks: Tensor, row_start: int, col_start: in
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout with keep-probability ``1 - rate``."""
+    mask = dropout_mask(x.shape, rate, rng, training)
+    return x if mask is None else x * Tensor(mask)
+
+
+def dropout_mask(
+    shape, rate: float, rng: np.random.Generator, training: bool = True
+) -> Optional[np.ndarray]:
+    """The scale array :func:`dropout` multiplies by, or ``None`` for the identity.
+
+    Draws from ``rng`` only when it returns an array, so a caller that
+    applies the mask itself consumes the stream exactly as :func:`dropout`.
+    """
     if not 0.0 <= rate < 1.0:
         raise AutogradError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x
+        return None
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
-    return x * Tensor(mask)
+    return (rng.random(shape) < keep).astype(np.float64) / keep

@@ -52,6 +52,14 @@ class EvaluationConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
+        if self.hidden < 1:
+            raise ConfigurationError(f"hidden must be >= 1, got {self.hidden}")
+        if self.num_layers < 1:
+            raise ConfigurationError(f"num_layers must be >= 1, got {self.num_layers}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigurationError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.lr <= 0:
+            raise ConfigurationError(f"lr must be positive, got {self.lr}")
 
 
 def train_model_on_condensed(

@@ -11,6 +11,7 @@ from repro.autograd import Adam
 from repro.autograd import functional as F
 from repro.exceptions import ConfigurationError
 from repro.models.base import Adjacency, NodeClassifier
+from repro.models.gcn import GCN, FusedGCNFit
 from repro.utils.logging import get_logger
 
 logger = get_logger("models.trainer")
@@ -73,6 +74,11 @@ class Trainer:
     * training on a small condensed graph where *every* node is a training
       node and no validation set exists (``val_index=None`` disables early
       stopping and runs the full epoch budget).
+
+    A model that is exactly a :class:`~repro.models.gcn.GCN` trains through
+    :class:`~repro.models.gcn.FusedGCNFit`, without the autograd tape; every
+    other model, a ``GCN`` subclass included, trains on the tape.  Both give
+    the same parameters bit for bit.
     """
 
     def __init__(self, model: NodeClassifier, config: TrainingConfig | None = None) -> None:
@@ -86,32 +92,41 @@ class Trainer:
         labels: np.ndarray,
         train_index: np.ndarray,
         val_index: np.ndarray | None = None,
-        val_adjacency: Adjacency | None = None,
-        val_features: np.ndarray | None = None,
-        val_labels: np.ndarray | None = None,
     ) -> TrainingResult:
         """Train the model and restore its best-validation parameters.
 
-        ``val_adjacency`` / ``val_features`` / ``val_labels`` allow validating
-        on a different graph than the training graph (needed when training on
-        a condensed graph but validating on the original graph).  Feature
-        arguments may be zero-copy view objects
+        Validation runs on the training graph's ``val_index`` nodes after
+        every epoch; the first epoch to reach the best accuracy wins, and
+        ``patience`` epochs without a gain stop the fit.  Feature arguments
+        may be zero-copy view objects
         (:class:`~repro.graph.view.StackedFeatures`); they are materialised
         once at entry.
         """
         features = _feature_array(features)
-        if val_features is not None:
-            val_features = _feature_array(val_features)
         labels = np.asarray(labels, dtype=np.int64)
         train_index = np.asarray(train_index, dtype=np.int64)
         optimizer = Adam(
             self.model.parameters(), lr=self.config.lr, weight_decay=self.config.weight_decay
         )
-
         use_validation = val_index is not None and len(val_index) > 0
-        val_graph = val_adjacency if val_adjacency is not None else adjacency
-        val_feats = val_features if val_features is not None else features
-        val_labs = val_labels if val_labels is not None else labels
+        if use_validation:
+            val_index = np.asarray(val_index, dtype=np.int64)
+
+        if type(self.model) is GCN:
+            fused = FusedGCNFit(self.model, adjacency, features, labels, train_index)
+            train_step, validate = fused.step, fused.accuracy
+        else:
+
+            def train_step(optimizer: Adam) -> float:
+                optimizer.zero_grad()
+                logits = self.model.forward(adjacency, features)
+                loss = F.cross_entropy(logits[train_index], labels[train_index])
+                loss.backward()
+                optimizer.step()
+                return loss.item()
+
+            def validate(index: np.ndarray) -> float:
+                return self.evaluate(adjacency, features, labels, index)
 
         best_val = -np.inf
         best_state = self.model.state_dict()
@@ -122,15 +137,9 @@ class Trainer:
 
         self.model.train()
         for epoch in range(self.config.epochs):
-            optimizer.zero_grad()
-            logits = self.model.forward(adjacency, features)
-            loss = F.cross_entropy(logits[train_index], labels[train_index])
-            loss.backward()
-            optimizer.step()
-            final_loss = loss.item()
-
+            final_loss = train_step(optimizer)
             if use_validation:
-                val_accuracy = self.evaluate(val_graph, val_feats, val_labs, val_index)
+                val_accuracy = validate(val_index)
                 history.append({"epoch": epoch, "loss": final_loss, "val_accuracy": val_accuracy})
                 if val_accuracy > best_val:
                     best_val = val_accuracy

@@ -182,6 +182,20 @@ class TestRunExperiment:
             with pytest.raises(ConfigurationError):
                 run_experiment(tiny_attack_spec(**broken))
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"lr": 0}, {"num_layers": 0}, {"dropout": 1.5}, {"hidden": 0}],
+        ids=["lr", "num_layers", "dropout", "hidden"],
+    )
+    def test_bad_evaluation_override_rejected_before_loading(self, override, monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_dataset ran before the evaluation config was checked")
+
+        monkeypatch.setattr("repro.api.runner.load_dataset", no_load)
+        spec = tiny_attack_spec(evaluation={"overrides": {"epochs": 10, **override}})
+        with pytest.raises(ConfigurationError, match=next(iter(override))):
+            run_experiment(spec)
+
     def test_removed_use_graph_view_override_rejected(self):
         """BGC poisons through the graph overlay only; the flag is gone."""
         spec = tiny_attack_spec(

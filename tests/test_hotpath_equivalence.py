@@ -19,11 +19,15 @@ at ``atol=1e-10``:
   and GC-SNTK condensers and for a full BGC run;
 * the poisoned-node selector training on CSR features vs the dense-feature
   reference (``tests/reference/selection.py``) — hidden representations
-  within ``atol``, identical selected nodes on cora and citeseer.
+  within ``atol``, identical selected nodes on cora and citeseer;
+* the fused full-batch GCN fit (:class:`~repro.models.gcn.FusedGCNFit`) vs
+  the autograd tape (``tests/reference/trainer.py``) — bit-identical
+  parameters, model rng state and ``TrainingResult``, not within ``atol``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import os
 import pickle
@@ -59,7 +63,7 @@ from repro.graph.normalize import (
 )
 from repro.graph.propagation import sgc_precompute, sgc_precompute_hops
 from repro.graph.view import PropagatedView
-from repro.models.gcn import GCN
+from repro.models.gcn import GCN, FusedGCNFit
 from repro.models.trainer import Trainer, TrainingConfig
 from repro.utils.seed import new_rng
 
@@ -70,6 +74,7 @@ from reference.subgraph import (
     attach_trigger_subgraph_coo,
     with_delta,
 )
+from reference.trainer import TapeGCN
 from reference.trigger import PerNodeDoorping, PerNodeGTA, local_trigger_loss
 
 ATOL = 1e-10
@@ -940,3 +945,94 @@ class TestSparseSelectorEquivalence:
         for name, value in dense_state.items():
             np.testing.assert_allclose(sparse_state[name], value, rtol=0, atol=ATOL)
         np.testing.assert_array_equal(sparse_pred, dense_pred)
+
+
+# --------------------------------------------------------------------- #
+# Fused full-batch GCN fit vs the autograd tape
+# --------------------------------------------------------------------- #
+def _fit_bits(model_cls, graph, *, num_layers=2, dropout=0.5, weight_decay=5e-4,
+              validation="full", dense_adjacency=False, csr_features=False):
+    """Everything a fit leaves behind, as bytes: result, parameters, rng state."""
+    rng = new_rng(11)
+    model = model_cls(
+        graph.num_features, graph.num_classes, rng=rng,
+        hidden=16, num_layers=num_layers, dropout=dropout,
+    )
+    epochs, patience = (80, 3) if validation == "early" else (25, 25)
+    trainer = Trainer(
+        model, TrainingConfig(epochs=epochs, weight_decay=weight_decay, patience=patience)
+    )
+    adjacency = graph.adjacency.toarray() if dense_adjacency else graph.adjacency
+    features = sp.csr_matrix(graph.features) if csr_features else graph.features
+    val_index = None if validation == "none" else graph.split.val
+    result = trainer.fit(adjacency, features, graph.labels, graph.split.train, val_index)
+    if validation == "early":
+        assert len(result.history) < epochs, "the early-stop case must stop early"
+    state = {name: (value.shape, value.tobytes()) for name, value in model.state_dict().items()}
+    # pickle writes floats as their IEEE bytes, so NaN == NaN here.
+    return pickle.dumps(dataclasses.asdict(result)), state, rng.bit_generator.state
+
+
+class TestFusedGCNFitEquivalence:
+    """``Trainer.fit`` on a ``GCN`` (fused) vs on ``TapeGCN`` (the tape).
+
+    The fused loop makes the tape's kernel calls on the tape's operands, so
+    the two must agree bit for bit, not to a tolerance.  Reusing the
+    validation pass's first layer after a weight update, or skipping a
+    dropout draw, breaks this.
+    """
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("validation", ["none", "full", "early"])
+    @pytest.mark.parametrize("dense_adjacency", [False, True])
+    @pytest.mark.parametrize("csr_features", [False, True])
+    def test_bit_identical_to_tape(
+        self, small_graph, num_layers, dropout, weight_decay, validation,
+        dense_adjacency, csr_features,
+    ):
+        options = dict(
+            num_layers=num_layers, dropout=dropout, weight_decay=weight_decay,
+            validation=validation, dense_adjacency=dense_adjacency,
+            csr_features=csr_features,
+        )
+        fused = _fit_bits(GCN, small_graph, **options)
+        tape = _fit_bits(TapeGCN, small_graph, **options)
+        assert fused[0] == tape[0], "TrainingResult differs"
+        assert fused[1] == tape[1], "parameters differ"
+        assert fused[2] == tape[2], "model rng state differs"
+
+    def test_dispatch_is_by_exact_type(self, small_graph, monkeypatch):
+        """A GCN trains fused and never calls forward; a subclass uses the tape."""
+        calls = {"step": 0, "forward": 0}
+        step, forward = FusedGCNFit.step, GCN.forward
+
+        def counting_step(self, optimizer):
+            calls["step"] += 1
+            return step(self, optimizer)
+
+        def counting_forward(self, *args):
+            calls["forward"] += 1
+            return forward(self, *args)
+
+        monkeypatch.setattr(FusedGCNFit, "step", counting_step)
+        monkeypatch.setattr(GCN, "forward", counting_forward)
+        _fit_bits(GCN, small_graph, validation="none")
+        assert calls == {"step": 25, "forward": 0}
+        _fit_bits(TapeGCN, small_graph, validation="none")
+        assert calls == {"step": 25, "forward": 25}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_selector_matches_tape_selector(self, monkeypatch, seed):
+        """The selector's fit (CSR features, validation every epoch) is unchanged."""
+        graph = load_dataset("tiny")
+        fused_rng, tape_rng = new_rng(seed), new_rng(seed)
+        fused = RepresentativeNodeSelector()
+        chosen = fused.select(graph, 6, 0, fused_rng)
+        monkeypatch.setattr("repro.attack.selection.GCN", TapeGCN)
+        tape = RepresentativeNodeSelector()
+        expected = tape.select(graph, 6, 0, tape_rng)
+        assert fused._representations.tobytes() == tape._representations.tobytes()
+        np.testing.assert_array_equal(chosen, expected)
+        assert fused_rng.bit_generator.state == tape_rng.bit_generator.state

@@ -247,19 +247,32 @@ class TestTrainer:
         with pytest.raises(ConfigurationError):
             TrainingConfig(patience=0)
 
-    def test_cross_graph_validation(self, small_graph, rng):
-        """Train on a condensed-style graph while validating on the original."""
-        model = MLP(small_graph.num_features, small_graph.num_classes, rng=rng, hidden=8)
-        trainer = Trainer(model, TrainingConfig(epochs=20, patience=20))
-        core = small_graph.split.train
-        result = trainer.fit(
-            np.eye(core.size),
-            small_graph.features[core],
-            small_graph.labels[core],
-            np.arange(core.size),
-            val_index=small_graph.split.val,
-            val_adjacency=small_graph.adjacency,
-            val_features=small_graph.features,
-            val_labels=small_graph.labels,
-        )
-        assert result.best_val_accuracy > 0.3
+    @pytest.mark.parametrize("architecture", [GCN, MLP])
+    def test_early_stopping_restores_first_best_epoch(self, architecture, small_graph):
+        """GCN trains through the fused loop, MLP on the tape: one protocol."""
+        graph, epochs, patience = small_graph, 200, 5
+
+        def fit(validate: bool, budget: int):
+            model = architecture(graph.num_features, graph.num_classes, rng=new_rng(3), hidden=8)
+            trainer = Trainer(model, TrainingConfig(epochs=budget, patience=patience))
+            val_index = graph.split.val if validate else None
+            result = trainer.fit(
+                graph.adjacency, graph.features, graph.labels, graph.split.train, val_index
+            )
+            return model, trainer, result
+
+        model, trainer, result = fit(True, epochs)
+        accuracies = [entry["val_accuracy"] for entry in result.history]
+        assert len(result.history) < epochs, "the fit must stop early"
+        assert len(result.history) == result.best_epoch + patience + 1
+        assert result.history[result.best_epoch]["val_accuracy"] == result.best_val_accuracy
+        assert result.best_val_accuracy == max(accuracies)
+        assert result.best_epoch == accuracies.index(max(accuracies))
+        assert trainer.evaluate(
+            graph.adjacency, graph.features, graph.labels, graph.split.val
+        ) == result.best_val_accuracy
+        # Validation draws nothing and writes no weight, so the restored
+        # parameters are those of a fit that simply stops after best_epoch.
+        truncated, _, _ = fit(False, result.best_epoch + 1)
+        for name, value in truncated.state_dict().items():
+            np.testing.assert_array_equal(model.state_dict()[name], value)
