@@ -20,8 +20,8 @@ Each stage draws from its own ``spawn_rngs(spec.seed, 5)`` stream, so its
 output is a function of its key alone.  A :class:`StageMemo` can therefore
 serve a stage an earlier cell of the same sweep already computed without
 changing a record byte.  ``evaluate`` is never memoised: its triggered graph
-is large (a dense copy of the features plus the triggers) and is released as
-soon as the cell's last ASR is taken.
+is large (one trigger block per test node, beside the shared host features)
+and is released as soon as the cell's last ASR is taken.
 
 The memo is bounded (:data:`MEMO_MAX_ENTRIES` entries and
 :data:`MEMO_MAX_BYTES` bytes of arrays, least recently used first out) and

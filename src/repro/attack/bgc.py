@@ -89,6 +89,12 @@ class BGCConfig:
             raise AttackError("generator_steps must be >= 0")
         if self.update_batch_size < 1:
             raise AttackError("update_batch_size must be >= 1")
+        if self.surrogate_steps < 1:
+            raise AttackError(f"surrogate_steps must be >= 1, got {self.surrogate_steps}")
+        if self.surrogate_hops < 1:
+            raise AttackError(f"surrogate_hops must be >= 1, got {self.surrogate_hops}")
+        if not self.surrogate_lr > 0:  # written so that NaN fails too
+            raise AttackError(f"surrogate_lr must be positive, got {self.surrogate_lr}")
         if self.surrogate_refresh_steps is not None and self.surrogate_refresh_steps < 1:
             raise AttackError(
                 f"surrogate_refresh_steps must be >= 1, got {self.surrogate_refresh_steps}"

@@ -175,9 +175,7 @@ def _project_columns(matrix, weight: np.ndarray) -> np.ndarray:
             out[matrix.dirty_rows] = matrix.dirty_values @ weight
         return out
     if isinstance(matrix, StackedFeatures):
-        return np.concatenate(
-            [_project_columns(matrix.base, weight), matrix.overlay @ weight]
-        )
+        return matrix.project(weight)
     if isinstance(matrix, BlockedArray):
         out = np.empty((matrix.shape[0], weight.shape[1]), dtype=np.float64)
         for start, stop, block in matrix.blocks():

@@ -46,6 +46,8 @@ class SelectionConfig:
             raise AttackError(f"num_clusters must be >= 1, got {self.num_clusters}")
         if self.degree_balance < 0:
             raise AttackError(f"degree_balance must be non-negative, got {self.degree_balance}")
+        if self.selector_hidden < 1:
+            raise AttackError(f"selector_hidden must be >= 1, got {self.selector_hidden}")
         if self.selector_epochs < 1:
             raise AttackError("selector_epochs must be >= 1")
 

@@ -17,8 +17,10 @@ import numpy as np
 
 from repro.autograd import Linear, Module, Tensor
 from repro.autograd import functional as F
+from repro.autograd.tensor import no_grad
 from repro.exceptions import AttackError
 from repro.graph.propagation import sgc_precompute
+from repro.kernels import active_backend
 from repro.models.transformer import TransformerEncoderLayer
 
 
@@ -57,10 +59,10 @@ class TriggerConfig:
 class TriggerGenerator(Module):
     """Generates per-node trigger features and structure from node representations.
 
-    ``forward(representations)`` returns a pair ``(features, adjacency)`` of
-    tensors with shapes ``(n, t, d)`` and ``(n, t, t)`` flattened to 2-D
-    (``(n, t*d)`` / ``(n, t*t)``) internally; use :meth:`generate` for the
-    reshaped, binarised view.
+    :meth:`triggers_for_nodes` is the differentiable batch the generator
+    trains through; :meth:`generate` gives hard numpy triggers of shapes
+    ``(n, t, d)`` and ``(n, t, t)`` for poisoning and evaluation; its pinned
+    tape reference is ``tests/reference/trigger.py``.
     """
 
     def __init__(
@@ -132,14 +134,6 @@ class TriggerGenerator(Module):
     # -------------------------------------------------------------- #
     # Generation
     # -------------------------------------------------------------- #
-    def forward(self, inputs: Tensor) -> Tuple[Tensor, Tensor]:
-        """Return flattened trigger features ``(n, t*d)`` and soft structure ``(n, t*t)``."""
-        encoded = self._encode(inputs)
-        features = F.tanh(self.feature_head(encoded)) * self._feature_bound
-        structure_logits = self.structure_head(encoded)
-        structure = F.sigmoid(structure_logits)
-        return features, structure
-
     def triggers_for_nodes(self, node_inputs: np.ndarray) -> Tuple[Tensor, Tensor]:
         """Differentiable triggers for a whole batch in one forward pass.
 
@@ -172,17 +166,25 @@ class TriggerGenerator(Module):
 
         Returns ``(features, adjacency)`` with shapes ``(n, t, d)`` and
         ``(n, t, t)``; the adjacency is binary and symmetric.
-        """
-        from repro.autograd.tensor import no_grad
 
+        The feature head ``tanh(h W + b) · bound`` is computed in place in
+        one ``(n, t·d)`` array, which a triggered graph keeps as its overlay
+        block without a copy.  Each in-place step rounds as the tape's fresh
+        array does (pinned byte for byte against ``tests/reference/trigger.py``).
+        """
         node_inputs = np.asarray(node_inputs, dtype=np.float64)
         if node_inputs.ndim != 2:
             raise AttackError(f"node_inputs must be 2-D, got shape {node_inputs.shape}")
         t = self.config.trigger_size
         with no_grad():
-            flat_features, flat_structure = self.forward(Tensor(node_inputs))
-        features = flat_features.data.reshape(-1, t, self.num_features)
-        soft = flat_structure.data.reshape(-1, t, t)
+            encoded = self._encode(Tensor(node_inputs))
+            soft = F.sigmoid(self.structure_head(encoded)).data.reshape(-1, t, t)
+        head = self.feature_head
+        flat_features = active_backend().matmul(encoded.data, head.weight.data)
+        flat_features += head.bias.data
+        np.tanh(flat_features, out=flat_features)
+        flat_features *= self._feature_bound
+        features = flat_features.reshape(-1, t, self.num_features)
         symmetric = (soft + np.transpose(soft, (0, 2, 1))) * 0.5
         adjacency = (symmetric > 0.5).astype(np.float64)
         for block in adjacency:

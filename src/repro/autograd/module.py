@@ -13,9 +13,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd.tensor import Tensor, sparse_matmul
+from repro.autograd.tensor import Tensor, is_grad_enabled, sparse_matmul
 from repro.autograd import functional as F
 from repro.exceptions import AutogradError
+from repro.graph.view import StackedFeatures
 
 
 class Parameter(Tensor):
@@ -131,10 +132,13 @@ class Module:
 class Linear(Module):
     """Affine layer ``y = x W + b`` with Glorot-initialised weights.
 
-    ``x`` is a dense :class:`Tensor` or a constant scipy sparse matrix (such
-    as bag-of-words features); the latter multiplies through
-    :func:`~repro.autograd.tensor.sparse_matmul`, so only the weight gets a
-    gradient.
+    ``x`` is a dense :class:`Tensor` or array, a constant scipy sparse matrix
+    (such as bag-of-words features) or a
+    :class:`~repro.graph.view.StackedFeatures`.  A sparse ``x`` multiplies
+    through :func:`~repro.autograd.tensor.sparse_matmul`, so only the weight
+    gets a gradient.  Under ``no_grad`` a stacked ``x`` multiplies block by
+    block (:meth:`~repro.graph.view.StackedFeatures.project`) without its
+    ``(N + M, F)`` vstack; with gradients on the tape needs it materialised.
     """
 
     def __init__(
@@ -152,8 +156,13 @@ class Linear(Module):
         if bias:
             self.bias = Parameter(np.zeros(out_features), name="bias")
 
-    def forward(self, x: Union[Tensor, sp.spmatrix]) -> Tensor:
-        out = sparse_matmul(x, self.weight) if sp.issparse(x) else x.matmul(self.weight)
+    def forward(self, x: Union[Tensor, np.ndarray, sp.spmatrix, StackedFeatures]) -> Tensor:
+        if isinstance(x, StackedFeatures) and not is_grad_enabled():
+            out = Tensor(x.project(self.weight.data))
+        elif sp.issparse(x):
+            out = sparse_matmul(x, self.weight)
+        else:
+            out = (x if isinstance(x, Tensor) else Tensor(x)).matmul(self.weight)
         if self.use_bias:
             out = out + self.bias.reshape(1, -1)
         return out

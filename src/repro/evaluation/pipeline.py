@@ -140,12 +140,14 @@ def triggered_test_graph(
 
     Built with :func:`~repro.graph.view.poison_graph_view`, the overlay the
     attacks poison through: the feature matrix stays the original's rows
-    plus a trigger block until a model asks for it as one array, and the
-    attachment is a delta against the original — only the host test nodes
-    gain an edge — so an SNTK evaluation reuses the original's cached
-    propagation and recomputes just the trigger neighbourhoods.  The
-    appended trigger rows are labelled ``target_class`` (labels are never
-    read at prediction time).
+    plus one trigger block.  GCN, MLP, APPNP and GAT multiply the two blocks
+    separately in their first layer; SGC, GraphSAGE and ChebyNet stack them
+    once, since they propagate the raw features first.  The attachment is a
+    delta against the original — only the host test nodes gain an edge — so
+    an SNTK evaluation reuses the original's cached propagation and
+    recomputes just the trigger neighbourhoods.  The appended trigger rows
+    are labelled ``target_class`` (labels are never read at prediction
+    time).
     """
     test_index = (
         np.asarray(test_index, dtype=np.int64)

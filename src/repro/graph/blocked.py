@@ -418,18 +418,6 @@ class BlockedArray:
             self, _delete_array_dir, self._directory, -1
         )
 
-    def rebase_to_local_copy(self) -> "BlockedArray":
-        """Copy foreign block files into this process's own scratch dir.
-
-        Spawn-backend workers receive path-based pickles of the parent's
-        blocks; a worker that must outlive the parent's cache entries (or
-        write its own chains) copies them locally and owns the copies.
-        """
-        local = BlockedArray(self.shape, block_size=self.block_size)
-        for start, stop, block in self.blocks():
-            local.write_rows(start, np.asarray(block))
-        return local
-
 
 # ------------------------------------------------------------------ #
 # The tiled kernel

@@ -8,8 +8,9 @@ attachment (see ROADMAP §Performance).  This module removes the copy:
 
 * :class:`StackedFeatures` — the poisoned feature matrix as two stacked
   blocks (the base's ``(N, F)`` array, shared read-only, plus the ``(P·t, F)``
-  trigger overlay).  Row gathers cross the block boundary transparently;
-  nothing is concatenated until someone explicitly asks for
+  trigger overlay).  Row gathers cross the block boundary transparently,
+  and :meth:`~StackedFeatures.project` multiplies each block by a weight
+  on its own; nothing is concatenated until someone explicitly asks for
   :meth:`~StackedFeatures.materialize`.
 * :class:`GraphView` — a graph object that quacks like ``GraphData`` for the
   propagation/condensation stack (``adjacency``, ``features``, ``labels``,
@@ -44,6 +45,7 @@ from repro.exceptions import GraphValidationError
 from repro.graph.data import GraphData, GraphDelta, next_version
 from repro.graph.splits import SplitIndices
 from repro.graph.subgraph import attach_trigger_adjacency
+from repro.kernels import active_backend
 
 
 def _as_row_index(rows, num_rows: int) -> np.ndarray:
@@ -160,6 +162,19 @@ class StackedFeatures:
         if isinstance(index, (slice, tuple)):
             return self.materialize()[index]
         return self.gather(index)
+
+    def project(self, weight: np.ndarray) -> np.ndarray:
+        """``[base W; overlay W]``: the ``(N + M, k)`` product, one gemm per block.
+
+        A row split of the stacked product, with no ``(N + M, F)`` vstack.
+        BLAS may round a block of a few rows differently from the same rows
+        inside one gemm, so this matches ``materialize() @ weight`` to
+        within 1e-10 rather than bit for bit.
+        """
+        backend = active_backend()
+        return np.concatenate(
+            [backend.matmul(self.base, weight), backend.matmul(self.overlay, weight)]
+        )
 
     def materialize(self) -> np.ndarray:
         """The full ``(N + M, F)`` vstack (computed once, then cached)."""

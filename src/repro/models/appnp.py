@@ -43,8 +43,8 @@ class APPNP(NodeClassifier):
 
     def forward(self, adjacency: Adjacency, features: Union[np.ndarray, Tensor]) -> Tensor:
         operator = normalize_adjacency(adjacency)
-        hidden = self.as_tensor(features)
-        hidden = F.relu(self.fc1(hidden))
+        # fc1 takes stacked features as they are.
+        hidden = F.relu(self.fc1(features))
         hidden = F.dropout(hidden, self.dropout_rate, self._rng, training=self.training)
         predictions = self.fc2(hidden)
         state = predictions

@@ -65,6 +65,10 @@ class NodeClassifier(Module):
 
     @staticmethod
     def as_tensor(features: Union[np.ndarray, Tensor]) -> Tensor:
+        """``features`` as one dense tensor, stacking a
+        :class:`~repro.graph.view.StackedFeatures`: SGC, GraphSAGE and
+        ChebyNet propagate the raw features first, so they need the whole
+        array.  Models that start with a ``Linear`` pass features to it as is."""
         return features if isinstance(features, Tensor) else Tensor(features)
 
 

@@ -183,7 +183,7 @@ class GAT(NodeClassifier):
             (np.ones(dst.size), (dst, np.arange(dst.size))),
             shape=(num_nodes, dst.size),
         )
-        hidden = self.as_tensor(features)
+        hidden = features  # each head's projection takes stacked features as they are
         for index in range(self.num_layers):
             layer: GATLayer = getattr(self, f"gat_{index}")
             hidden = layer(hidden, dst, src, weight, incidence)

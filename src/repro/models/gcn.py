@@ -49,8 +49,8 @@ class GCN(NodeClassifier):
         self, adjacency: Adjacency, features: Union[np.ndarray, Tensor, sp.spmatrix]
     ) -> Tensor:
         operator = normalize_adjacency(adjacency)
-        # Sparse features go to the first Linear as a constant sparse operand.
-        hidden = features if sp.issparse(features) else self.as_tensor(features)
+        # The first Linear takes sparse and stacked features as they are.
+        hidden = features
         for index in range(self.num_layers):
             layer: Linear = getattr(self, f"conv_{index}")
             hidden = propagate(operator, layer(hidden))

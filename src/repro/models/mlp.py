@@ -38,7 +38,7 @@ class MLP(NodeClassifier):
 
     def forward(self, adjacency: Adjacency, features: Union[np.ndarray, Tensor]) -> Tensor:
         del adjacency  # structure-agnostic by design
-        hidden = self.as_tensor(features)
+        hidden = features  # the first Linear takes stacked features as they are
         for index in range(self.num_layers):
             layer: Linear = getattr(self, f"fc_{index}")
             hidden = layer(hidden)

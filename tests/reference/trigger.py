@@ -1,4 +1,10 @@
-"""The per-node trigger loss that the batched loss replaced.
+"""The trigger generator's tape forward and the per-node trigger loss.
+
+:func:`tape_forward` is the autograd forward of a
+:class:`~repro.attack.trigger.TriggerGenerator`, and :func:`tape_generate`
+the hard triggers it gave before
+:meth:`~repro.attack.trigger.TriggerGenerator.generate` computed the
+feature head in place; the two must agree byte for byte.
 
 :func:`repro.attack.trigger.batched_local_trigger_loss` builds one
 block-diagonal autograd graph for a whole batch of trigger-attached nodes.
@@ -20,9 +26,35 @@ from repro.attack.baselines import DoorpingAttack, GTAAttack
 from repro.attack.trigger import UniversalTriggerGenerator, _local_node_set
 from repro.autograd import Adam, Tensor
 from repro.autograd import functional as F
+from repro.autograd.tensor import no_grad
 from repro.condensation.gradient_matching import normalize_dense_tensor
 from repro.exceptions import AttackError
 from repro.graph.data import GraphData
+
+
+def tape_forward(generator, inputs: Tensor) -> Tuple[Tensor, Tensor]:
+    """Flattened trigger features ``(n, t*d)`` and soft structure ``(n, t*t)``
+    of a :class:`~repro.attack.trigger.TriggerGenerator`, on the tape."""
+    encoded = generator._encode(inputs)
+    features = F.tanh(generator.feature_head(encoded)) * generator._feature_bound
+    structure = F.sigmoid(generator.structure_head(encoded))
+    return features, structure
+
+
+def tape_generate(generator, node_inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Hard triggers ``(n, t, d)`` and ``(n, t, t)`` from :func:`tape_forward`."""
+    t = generator.config.trigger_size
+    with no_grad():
+        flat_features, flat_structure = tape_forward(
+            generator, Tensor(np.asarray(node_inputs, dtype=np.float64))
+        )
+    features = flat_features.data.reshape(-1, t, generator.num_features)
+    soft = flat_structure.data.reshape(-1, t, t)
+    symmetric = (soft + np.transpose(soft, (0, 2, 1))) * 0.5
+    adjacency = (symmetric > 0.5).astype(np.float64)
+    for block in adjacency:
+        np.fill_diagonal(block, 0.0)
+    return features, adjacency
 
 
 def trigger_for_node(generator, node_input: np.ndarray) -> Tuple[Tensor, Tensor]:
@@ -35,7 +67,7 @@ def trigger_for_node(generator, node_input: np.ndarray) -> Tuple[Tensor, Tensor]
         bounded = F.tanh(generator.trigger_features) * generator._feature_bound
         return bounded, Tensor(generator._structure)
     inputs = Tensor(np.asarray(node_input, dtype=np.float64).reshape(1, -1))
-    flat_features, flat_structure = generator.forward(inputs)
+    flat_features, flat_structure = tape_forward(generator, inputs)
     t = generator.config.trigger_size
     features = flat_features.reshape(t, generator.num_features)
     soft = flat_structure.reshape(t, t)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, RunRecord, SweepSpec, run_experiment, run_sweep
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AttackError, ConfigurationError
 
 #: Numeric RunRecord fields compared for bit-identity.
 METRIC_FIELDS = (
@@ -194,6 +194,36 @@ class TestRunExperiment:
         monkeypatch.setattr("repro.api.runner.load_dataset", no_load)
         spec = tiny_attack_spec(evaluation={"overrides": {"epochs": 10, **override}})
         with pytest.raises(ConfigurationError, match=next(iter(override))):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("attack", ["bgc", "gta", "doorping"])
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"surrogate_steps": -1},
+            {"surrogate_steps": 0},
+            {"surrogate_hops": 0},
+            {"surrogate_hops": -1},
+            {"surrogate_lr": float("nan")},
+            {"surrogate_lr": -0.05},
+            {"selection.selector_hidden": 0},
+            {"selection.selector_hidden": -3},
+        ],
+        ids=lambda override: "{}={}".format(*next(iter(override.items()))),
+    )
+    def test_bad_attack_override_rejected_before_loading(self, attack, override, monkeypatch):
+        """Each of these used to finish ok from an untrained, unpropagated or
+        NaN surrogate or a zero-width selector, or fail inside the attack."""
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_dataset ran before the attack config was checked")
+
+        monkeypatch.setattr("repro.api.runner.load_dataset", no_load)
+        spec = tiny_attack_spec(
+            attack={"name": attack, "overrides": {"poison_ratio": 0.2, **override}}
+        )
+        field = next(iter(override)).rpartition(".")[2]
+        with pytest.raises(AttackError, match=field):
             run_experiment(spec)
 
     def test_removed_use_graph_view_override_rejected(self):

@@ -205,16 +205,37 @@ class TestTriggeredTestGraph:
         np.testing.assert_array_equal(small_graph.features, features)
         np.testing.assert_array_equal(small_graph.labels, labels)
 
+    @pytest.mark.parametrize("test_nodes", ["all", "one", "none"])
     @pytest.mark.parametrize(
-        "kind", ["gcn", "sgc", "sntk", "smoothed-gcn", "smoothed-sntk"]
+        "kind",
+        ["gcn", "sgc", "mlp", "appnp", "gat", "sntk", "smoothed-gcn", "smoothed-sntk"],
     )
-    def test_asr_identical_on_overlay_and_reference(self, pair, small_graph, kind):
-        overlay, reference = pair
+    def test_asr_identical_on_overlay_and_reference(
+        self, small_graph, rng, kind, test_nodes
+    ):
+        """Every predictor family predicts the same labels on the overlay as
+        on the materialised graph: GCN, MLP, APPNP, GAT and the smoothed GCN
+        through the per-block first layer, SGC and the SNTK predictors
+        through a stacked matrix.  The empty test set triggers nothing and
+        has no ASR to compare."""
+        test = {
+            "all": small_graph.split.test,
+            "one": small_graph.split.test[:1],
+            "none": np.empty(0, dtype=np.int64),
+        }[test_nodes]
+        generator = TriggerGenerator(
+            small_graph.num_features, rng, TriggerConfig(trigger_size=3, hidden=8)
+        )
+        overlay = triggered_test_graph(small_graph, generator, self.TARGET, test_index=test)
+        reference = _materialised_triggered_graph(
+            small_graph, generator, self.TARGET, test_index=test
+        )
         condenser = "gc-sntk" if kind.endswith("sntk") else "gcond-x"
         condensed = make_condenser(condenser, CondensationConfig(epochs=2, ratio=0.3)).condense(
             small_graph, new_rng(3)
         )
-        architecture = "sgc" if kind == "sgc" else "gcn"
+        # A gc-sntk condensed graph trains its KRR predictor, whatever the architecture.
+        architecture = kind if kind in ("gcn", "sgc", "mlp", "appnp", "gat") else "gcn"
         model = train_model_on_condensed(
             condensed,
             small_graph,
@@ -225,11 +246,12 @@ class TestTriggeredTestGraph:
             model = SmoothedModel(model, RandSmoothConfig(num_samples=3))
         on_overlay = predict_on_graph(model, overlay)
         on_reference = predict_on_graph(model, reference)
+        assert on_overlay.shape == (small_graph.num_nodes + 3 * test.size,)
         np.testing.assert_array_equal(on_overlay, on_reference)
-        test = small_graph.split.test
-        assert attack_success_rate(
-            on_overlay, small_graph.labels, test, self.TARGET
-        ) == attack_success_rate(on_reference, small_graph.labels, test, self.TARGET)
+        if test.size:
+            assert attack_success_rate(
+                on_overlay, small_graph.labels, test, self.TARGET
+            ) == attack_success_rate(on_reference, small_graph.labels, test, self.TARGET)
 
 
 class TestReporting:

@@ -22,7 +22,14 @@ at ``atol=1e-10``:
   within ``atol``, identical selected nodes on cora and citeseer;
 * the fused full-batch GCN fit (:class:`~repro.models.gcn.FusedGCNFit`) vs
   the autograd tape (``tests/reference/trainer.py``) — bit-identical
-  parameters, model rng state and ``TrainingResult``, not within ``atol``.
+  parameters, model rng state and ``TrainingResult``, not within ``atol``;
+* :meth:`~repro.attack.trigger.TriggerGenerator.generate`'s in-place
+  feature head vs the generator's tape forward
+  (``tests/reference/trigger.py``) — identical trigger bytes;
+* the per-block first layer of GCN, MLP, APPNP and GAT on a triggered
+  graph's :class:`~repro.graph.view.StackedFeatures` vs the same forward on
+  the materialised matrix — logits within ``atol``, identical argmax — and
+  an ``evaluate`` stage that never stacks for those four models.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ from repro.attack.trigger import (
     UniversalTriggerGenerator,
     batched_local_trigger_loss,
 )
-from repro.autograd import Tensor
+from repro.api import runner
+from repro.api.spec import ExperimentSpec
+from repro.autograd import Tensor, no_grad
 from repro.condensation.gradient_matching import all_class_model_gradients
 from repro.datasets import load_dataset
 from repro.exceptions import ConfigurationError, GraphValidationError
@@ -62,7 +71,9 @@ from repro.graph.normalize import (
     self_loop_degrees,
 )
 from repro.graph.propagation import sgc_precompute, sgc_precompute_hops
-from repro.graph.view import PropagatedView
+from repro.evaluation.pipeline import triggered_test_graph
+from repro.graph.view import PropagatedView, StackedFeatures
+from repro.models import make_model
 from repro.models.gcn import GCN, FusedGCNFit
 from repro.models.trainer import Trainer, TrainingConfig
 from repro.utils.seed import new_rng
@@ -75,7 +86,12 @@ from reference.subgraph import (
     with_delta,
 )
 from reference.trainer import TapeGCN
-from reference.trigger import PerNodeDoorping, PerNodeGTA, local_trigger_loss
+from reference.trigger import (
+    PerNodeDoorping,
+    PerNodeGTA,
+    local_trigger_loss,
+    tape_generate,
+)
 
 ATOL = 1e-10
 
@@ -1036,3 +1052,145 @@ class TestFusedGCNFitEquivalence:
         assert fused._representations.tobytes() == tape._representations.tobytes()
         np.testing.assert_array_equal(chosen, expected)
         assert fused_rng.bit_generator.state == tape_rng.bit_generator.state
+
+
+# --------------------------------------------------------------------- #
+# In-place trigger generation vs the tape forward
+# --------------------------------------------------------------------- #
+CORA_WIDTH = 1433
+
+
+class TestInPlaceTriggerGeneration:
+    """``generate`` computes the feature head in one array, in place; it must
+    give the tape forward's bytes.
+
+    A fresh ``Linear`` has a zero bias, which would hide a dropped bias or a
+    ``tanh`` taken before it, so both heads get non-zero biases here.
+    """
+
+    @staticmethod
+    def _generator(encoder: str, trigger_size: int) -> TriggerGenerator:
+        rng = new_rng(21)
+        generator = TriggerGenerator(
+            CORA_WIDTH, rng, TriggerConfig(trigger_size=trigger_size, hidden=16, encoder=encoder)
+        )
+        for head in (generator.feature_head, generator.structure_head):
+            head.bias.data = rng.normal(scale=0.5, size=head.bias.data.shape)
+        generator.calibrate(3.0 * rng.random((8, CORA_WIDTH)))
+        return generator
+
+    @pytest.mark.parametrize("rows", [0, 1, 12, 1000])
+    @pytest.mark.parametrize("trigger_size", [1, 2, 4])
+    @pytest.mark.parametrize("encoder", ["mlp", "gcn", "transformer"])
+    def test_bytes_equal_to_tape(self, encoder, trigger_size, rows):
+        generator = self._generator(encoder, trigger_size)
+        inputs = new_rng(rows).random((rows, CORA_WIDTH))
+        if encoder == "transformer" and rows == 0:
+            # Self-attention over an empty batch has no softmax maximum to
+            # take: the shipped path fails exactly as the tape does.
+            with pytest.raises(ValueError, match="zero-size array"):
+                generator.generate(inputs)
+            with pytest.raises(ValueError, match="zero-size array"):
+                tape_generate(generator, inputs)
+            return
+        features, adjacency = generator.generate(inputs)
+        tape_features, tape_adjacency = tape_generate(generator, inputs)
+        assert features.shape == tape_features.shape == (rows, trigger_size, CORA_WIDTH)
+        assert adjacency.shape == tape_adjacency.shape == (rows, trigger_size, trigger_size)
+        assert features.tobytes() == tape_features.tobytes()
+        assert adjacency.tobytes() == tape_adjacency.tobytes()
+
+
+# --------------------------------------------------------------------- #
+# Per-block first layer vs the materialised forward
+# --------------------------------------------------------------------- #
+LINEAR_FIRST = ["gcn", "mlp", "appnp", "gat"]
+
+
+def _triggered_graph(dataset: str, test_nodes: str):
+    """``dataset``'s triggered test graph over all, one or the source-class test nodes."""
+    graph = load_dataset(dataset)
+    test = graph.split.test
+    if test_nodes == "one":
+        test = test[:1]
+    elif test_nodes == "source-class":
+        test = test[graph.labels[test] == 1]
+    generator = TriggerGenerator(
+        graph.num_features, new_rng(3), TriggerConfig(trigger_size=4, hidden=16)
+    )
+    generator.calibrate(graph.features)
+    return triggered_test_graph(graph, generator, target_class=0, test_index=test)
+
+
+class TestPerBlockFirstLayer:
+    """Under ``no_grad`` a Linear-first model multiplies the base and trigger
+    blocks separately.  That is a row split of the stacked gemm, so the
+    logits match the materialised forward within ``atol``, not bit for bit."""
+
+    @pytest.mark.parametrize("test_nodes", ["all", "one", "source-class"])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("architecture", LINEAR_FIRST)
+    @pytest.mark.parametrize("dataset", ["tiny", "cora"])
+    def test_logits_match_materialised_forward(
+        self, dataset, architecture, num_layers, test_nodes
+    ):
+        triggered = _triggered_graph(dataset, test_nodes)
+        model = make_model(
+            architecture, triggered.num_features, triggered.base.num_classes,
+            new_rng(4), num_layers=num_layers,
+        )
+        model.eval()
+        with no_grad():
+            blocks = model.forward(triggered.adjacency, triggered.features).data
+            assert triggered.features._materialized is None, "the forward stacked"
+            stacked = model.forward(
+                triggered.adjacency, triggered.features.materialize()
+            ).data
+        assert blocks.shape == (triggered.num_nodes, triggered.base.num_classes)
+        np.testing.assert_allclose(blocks, stacked, rtol=0, atol=ATOL)
+        np.testing.assert_array_equal(blocks.argmax(axis=1), stacked.argmax(axis=1))
+
+    def test_grad_enabled_forward_still_materialises(self, small_graph):
+        """The tape needs one operand: with gradients on, a stacked input is
+        materialised and the weight still gets its gradient."""
+        triggered = triggered_test_graph(
+            small_graph,
+            TriggerGenerator(small_graph.num_features, new_rng(3), TriggerConfig(hidden=8)),
+            target_class=0,
+        )
+        model = make_model("mlp", small_graph.num_features, small_graph.num_classes, new_rng(4))
+        model.forward(triggered.adjacency, triggered.features).sum().backward()
+        assert triggered.features._materialized is not None
+        assert model.fc_0.weight.grad is not None
+
+    @pytest.mark.parametrize("architecture", LINEAR_FIRST)
+    def test_evaluate_never_stacks(self, monkeypatch, architecture):
+        """A tiny cell's ``evaluate`` stage (CTA, then victim, clean and
+        defended ASR) completes with ``StackedFeatures.materialize`` raising."""
+        evaluate = runner._evaluate
+
+        def no_stack(self):
+            raise AssertionError("evaluate stacked the triggered graph's features")
+
+        def guarded(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(StackedFeatures, "materialize", no_stack)
+                return evaluate(*args)
+
+        monkeypatch.setattr(runner, "_evaluate", guarded)
+        spec = ExperimentSpec.from_dict(
+            {
+                "dataset": "tiny",
+                "condenser": {"name": "gcond", "overrides": {"epochs": 2, "ratio": 0.2}},
+                "attack": {"name": "bgc", "overrides": {"epochs": 2, "poison_ratio": 0.2}},
+                "trigger": {"overrides": {"trigger_size": 2}},
+                "model": architecture,
+                "defense": "prune",
+                "evaluation": {"overrides": {"epochs": 10}},
+                "seed": 3,
+            }
+        )
+        record = runner.run_experiment(spec)
+        assert record.ok
+        for field in ("attack_asr", "clean_asr", "defense_asr"):
+            assert getattr(record, field) is not None, field
