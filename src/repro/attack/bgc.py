@@ -16,6 +16,7 @@ utility, yet encodes the trigger → target-class association.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Tuple
 
@@ -93,8 +94,10 @@ class BGCConfig:
             raise AttackError(f"surrogate_steps must be >= 1, got {self.surrogate_steps}")
         if self.surrogate_hops < 1:
             raise AttackError(f"surrogate_hops must be >= 1, got {self.surrogate_hops}")
-        if not self.surrogate_lr > 0:  # written so that NaN fails too
-            raise AttackError(f"surrogate_lr must be positive, got {self.surrogate_lr}")
+        if not 0 < self.surrogate_lr < math.inf:
+            raise AttackError(
+                f"surrogate_lr must be positive and finite, got {self.surrogate_lr}"
+            )
         if self.surrogate_refresh_steps is not None and self.surrogate_refresh_steps < 1:
             raise AttackError(
                 f"surrogate_refresh_steps must be >= 1, got {self.surrogate_refresh_steps}"
@@ -295,7 +298,8 @@ class BGC:
         Two regimes, selected by ``config.surrogate_warm_start``:
 
         * **full retrain** (the reference, default): a fresh weight and a
-          fresh autograd Adam run of ``surrogate_steps`` per attack epoch —
+          fresh Adam run of ``surrogate_steps`` per attack epoch
+          (:func:`~repro.attack.surrogate.fit_linear_surrogate`) —
           Algorithm 1 verbatim;
         * **warm start**: the weight and Adam moments persist across epochs
           (the condensed graph moves a little per epoch, so the surrogate is

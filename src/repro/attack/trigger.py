@@ -10,6 +10,7 @@ gradients, as in the paper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -52,8 +53,10 @@ class TriggerConfig:
             raise AttackError(
                 f"encoder must be one of 'mlp', 'gcn', 'transformer', got {self.encoder!r}"
             )
-        if self.learning_rate <= 0:
-            raise AttackError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise AttackError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
 
 
 class TriggerGenerator(Module):
@@ -291,6 +294,52 @@ def _local_node_set(csr, node: int, max_neighbors: int) -> np.ndarray:
     return np.concatenate(([node], neighbors)).astype(np.int64)
 
 
+def _local_scaffolds(graph, nodes: list, max_neighbors: int) -> list:
+    """Each node's scaffold: its local node set, the adjacency block that set
+    induces, and the set's feature rows.
+
+    One pass for all of ``nodes``: one ``csr[rows]`` gather over the
+    concatenated sets, then each stored entry keeps its column wherever that
+    column lies in its row's own set (one ``searchsorted`` on ``owner * N +
+    node`` keys), and ``bincount`` sums the kept values into a ``(k, m, m)``
+    stack in stored order from zero, as ``toarray`` does.  Each block is
+    therefore byte-equal to ``csr[local][:, local].toarray()``, the per-node
+    expression pinned in ``tests/reference/trigger.py``.
+    """
+    csr = graph.adjacency
+    sets = [_local_node_set(csr, node, max_neighbors) for node in nodes]
+    sizes = np.array([local.size for local in sets])
+    rows = np.concatenate(sets)
+    count, width = sizes.size, int(sizes.max())
+    offsets = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(count), sizes)
+    position = np.arange(rows.size) - offsets[owner]
+    gathered = csr[rows]
+    entry_row = np.repeat(np.arange(rows.size), np.diff(gathered.indptr))
+    # Where each entry's column lies in its row's set; a set holding a node
+    # twice matches it twice, as the per-node column gather does.
+    num_nodes = csr.shape[1]
+    set_keys = owner * num_nodes + rows
+    order = np.argsort(set_keys, kind="stable")
+    set_keys = set_keys[order]
+    keys = owner[entry_row] * num_nodes + gathered.indices
+    first = np.searchsorted(set_keys, keys, side="left")
+    matches = np.searchsorted(set_keys, keys, side="right") - first
+    kept = np.repeat(np.arange(keys.size), matches)
+    rank = np.arange(kept.size) - np.repeat(np.cumsum(matches) - matches, matches)
+    column = position[order[first[kept] + rank]]
+    row = entry_row[kept]
+    flat = (owner[row] * width + position[row]) * width + column
+    blocks = np.bincount(
+        flat, weights=gathered.data[kept], minlength=count * width * width
+    ).reshape(count, width, width)
+    features = np.asarray(graph.features[rows], dtype=np.float64)
+    return [
+        (local, blocks[i, :size, :size], features[start : start + size])
+        for i, (local, size, start) in enumerate(zip(sets, sizes.tolist(), offsets.tolist()))
+    ]
+
+
 def batched_local_trigger_loss(
     nodes: np.ndarray,
     graph,
@@ -320,30 +369,22 @@ def batched_local_trigger_loss(
     node set, the induced host adjacency block and the host feature rows —
     across calls.  The scaffold depends only on the graph and
     ``max_neighbors``, both fixed across the generator steps and attack
-    epochs of one attack run, while the sparse gathers that build it
-    dominated the per-step cost; the projection through ``surrogate_weight``
-    is *not* cached (the surrogate changes every epoch).  Pass a dict owned
-    by the attack run; ``None`` computes everything fresh.
+    epochs of one attack run; the nodes a call finds uncached are built in
+    one pass (:func:`_local_scaffolds`).  The projection through
+    ``surrogate_weight`` is *not* cached (the surrogate changes every
+    epoch).  Pass a dict owned by the attack run; ``None`` computes
+    everything fresh.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.ndim != 1 or nodes.size == 0:
         raise AttackError(f"nodes must be a non-empty 1-D array, got shape {nodes.shape}")
     batch = nodes.size
-    csr = graph.adjacency
-    scaffolds = []
-    for node in nodes:
-        key = int(node)
-        entry = scaffold_cache.get(key) if scaffold_cache is not None else None
-        if entry is None:
-            local = _local_node_set(csr, key, max_neighbors)
-            entry = (
-                local,
-                csr[local][:, local].toarray(),
-                np.asarray(graph.features[local], dtype=np.float64),
-            )
-            if scaffold_cache is not None:
-                scaffold_cache[key] = entry
-        scaffolds.append(entry)
+    keys = nodes.tolist()
+    cache = scaffold_cache if scaffold_cache is not None else {}
+    missing = [key for key in dict.fromkeys(keys) if key not in cache]
+    if missing:
+        cache.update(zip(missing, _local_scaffolds(graph, missing, max_neighbors)))
+    scaffolds = [cache[key] for key in keys]
     n_host = max(entry[0].size for entry in scaffolds)
 
     trigger_features, trigger_structures = generator.triggers_for_nodes(

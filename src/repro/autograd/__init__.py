@@ -19,7 +19,7 @@ condensation surrogate's parameter gradient is written in closed form (see
 
 from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled
 from repro.autograd import functional
-from repro.autograd.module import Module, Parameter, Linear, Sequential, Dropout, ReLU
+from repro.autograd.module import Module, Parameter, Linear, Sequential, ReLU
 from repro.autograd.optim import Adam, Optimizer
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "Sequential",
-    "Dropout",
     "ReLU",
     "Adam",
     "Optimizer",

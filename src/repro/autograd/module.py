@@ -175,20 +175,6 @@ class ReLU(Module):
         return F.relu(x)
 
 
-class Dropout(Module):
-    """Inverted dropout layer with its own random stream."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise AutogradError(f"dropout rate must lie in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, self._rng, training=self.training)
-
-
 class Sequential(Module):
     """Chains modules (or plain callables) in order."""
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -109,8 +110,10 @@ class CondensationConfig:
                 f"distance must be 'cosine' or 'euclidean', got {self.distance!r}"
             )
         for name in ("lr_features", "lr_structure", "surrogate_lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
         if self.surrogate_steps < 1:
             raise ConfigurationError("surrogate_steps must be >= 1")
         if self.surrogate_refresh_steps is not None and self.surrogate_refresh_steps < 1:
@@ -127,25 +130,6 @@ class Condenser:
 
     def condense(self, graph: GraphData, rng: np.random.Generator) -> CondensedGraph:
         raise NotImplementedError
-
-    @staticmethod
-    def synthetic_budget(graph: GraphData, ratio: float, min_per_class: int = 1) -> np.ndarray:
-        """Number of synthetic nodes per class for a given condensation ratio.
-
-        The budget is ``ratio * |train|`` nodes distributed proportionally to
-        the class frequencies among training nodes, with at least
-        ``min_per_class`` nodes for every class present in the training set.
-        """
-        train_labels = graph.labels[graph.split.train]
-        num_classes = graph.num_classes
-        counts = np.bincount(train_labels, minlength=num_classes).astype(np.float64)
-        total = max(int(round(ratio * graph.split.train.size)), num_classes)
-        budget = np.zeros(num_classes, dtype=np.int64)
-        present = counts > 0
-        proportions = counts[present] / counts[present].sum()
-        raw = np.maximum(min_per_class, np.round(proportions * total).astype(np.int64))
-        budget[present] = raw
-        return budget
 
 
 def available_condensers() -> list[str]:

@@ -13,6 +13,7 @@ it, and deploy it on the original graph.  The pipeline therefore
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -58,8 +59,12 @@ class EvaluationConfig:
             raise ConfigurationError(f"num_layers must be >= 1, got {self.num_layers}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigurationError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigurationError(
+                f"weight_decay must be finite and non-negative, got {self.weight_decay}"
+            )
 
 
 def train_model_on_condensed(

@@ -13,15 +13,12 @@ from repro.graph.normalize import (
     self_loop_degrees,
     row_normalize,
     add_self_loops,
-    symmetric_laplacian,
 )
 from repro.graph.propagation import (
     sgc_precompute,
     sgc_precompute_hops,
     incremental_sgc_delta,
     reachable_rows,
-    appnp_propagate,
-    chebyshev_polynomials,
 )
 from repro.graph.cache import PropagationCache, get_default_cache, set_default_cache
 from repro.graph.blocked import (
@@ -32,7 +29,6 @@ from repro.graph.blocked import (
     set_blocked_threshold,
 )
 from repro.graph.subgraph import (
-    k_hop_subgraph,
     induced_subgraph,
     attach_trigger_adjacency,
     drop_undirected_edges,
@@ -65,14 +61,10 @@ __all__ = [
     "self_loop_degrees",
     "row_normalize",
     "add_self_loops",
-    "symmetric_laplacian",
     "sgc_precompute",
     "sgc_precompute_hops",
     "incremental_sgc_delta",
     "reachable_rows",
-    "appnp_propagate",
-    "chebyshev_polynomials",
-    "k_hop_subgraph",
     "induced_subgraph",
     "attach_trigger_adjacency",
     "drop_undirected_edges",

@@ -219,13 +219,6 @@ def row_normalize(matrix: sp.spmatrix | np.ndarray):
     return dense / sums
 
 
-def symmetric_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
-    """Normalised Laplacian ``I - D^{-1/2} A D^{-1/2}`` (no self-loops added)."""
-    n = adjacency.shape[0]
-    normalized = gcn_normalize(adjacency, add_loops=False)
-    return (sp.eye(n, format="csr") - normalized).tocsr()
-
-
 def dense_gcn_normalize(adjacency: np.ndarray, add_loops: bool = True) -> np.ndarray:
     """Dense counterpart of :func:`gcn_normalize` for small condensed graphs."""
     matrix = np.asarray(adjacency, dtype=np.float64)

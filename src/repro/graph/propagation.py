@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphValidationError
-from repro.graph.normalize import gcn_normalize, symmetric_laplacian
+from repro.graph.normalize import gcn_normalize
 from repro.kernels import active_backend
 
 
@@ -241,63 +241,3 @@ def incremental_sgc_delta(
             delta[base_part] -= base_hops[hop][rows[base_part]]
 
     return rows, values
-
-
-def appnp_propagate(
-    adjacency: sp.spmatrix,
-    predictions: np.ndarray,
-    num_iterations: int,
-    teleport: float,
-) -> np.ndarray:
-    """Personalised-PageRank propagation used by APPNP.
-
-    ``Z^{t+1} = (1 - alpha) * Â Z^t + alpha * H`` starting from ``Z^0 = H``.
-    """
-    if not 0.0 < teleport <= 1.0:
-        raise GraphValidationError(f"teleport must lie in (0, 1], got {teleport}")
-    normalized = gcn_normalize(adjacency)
-    base = np.asarray(predictions, dtype=np.float64)
-    state = base.copy()
-    backend = active_backend()
-    for _ in range(num_iterations):
-        state = (1.0 - teleport) * backend.spmm(normalized, state) + teleport * base
-    return state
-
-
-def chebyshev_polynomials(
-    adjacency: sp.spmatrix, features: np.ndarray, order: int
-) -> List[np.ndarray]:
-    """Return ``[T_0(L̃)X, ..., T_{order}(L̃)X]`` for ChebyNet.
-
-    The Laplacian is rescaled as ``L̃ = 2L/λ_max - I`` with ``λ_max ≈ 2`` (the
-    usual approximation), i.e. ``L̃ = L - I = -D^{-1/2} A D^{-1/2}``.
-    """
-    if order < 0:
-        raise GraphValidationError(f"order must be non-negative, got {order}")
-    features = np.asarray(features, dtype=np.float64)
-    laplacian = symmetric_laplacian(adjacency)
-    n = adjacency.shape[0]
-    rescaled = (laplacian - sp.eye(n, format="csr")).tocsr()
-
-    polynomials = [features]
-    backend = active_backend()
-    if order >= 1:
-        polynomials.append(backend.spmm(rescaled, features))
-    for _ in range(2, order + 1):
-        next_term = 2.0 * backend.spmm(rescaled, polynomials[-1]) - polynomials[-2]
-        polynomials.append(next_term)
-    return polynomials
-
-
-def dense_sgc_precompute(
-    adjacency: np.ndarray, features: np.ndarray, num_hops: int
-) -> np.ndarray:
-    """Dense counterpart of :func:`sgc_precompute` for condensed graphs."""
-    from repro.graph.normalize import dense_gcn_normalize
-
-    normalized = dense_gcn_normalize(adjacency)
-    propagated = np.asarray(features, dtype=np.float64)
-    backend = active_backend()
-    for _ in range(num_hops):
-        propagated = backend.matmul(normalized, propagated)
-    return propagated

@@ -1,9 +1,7 @@
 """Subgraph extraction and graph-surgery primitives.
 
-Three operations matter for BGC:
+Two operations matter for BGC:
 
-* extracting the k-hop *computation graph* of a node (the receptive field a
-  GNN prediction for that node depends on),
 * attaching a small trigger subgraph's structure to a target node
   (:func:`attach_trigger_adjacency`; :func:`~repro.graph.view.poison_graph_view`
   overlays the trigger features), and
@@ -19,40 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphValidationError
-
-
-def k_hop_subgraph(
-    adjacency: sp.spmatrix, center: int, num_hops: int
-) -> Tuple[np.ndarray, sp.csr_matrix]:
-    """Return the nodes and induced adjacency of the k-hop ball around ``center``.
-
-    Returns
-    -------
-    nodes:
-        Sorted node indices inside the ball (the center is always included).
-    sub_adjacency:
-        Induced adjacency among ``nodes`` (rows/cols follow ``nodes`` order).
-    """
-    n = adjacency.shape[0]
-    if not 0 <= center < n:
-        raise GraphValidationError(f"center {center} out of range for {n} nodes")
-    csr = adjacency.tocsr()
-    frontier = {center}
-    visited = {center}
-    for _ in range(num_hops):
-        next_frontier: set[int] = set()
-        for node in frontier:
-            neighbors = csr.indices[csr.indptr[node] : csr.indptr[node + 1]]
-            for neighbor in neighbors.tolist():
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    next_frontier.add(neighbor)
-        frontier = next_frontier
-        if not frontier:
-            break
-    nodes = np.asarray(sorted(visited), dtype=np.int64)
-    sub_adjacency = csr[nodes][:, nodes].tocsr()
-    return nodes, sub_adjacency
 
 
 def induced_subgraph(

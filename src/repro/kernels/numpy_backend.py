@@ -12,6 +12,14 @@ from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+
+#: scipy's own multivector kernels, keyed by the exact sparse class:
+#: ``matrix @ dense`` for a 2-D ``dense`` ends in one of these calls.
+_MATVECS = {
+    sp.csr_matrix: _sparsetools.csr_matvecs,
+    sp.csc_matrix: _sparsetools.csc_matvecs,
+}
 
 
 class NumpyBackend:
@@ -56,8 +64,30 @@ class NumpyBackend:
         """``matrix @ dense`` for a constant sparse operand.
 
         ``dense`` is ``(m, f)`` or ``(m,)``; scipy's native product sums
-        each output row in stored-index order.
+        each output row in stored-index order.  A float64 ``csr_matrix`` or
+        ``csc_matrix`` times a 2-D float64 ndarray with ``f > 1`` goes
+        straight to the kernel scipy's ``@`` ends in (``csr_matvecs``/
+        ``csc_matvecs`` into a fresh zeroed result), skipping its per-call
+        dispatch; every other input, ``f == 1`` (scipy's single-vector
+        kernel) included, takes ``matrix @ dense``.
         """
+        kernel = _MATVECS.get(matrix.__class__)
+        if (
+            kernel is not None
+            and dense.__class__ is np.ndarray
+            and dense.ndim == 2
+            and dense.shape[1] != 1
+            and dense.dtype == np.float64
+            and matrix.dtype == np.float64
+            and dense.shape[0] == matrix.shape[1]
+        ):
+            rows, columns = matrix.shape
+            result = np.zeros((rows, dense.shape[1]))
+            kernel(
+                rows, columns, dense.shape[1], matrix.indptr, matrix.indices,
+                matrix.data, dense.ravel(), result.ravel(),
+            )
+            return result
         return matrix @ dense
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,15 +178,17 @@ class NumpyBackend:
         probabilities (saved for the backward pass).  The steps mirror
         ``log_softmax`` + ``nll_loss`` one for one — shifted → exp → denom →
         log_probs → picked → -(sum) — so the fused loss is bit-identical to
-        the unfused chain.
+        the unfused chain.  The reductions call the ufuncs' ``reduce``
+        directly: the same reductions ``ndarray.max``/``sum`` run, without
+        their Python wrappers.
         """
-        shifted = logits - logits.max(axis=-1, keepdims=True)
+        shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        denom = exp.sum(axis=-1, keepdims=True)
+        denom = np.add.reduce(exp, axis=-1, keepdims=True)
         log_probs = shifted - np.log(denom)
         probs = exp / denom
         picked = log_probs * weighted_targets
-        loss = -(picked.sum())
+        loss = -np.add.reduce(picked, axis=None)
         return np.asarray(loss, dtype=np.float64), probs
 
     def softmax_xent_grad(
@@ -171,8 +203,6 @@ class NumpyBackend:
         sum vjp (broadcast), mul vjp (× targets), log-softmax vjp — keeping
         the fused loss's gradients bit-identical to the reference chain.
         """
-        flow = np.broadcast_to(
-            np.asarray(-upstream, dtype=np.float64), weighted_targets.shape
-        ).copy()
-        flow = flow * weighted_targets
-        return flow - probs * flow.sum(axis=-1, keepdims=True)
+        flow = np.full(weighted_targets.shape, -upstream, dtype=np.float64)
+        flow *= weighted_targets
+        return flow - probs * np.add.reduce(flow, axis=-1, keepdims=True)

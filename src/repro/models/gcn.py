@@ -10,7 +10,6 @@ import scipy.sparse as sp
 from repro.autograd import Adam, Linear, Tensor
 from repro.autograd import functional as F
 from repro.autograd.functional import _weighted_targets
-from repro.autograd.tensor import _unbroadcast
 from repro.exceptions import ConfigurationError
 from repro.kernels import active_backend
 from repro.models.base import Adjacency, NodeClassifier, normalize_adjacency, propagate
@@ -146,7 +145,7 @@ class FusedGCNFit:
         for index in range(last, -1, -1):
             layer = self._layers[index]
             grad = _product(self._operator_t, grad)
-            layer.bias.grad = _unbroadcast(grad, (1, grad.shape[1])).reshape(-1)
+            layer.bias.grad = np.add.reduce(grad, axis=0)
             layer.weight.grad = _product(inputs_t[index], grad)
             if index:
                 grad = backend.matmul(grad, layer.weight.data.T)
@@ -162,5 +161,5 @@ class FusedGCNFit:
         hidden = self._first = self._layer(0, self._features)
         for layer_index in range(1, len(self._layers)):
             hidden = self._layer(layer_index, hidden * (hidden > 0))
-        predictions = np.argmax(hidden, axis=1)
-        return float(np.mean(predictions[index] == self._labels[index]))
+        hits = np.argmax(hidden, axis=1)[index] == self._labels[index]
+        return float(np.count_nonzero(hits) / index.size)

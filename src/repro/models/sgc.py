@@ -42,13 +42,3 @@ class SGC(NodeClassifier):
         for _ in range(self.num_hops):
             hidden = propagate(operator, hidden)
         return self.linear(hidden)
-
-    def propagated_features(
-        self, adjacency: Adjacency, features: Union[np.ndarray, Tensor]
-    ) -> Tensor:
-        """Return ``Â^K X`` without applying the linear head."""
-        operator = normalize_adjacency(adjacency)
-        hidden = self.as_tensor(features)
-        for _ in range(self.num_hops):
-            hidden = propagate(operator, hidden)
-        return hidden

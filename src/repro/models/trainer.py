@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,12 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigurationError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigurationError(
+                f"weight_decay must be finite and non-negative, got {self.weight_decay}"
+            )
         if self.patience <= 0:
             raise ConfigurationError(f"patience must be positive, got {self.patience}")
 

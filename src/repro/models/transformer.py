@@ -36,6 +36,10 @@ class MultiHeadSelfAttention(Module):
         self.output = Linear(model_dim, model_dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
+        if x.shape[0] == 0:
+            # No token to attend over: an empty batch gives an empty output,
+            # which the per-token pass computes without a softmax over (0, 0).
+            return self.forward_per_token(x)
         queries = self.query(x)
         keys = self.key(x)
         values = self.value(x)

@@ -10,6 +10,9 @@ feature head in place; the two must agree byte for byte.
 block-diagonal autograd graph for a whole batch of trigger-attached nodes.
 :func:`local_trigger_loss` is the loop it replaced: one small autograd graph
 per node, over that node's trigger from :func:`trigger_for_node`.
+:func:`scaffold_for_node` is the per-node scaffold both used to build; the
+batched loss now builds every uncached node's scaffold in one pass, which
+must give the same bytes.
 :class:`PerNodeLoss` plugs the loop back into BGC's generator update, which
 GTA and DOORPING share; their runs must select the same nodes and build the
 same condensed adjacency as the shipped classes, with features and
@@ -57,6 +60,19 @@ def tape_generate(generator, node_inputs: np.ndarray) -> Tuple[np.ndarray, np.nd
     return features, adjacency
 
 
+def scaffold_for_node(
+    graph, node: int, max_neighbors: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``node``'s local node set, the adjacency block it induces (two scipy
+    fancy-index calls) and its feature rows."""
+    local = _local_node_set(graph.adjacency, node, max_neighbors)
+    return (
+        local,
+        graph.adjacency[local][:, local].toarray(),
+        np.asarray(graph.features[local], dtype=np.float64),
+    )
+
+
 def trigger_for_node(generator, node_input: np.ndarray) -> Tuple[Tensor, Tensor]:
     """Differentiable trigger (features ``(t, d)``, soft adjacency ``(t, t)``) for one node.
 
@@ -99,11 +115,8 @@ def local_trigger_loss(
     trigger_features, trigger_structure = trigger_for_node(generator, encoder_inputs[node])
     trigger_size = trigger_features.shape[0]
 
-    local = _local_node_set(graph.adjacency, node, max_neighbors)
+    local, base, host_features = scaffold_for_node(graph, node, max_neighbors)
     n_local = local.size
-    csr = graph.adjacency
-
-    base = csr[local][:, local].toarray()
     connector_cols = np.zeros((n_local, trigger_size))
     connector_cols[0, 0] = 1.0
     connector_rows = np.zeros((trigger_size, n_local))
@@ -114,7 +127,7 @@ def local_trigger_loss(
     local_adjacency = Tensor.concatenate([top, bottom], axis=0)
     normalized = normalize_dense_tensor(local_adjacency)
 
-    host_projection = graph.features[local] @ surrogate_weight.data
+    host_projection = host_features @ surrogate_weight.data
     trigger_projection = trigger_features.matmul(surrogate_weight)
     projected = Tensor.concatenate([Tensor(host_projection), trigger_projection], axis=0)
 

@@ -184,16 +184,56 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "override",
-        [{"lr": 0}, {"num_layers": 0}, {"dropout": 1.5}, {"hidden": 0}],
-        ids=["lr", "num_layers", "dropout", "hidden"],
+        [
+            {"lr": 0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"weight_decay": -1},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
+            {"num_layers": 0},
+            {"dropout": 1.5},
+            {"hidden": 0},
+        ],
+        ids=lambda override: "{}={}".format(*next(iter(override.items()))),
     )
     def test_bad_evaluation_override_rejected_before_loading(self, override, monkeypatch):
+        """A NaN or infinite lr, or a NaN or negative weight decay, used to
+        finish ok from a NaN or over-decayed model."""
+
         def no_load(*args, **kwargs):
             raise AssertionError("load_dataset ran before the evaluation config was checked")
 
         monkeypatch.setattr("repro.api.runner.load_dataset", no_load)
         spec = tiny_attack_spec(evaluation={"overrides": {"epochs": 10, **override}})
         with pytest.raises(ConfigurationError, match=next(iter(override))):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("name", ["lr_features", "lr_structure", "surrogate_lr"])
+    @pytest.mark.parametrize("value", [0.0, -0.01, float("nan"), float("inf")])
+    def test_bad_condenser_rate_rejected_before_loading(self, name, value, monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_dataset ran before the condenser config was checked")
+
+        monkeypatch.setattr("repro.api.runner.load_dataset", no_load)
+        spec = tiny_attack_spec(
+            condenser={"name": "gcond", "overrides": {"epochs": 2, "ratio": 0.2, name: value}}
+        )
+        with pytest.raises(ConfigurationError, match=name):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("attack", ["bgc", "gta", "doorping"])
+    @pytest.mark.parametrize("value", [0.0, -0.01, float("nan"), float("inf")])
+    def test_bad_trigger_rate_rejected_before_loading(self, attack, value, monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_dataset ran before the trigger config was checked")
+
+        monkeypatch.setattr("repro.api.runner.load_dataset", no_load)
+        spec = tiny_attack_spec(
+            attack={"name": attack, "overrides": {"poison_ratio": 0.2}},
+            trigger={"overrides": {"trigger_size": 2, "learning_rate": value}},
+        )
+        with pytest.raises(AttackError, match="learning_rate"):
             run_experiment(spec)
 
     @pytest.mark.parametrize("attack", ["bgc", "gta", "doorping"])
@@ -205,6 +245,7 @@ class TestRunExperiment:
             {"surrogate_hops": 0},
             {"surrogate_hops": -1},
             {"surrogate_lr": float("nan")},
+            {"surrogate_lr": float("inf")},
             {"surrogate_lr": -0.05},
             {"selection.selector_hidden": 0},
             {"selection.selector_hidden": -3},

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import Dropout, Linear, Module, Parameter, ReLU, Sequential, Tensor
+from repro.autograd import Linear, Module, Parameter, ReLU, Sequential, Tensor
 from repro.autograd import functional as F
 from repro.exceptions import AutogradError
 from repro.utils.seed import new_rng
@@ -45,7 +45,7 @@ class TestModuleRegistration:
         assert all(p.grad is None for p in model.parameters())
 
     def test_train_eval_propagates(self, rng):
-        model = Sequential(Linear(3, 3, rng=rng), Dropout(0.5, rng), ReLU())
+        model = Sequential(Linear(3, 3, rng=rng), Linear(3, 3, rng=rng), ReLU())
         model.eval()
         assert not model.training
         for layer in model:
@@ -108,18 +108,6 @@ class TestLinear:
         out.sum().backward()
         assert layer.weight.grad.shape == (4, 3)
         assert layer.bias.grad.shape == (3,)
-
-
-class TestDropoutLayer:
-    def test_invalid_rate(self, rng):
-        with pytest.raises(AutogradError):
-            Dropout(1.5, rng)
-
-    def test_eval_identity(self, rng):
-        layer = Dropout(0.9, rng)
-        layer.eval()
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_allclose(layer(x).data, x.data)
 
 
 class TestSequential:

@@ -26,6 +26,32 @@ class TestOptimizerBase:
         with pytest.raises(AutogradError):
             Adam([Parameter(np.ones(2))], lr=0.0)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"lr": float("nan")}, "learning rate"),
+            ({"lr": float("inf")}, "learning rate"),
+            ({"lr": -0.1}, "learning rate"),
+            ({"weight_decay": -1.0}, "weight_decay"),
+            ({"weight_decay": float("nan")}, "weight_decay"),
+            ({"weight_decay": float("inf")}, "weight_decay"),
+        ],
+        ids=lambda value: str(value),
+    )
+    def test_constructor_rejects_non_finite_or_negative_rates(self, options, message):
+        """A NaN rate passes every ``<= 0`` check and trains NaN weights."""
+        with pytest.raises(AutogradError, match=message):
+            Adam([Parameter(np.ones(2))], **options)
+
+    def test_constructor_accepts_zero_weight_decay(self):
+        assert Adam([Parameter(np.ones(2))], lr=0.1, weight_decay=0.0).weight_decay == 0.0
+
+    def test_parameter_listed_twice_raises(self):
+        """The flat state gives each listed parameter its own slice."""
+        p = Parameter(np.ones(2))
+        with pytest.raises(AutogradError, match="more than once"):
+            Adam([p, Parameter(np.ones(3)), p], lr=0.1)
+
     def test_zero_grad(self):
         p = Parameter(np.ones(3))
         optimizer = Adam([p], lr=0.1)
@@ -86,6 +112,18 @@ class TestAdam:
         optimizer.step()
         assert not np.allclose(a.data, 0.0)
         assert not np.allclose(b.data, 0.0)
+
+    def test_parameters_keep_their_own_arrays(self):
+        """Parameter data never becomes a view into the optimiser's state."""
+        a, b = Parameter(np.ones((2, 3))), Parameter(np.ones(4))
+        optimizer = Adam([a, b], lr=0.1, weight_decay=0.01)
+        for _ in range(2):
+            a.grad, b.grad = np.ones((2, 3)), np.ones(4)
+            optimizer.step()
+        for param in (a, b):
+            assert param.data.base is None
+            for buffer in optimizer._flat:
+                assert not np.shares_memory(param.data, buffer)
 
     def test_step_updates_parameter_arrays_in_place(self):
         p = Parameter(np.ones((3, 2)))

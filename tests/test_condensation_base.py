@@ -11,7 +11,6 @@ from repro.condensation import (
     available_condensers,
     make_condenser,
 )
-from repro.condensation.base import Condenser
 from repro.condensation.dc_graph import DCGraph
 from repro.condensation.gcond import GCond, GCondX
 from repro.condensation.gc_sntk import GCSNTK
@@ -92,16 +91,3 @@ class TestRegistry:
         config = CondensationConfig(epochs=3, ratio=0.2)
         condenser = make_condenser("gcond", config)
         assert condenser.config.epochs == 3
-
-
-class TestSyntheticBudget:
-    def test_budget_proportional_to_class_frequency(self, small_graph):
-        budget = Condenser.synthetic_budget(small_graph, ratio=0.5)
-        assert budget.sum() >= small_graph.num_classes
-        assert budget.shape == (small_graph.num_classes,)
-        assert np.all(budget >= 1)
-
-    def test_budget_scales_with_ratio(self, small_graph):
-        small = Condenser.synthetic_budget(small_graph, ratio=0.2).sum()
-        large = Condenser.synthetic_budget(small_graph, ratio=0.9).sum()
-        assert large >= small

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import GraphValidationError
-from repro.graph.subgraph import drop_undirected_edges, induced_subgraph, k_hop_subgraph
+from repro.graph.subgraph import drop_undirected_edges, induced_subgraph
 
 from reference.subgraph import attach_trigger_subgraph
 
@@ -19,36 +19,6 @@ def chain():
     for i in range(4):
         adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
     return sp.csr_matrix(adjacency)
-
-
-class TestKHopSubgraph:
-    def test_zero_hops_is_just_center(self, chain):
-        nodes, sub = k_hop_subgraph(chain, 2, 0)
-        np.testing.assert_array_equal(nodes, [2])
-        assert sub.shape == (1, 1)
-
-    def test_one_hop_of_chain_center(self, chain):
-        nodes, sub = k_hop_subgraph(chain, 2, 1)
-        np.testing.assert_array_equal(nodes, [1, 2, 3])
-        assert sub.nnz == 4  # edges 1-2 and 2-3, both directions
-
-    def test_two_hops_covers_whole_chain(self, chain):
-        nodes, _ = k_hop_subgraph(chain, 2, 2)
-        np.testing.assert_array_equal(nodes, [0, 1, 2, 3, 4])
-
-    def test_hops_beyond_diameter_saturate(self, chain):
-        nodes, _ = k_hop_subgraph(chain, 0, 100)
-        assert nodes.size == 5
-
-    def test_out_of_range_center_rejected(self, chain):
-        with pytest.raises(GraphValidationError):
-            k_hop_subgraph(chain, 10, 1)
-
-    def test_isolated_node(self):
-        adjacency = sp.csr_matrix((3, 3))
-        nodes, sub = k_hop_subgraph(adjacency, 1, 2)
-        np.testing.assert_array_equal(nodes, [1])
-        assert sub.nnz == 0
 
 
 class TestInducedSubgraph:

@@ -29,7 +29,13 @@ at ``atol=1e-10``:
 * the per-block first layer of GCN, MLP, APPNP and GAT on a triggered
   graph's :class:`~repro.graph.view.StackedFeatures` vs the same forward on
   the materialised matrix — logits within ``atol``, identical argmax — and
-  an ``evaluate`` stage that never stacks for those four models.
+  an ``evaluate`` stage that never stacks for those four models;
+* the trigger scaffolds the batched loss builds in one pass vs the per-node
+  scipy gathers (``tests/reference/trigger.py``) — identical bytes, over
+  weighted, asymmetric, isolated and self-looped adjacency, sampled
+  neighbourhoods, repeated nodes and half-cached batches;
+* the tape-free ``fit_linear_surrogate`` vs the tape loop
+  (``tests/reference/surrogate.py``) — identical weight bytes and rng state.
 """
 
 from __future__ import annotations
@@ -44,15 +50,18 @@ import pytest
 import scipy.sparse as sp
 
 from repro.attack.selection import RepresentativeNodeSelector
+from repro.attack.surrogate import fit_linear_surrogate
 from repro.attack.trigger import (
     TriggerConfig,
     TriggerGenerator,
     UniversalTriggerGenerator,
+    _local_scaffolds,
     batched_local_trigger_loss,
 )
 from repro.api import runner
 from repro.api.spec import ExperimentSpec
 from repro.autograd import Tensor, no_grad
+from repro.condensation.base import CondensationConfig, make_condenser
 from repro.condensation.gradient_matching import all_class_model_gradients
 from repro.datasets import load_dataset
 from repro.exceptions import ConfigurationError, GraphValidationError
@@ -85,11 +94,13 @@ from reference.subgraph import (
     attach_trigger_subgraph_coo,
     with_delta,
 )
+from reference.surrogate import tape_fit_linear_surrogate
 from reference.trainer import TapeGCN
 from reference.trigger import (
     PerNodeDoorping,
     PerNodeGTA,
     local_trigger_loss,
+    scaffold_for_node,
     tape_generate,
 )
 
@@ -1085,14 +1096,6 @@ class TestInPlaceTriggerGeneration:
     def test_bytes_equal_to_tape(self, encoder, trigger_size, rows):
         generator = self._generator(encoder, trigger_size)
         inputs = new_rng(rows).random((rows, CORA_WIDTH))
-        if encoder == "transformer" and rows == 0:
-            # Self-attention over an empty batch has no softmax maximum to
-            # take: the shipped path fails exactly as the tape does.
-            with pytest.raises(ValueError, match="zero-size array"):
-                generator.generate(inputs)
-            with pytest.raises(ValueError, match="zero-size array"):
-                tape_generate(generator, inputs)
-            return
         features, adjacency = generator.generate(inputs)
         tape_features, tape_adjacency = tape_generate(generator, inputs)
         assert features.shape == tape_features.shape == (rows, trigger_size, CORA_WIDTH)
@@ -1194,3 +1197,135 @@ class TestPerBlockFirstLayer:
         assert record.ok
         for field in ("attack_asr", "clean_asr", "defense_asr"):
             assert getattr(record, field) is not None, field
+
+
+# --------------------------------------------------------------------- #
+# One-pass trigger scaffolds vs the per-node scipy gathers
+# --------------------------------------------------------------------- #
+def _scaffold_graph(small_graph, kind: str) -> GraphData:
+    """``small_graph`` with the adjacency each scaffold case needs."""
+    adjacency = small_graph.adjacency.tocsr()
+    rng = new_rng(31)
+    if kind == "weighted":
+        weighted = sp.triu(adjacency, k=1).tocsr()
+        weighted.data = rng.uniform(0.1, 3.0, size=weighted.nnz)
+        adjacency = (weighted + weighted.T).tocsr()
+    elif kind == "asymmetric":
+        adjacency = adjacency.copy()
+        adjacency.data = rng.uniform(0.1, 3.0, size=adjacency.nnz)
+        adjacency = (adjacency + sp.csr_matrix(
+            (np.ones(4), ([0, 1, 2, 3], [40, 41, 42, 43])), shape=adjacency.shape
+        )).tocsr()
+    elif kind == "isolated":
+        lil = adjacency.tolil()
+        lil[0, :] = 0
+        lil[:, 0] = 0
+        adjacency = sp.csr_matrix(lil)
+    elif kind == "self-loop":
+        # Node 3 lists itself, so its set holds it twice.
+        adjacency = (adjacency + sp.csr_matrix(
+            ([2.0], ([3], [3])), shape=adjacency.shape
+        )).tocsr()
+    return small_graph.with_(adjacency=adjacency)
+
+
+SCAFFOLD_GRAPHS = ["plain", "weighted", "asymmetric", "isolated", "self-loop"]
+
+
+def _assert_scaffolds_equal(got, expected) -> None:
+    for (local, block, features), (ref_local, ref_block, ref_features) in zip(
+        got, expected, strict=True
+    ):
+        np.testing.assert_array_equal(local, ref_local)
+        assert block.shape == ref_block.shape and block.dtype == ref_block.dtype
+        assert block.tobytes() == ref_block.tobytes()
+        assert features.shape == ref_features.shape
+        assert features.tobytes() == ref_features.tobytes()
+
+
+class TestOnePassScaffolds:
+    """Every uncached node's scaffold built in one pass must hold the bytes
+    the per-node ``csr[local][:, local].toarray()`` gathers gave."""
+
+    @pytest.mark.parametrize("kind", SCAFFOLD_GRAPHS)
+    @pytest.mark.parametrize("max_neighbors", [1, 3, 10])
+    def test_bytes_equal_to_per_node_reference(self, small_graph, kind, max_neighbors):
+        graph = _scaffold_graph(small_graph, kind)
+        degrees = np.diff(graph.adjacency.indptr)
+        over_cap = int(np.argmax(degrees))
+        assert degrees[over_cap] > max_neighbors, "one node must be sampled down"
+        nodes = [0, 3, 17, over_cap, 88, 5]
+        got = _local_scaffolds(graph, nodes, max_neighbors)
+        _assert_scaffolds_equal(
+            got, [scaffold_for_node(graph, node, max_neighbors) for node in nodes]
+        )
+
+    def test_self_loop_set_holds_the_node_twice(self, small_graph):
+        graph = _scaffold_graph(small_graph, "self-loop")
+        local = scaffold_for_node(graph, 3, 10)[0]
+        assert np.count_nonzero(local == 3) == 2
+
+    @pytest.mark.parametrize("kind", SCAFFOLD_GRAPHS)
+    def test_half_cached_batch_with_a_repeated_node(self, small_graph, kind):
+        """Cached nodes are served as they are; the rest are built in one
+        pass; the loss equals the loss over reference scaffolds bit for bit."""
+        graph = _scaffold_graph(small_graph, kind)
+        generator = TriggerGenerator(
+            graph.num_features, new_rng(32), TriggerConfig(trigger_size=2, hidden=16)
+        )
+        generator.calibrate(graph.features)
+        inputs = generator.encode_inputs(graph.adjacency, graph.features)
+        weight = Tensor(new_rng(33).normal(size=(graph.num_features, graph.num_classes)))
+        nodes = np.array([0, 3, 17, 17, 40, 88])
+        kwargs = dict(target_class=1, max_neighbors=3, num_hops=2)
+        reference = {int(node): scaffold_for_node(graph, int(node), 3) for node in nodes}
+        cache = {node: reference[node] for node in (0, 17)}
+        loss = batched_local_trigger_loss(
+            nodes, graph, inputs, generator, weight, scaffold_cache=cache, **kwargs
+        )
+        assert sorted(cache) == sorted(reference)
+        assert cache[0] is reference[0] and cache[17] is reference[17]
+        _assert_scaffolds_equal(
+            [cache[node] for node in (3, 40, 88)], [reference[node] for node in (3, 40, 88)]
+        )
+        expected = batched_local_trigger_loss(
+            nodes, graph, inputs, generator, weight, scaffold_cache=dict(reference), **kwargs
+        )
+        uncached = batched_local_trigger_loss(nodes, graph, inputs, generator, weight, **kwargs)
+        assert loss.data.tobytes() == expected.data.tobytes() == uncached.data.tobytes()
+
+
+# --------------------------------------------------------------------- #
+# Tape-free surrogate fit vs the tape loop
+# --------------------------------------------------------------------- #
+class TestTapeFreeSurrogate:
+    """``fit_linear_surrogate`` makes the tape's kernel calls without the
+    tape: the same weight bytes and the same rng state."""
+
+    @pytest.mark.parametrize("steps", [1, 5, 20])
+    @pytest.mark.parametrize("extra_classes", [0, 2])
+    def test_bytes_equal_to_tape(self, steps, extra_classes):
+        data_rng = new_rng(steps + 10 * extra_classes)
+        inputs = data_rng.normal(size=(30, 12))
+        targets = data_rng.integers(0, 4, size=30)
+        num_classes = int(targets.max()) + 1 + extra_classes
+        fast_rng, tape_rng = new_rng(41), new_rng(41)
+        fast = fit_linear_surrogate(inputs, targets, num_classes, steps, 0.05, fast_rng)
+        tape = tape_fit_linear_surrogate(inputs, targets, num_classes, steps, 0.05, tape_rng)
+        assert fast.shape == tape.shape == (12, num_classes)
+        assert fast.tobytes() == tape.tobytes()
+        assert fast_rng.bit_generator.state == tape_rng.bit_generator.state
+
+    def test_bgc_surrogate_on_a_condensed_graph(self, small_graph):
+        """The propagated condensed rows BGC fits on, not just random ones."""
+        condensed = make_condenser("gcond", CondensationConfig(epochs=1, ratio=0.3)).condense(
+            small_graph, new_rng(42)
+        )
+        propagated = sgc_precompute(sp.csr_matrix(condensed.adjacency), condensed.features, 2)
+        fast = fit_linear_surrogate(
+            propagated, condensed.labels, small_graph.num_classes, 20, 0.05, new_rng(43)
+        )
+        tape = tape_fit_linear_surrogate(
+            propagated, condensed.labels, small_graph.num_classes, 20, 0.05, new_rng(43)
+        )
+        assert fast.tobytes() == tape.tobytes()

@@ -21,7 +21,7 @@ from scipy import special
 from repro.autograd.functional import cross_entropy, log_softmax, nll_loss
 from repro.autograd.module import Linear
 from repro.autograd.tensor import Tensor
-from repro.kernels import NumpyBackend, active_backend, kernel_backend_name
+from repro.kernels import NumpyBackend, active_backend, kernel_backend_name, numpy_backend
 
 from helpers import numerical_gradient
 
@@ -146,6 +146,66 @@ class TestSpmm:
         assert view.format == "csc"
         grad = np.random.default_rng(22).standard_normal((csr.shape[0], num_features))
         assert_same_values(BACKEND.spmm(view, grad), BACKEND.spmm(csr.T.tocsr(), grad))
+
+
+def _int64_indices(matrix: sp.spmatrix) -> sp.spmatrix:
+    matrix = matrix.copy()
+    matrix.indices = matrix.indices.astype(np.int64)
+    matrix.indptr = matrix.indptr.astype(np.int64)
+    return matrix
+
+
+#: ``name -> (matrix, dense, whether spmm calls scipy's multivector kernel
+#: directly)``; everything else goes through ``matrix @ dense``.
+DIRECT_SPMM_CASES = {
+    "int64-csr": lambda: (_int64_indices(_csr_case("large")), (350, 5), True),
+    "int64-csc": lambda: (_int64_indices(_csr_case("large").tocsc()), (350, 5), True),
+    "csr-array": lambda: (sp.csr_array(_csr_case("signed")), (9, 3), False),
+    "fortran-dense": lambda: (_csr_case("large"), "fortran", True),
+    "F=1": lambda: (_csr_case("large"), (350, 1), False),
+    "empty-rows": lambda: (_csr_case("empty-rows"), (5, 4), True),
+    "no-stored-entries": lambda: (_csr_case("all-zero"), (4, 3), True),
+    "zero-rows": lambda: (sp.csr_matrix((0, 5)), (5, 3), True),
+    "float32-dense": lambda: (_csr_case("large"), "float32", False),
+}
+
+
+class TestSpmmDirectKernel:
+    """``spmm`` calls scipy's ``csr_matvecs``/``csc_matvecs`` itself for a
+    float64 ``csr_matrix``/``csc_matrix`` times a 2-D float64 array with more
+    than one column; the result must be scipy's own ``matrix @ dense``, byte
+    for byte, whichever route a case takes."""
+
+    @staticmethod
+    def _count_direct_calls(monkeypatch) -> list:
+        calls = []
+        for cls, kernel in list(numpy_backend._MATVECS.items()):
+            def counted(*args, _kernel=kernel):
+                calls.append(cls)
+                return _kernel(*args)
+
+            monkeypatch.setitem(numpy_backend._MATVECS, cls, counted)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(DIRECT_SPMM_CASES))
+    def test_matches_scipy_product(self, case, monkeypatch):
+        matrix, shape, direct = DIRECT_SPMM_CASES[case]()
+        rng = np.random.default_rng(23)
+        if shape == "fortran":
+            dense = np.asfortranarray(rng.standard_normal((matrix.shape[1], 6)))
+            assert not dense.flags["C_CONTIGUOUS"]
+        elif shape == "float32":
+            dense = rng.standard_normal((matrix.shape[1], 4)).astype(np.float32)
+        else:
+            dense = rng.standard_normal(shape)
+        if case.startswith("int64"):
+            assert matrix.indices.dtype == matrix.indptr.dtype == np.int64
+        calls = self._count_direct_calls(monkeypatch)
+        result = BACKEND.spmm(matrix, dense)
+        assert len(calls) == int(direct)
+        assert_same_values(result, matrix @ dense)
+        if case == "float32-dense":
+            assert result.dtype == np.float64, "scipy upcasts a float32 operand"
 
 
 class TestDenseProducts:

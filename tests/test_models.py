@@ -75,11 +75,6 @@ class TestArchitectureSpecifics:
         without_graph = model.forward(np.eye(small_graph.num_nodes), small_graph.features).data
         np.testing.assert_allclose(with_graph, without_graph)
 
-    def test_sgc_propagated_features_shape(self, small_graph, rng):
-        model = SGC(small_graph.num_features, small_graph.num_classes, rng=rng)
-        propagated = model.propagated_features(small_graph.adjacency, small_graph.features)
-        assert propagated.shape == (small_graph.num_nodes, small_graph.num_features)
-
     def test_sgc_is_linear_in_weight(self, small_graph, rng):
         model = SGC(small_graph.num_features, small_graph.num_classes, rng=rng)
         model.eval()
