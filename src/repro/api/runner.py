@@ -36,6 +36,7 @@ from repro.evaluation.pipeline import (
     Predictor,
     evaluate_clean,
     predict_on_graph,
+    project_triggers,
     train_model_on_condensed,
     triggered_test_graph,
 )
@@ -412,7 +413,9 @@ def _evaluate(
     """The ``evaluate`` stage: every model's CTA, then every ASR.
 
     The triggered test graph is built once for the cell's (up to three)
-    ASRs and released when this frame returns; it is never memoised.
+    ASRs and released when this frame returns; it is never memoised.  Its
+    trigger rows are multiplied by all the models' first-layer weights in
+    one pass before the first ASR forward (:func:`project_triggers`).
     """
     if victim is not None:
         record.attack_cta = evaluate_clean(victim, graph)
@@ -424,6 +427,8 @@ def _evaluate(
     if attack_leg is None:
         return
     triggered = attack_leg.triggered_graph(graph)
+    if isinstance(triggered, GraphView):
+        project_triggers(triggered, (victim, clean, defended))
 
     def asr(model: Predictor) -> float:
         predictions = predict_on_graph(model, triggered)

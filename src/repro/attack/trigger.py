@@ -21,6 +21,7 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import no_grad
 from repro.exceptions import AttackError
 from repro.graph.propagation import sgc_precompute
+from repro.graph.view import ChunkedRows
 from repro.kernels import active_backend
 from repro.models.transformer import TransformerEncoderLayer
 
@@ -57,6 +58,18 @@ class TriggerConfig:
             raise AttackError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
+
+
+def feature_magnitude(features) -> float:
+    """``max|X|`` of a feature matrix, or 1.0 for an all-zero one.
+
+    ``max(X.max(), −X.min())`` is ``np.abs(X).max()`` exactly (negation
+    does not round, and a NaN propagates through both), without the
+    ``(N, F)`` copy ``np.abs`` makes.
+    """
+    features = np.asarray(features)
+    magnitude = float(max(features.max(), -features.min()))
+    return 1.0 if magnitude <= 0.0 else magnitude
 
 
 class TriggerGenerator(Module):
@@ -97,10 +110,7 @@ class TriggerGenerator(Module):
     # -------------------------------------------------------------- #
     def calibrate(self, host_features: np.ndarray) -> None:
         """Set the trigger feature bound relative to the host graph's scale."""
-        magnitude = float(np.abs(np.asarray(host_features)).max())
-        if magnitude <= 0.0:
-            magnitude = 1.0
-        self._feature_bound = self.config.feature_scale * magnitude
+        self._feature_bound = self.config.feature_scale * feature_magnitude(host_features)
 
     def encode_inputs(self, graph_adjacency, features: np.ndarray) -> np.ndarray:
         """Prepare the raw encoder inputs for a set of nodes.
@@ -168,31 +178,55 @@ class TriggerGenerator(Module):
         """Hard (numpy) triggers for a batch of nodes.
 
         Returns ``(features, adjacency)`` with shapes ``(n, t, d)`` and
-        ``(n, t, t)``; the adjacency is binary and symmetric.
+        ``(n, t, t)``; the adjacency is binary and symmetric: the
+        :meth:`feature_rows` and :meth:`structures` of the batch's
+        :meth:`encode`.
+        """
+        encoded = self.encode(node_inputs)
+        return self.feature_rows(encoded), self.structures(encoded)
 
-        The feature head ``tanh(h W + b) · bound`` is computed in place in
-        one ``(n, t·d)`` array, which a triggered graph keeps as its overlay
-        block without a copy.  Each in-place step rounds as the tape's fresh
-        array does (pinned byte for byte against ``tests/reference/trigger.py``).
+    def encode(self, node_inputs: np.ndarray) -> np.ndarray:
+        """The encoder output ``(n, hidden)`` of a batch of node inputs.
+
+        The mlp and gcn encoders are row-wise, so a batch may be encoded in
+        parts; the transformer encoder attends across its whole batch.
         """
         node_inputs = np.asarray(node_inputs, dtype=np.float64)
         if node_inputs.ndim != 2:
             raise AttackError(f"node_inputs must be 2-D, got shape {node_inputs.shape}")
-        t = self.config.trigger_size
         with no_grad():
-            encoded = self._encode(Tensor(node_inputs))
-            soft = F.sigmoid(self.structure_head(encoded)).data.reshape(-1, t, t)
+            return self._encode(Tensor(node_inputs)).data
+
+    @property
+    def row_wise(self) -> bool:
+        """Whether :meth:`encode` treats each row on its own."""
+        return self.config.encoder != "transformer"
+
+    def feature_rows(self, encoded: np.ndarray) -> np.ndarray:
+        """The ``(n, t, d)`` trigger features of encoded nodes.
+
+        The feature head ``tanh(h W + b) · bound`` is computed in place in
+        one ``(n, t·d)`` array.  Each in-place step rounds as the tape's
+        fresh array does (pinned byte for byte against
+        ``tests/reference/trigger.py``).
+        """
         head = self.feature_head
-        flat_features = active_backend().matmul(encoded.data, head.weight.data)
+        flat_features = active_backend().matmul(encoded, head.weight.data)
         flat_features += head.bias.data
         np.tanh(flat_features, out=flat_features)
         flat_features *= self._feature_bound
-        features = flat_features.reshape(-1, t, self.num_features)
+        return flat_features.reshape(-1, self.config.trigger_size, self.num_features)
+
+    def structures(self, encoded: np.ndarray) -> np.ndarray:
+        """The ``(n, t, t)`` binary, symmetric, loop-free trigger adjacency."""
+        t = self.config.trigger_size
+        with no_grad():
+            soft = F.sigmoid(self.structure_head(Tensor(encoded))).data.reshape(-1, t, t)
         symmetric = (soft + np.transpose(soft, (0, 2, 1))) * 0.5
         adjacency = (symmetric > 0.5).astype(np.float64)
-        for block in adjacency:
-            np.fill_diagonal(block, 0.0)
-        return features, adjacency
+        diagonal = np.arange(t)
+        adjacency[:, diagonal, diagonal] = 0.0
+        return adjacency
 
 
 def generate_hard_triggers(
@@ -216,15 +250,49 @@ def generate_hard_triggers(
     return generator.generate(inputs[nodes])
 
 
+def streamed_triggers(
+    generator, graph_adjacency, features: np.ndarray, nodes: np.ndarray
+) -> Tuple[ChunkedRows, np.ndarray]:
+    """Hard triggers for ``nodes``, their feature rows left to be generated.
+
+    Returns what :func:`generate_hard_triggers` does, except that the
+    ``(n, t, d)`` features are a :class:`~repro.graph.view.ChunkedRows`
+    holding the ``(n, hidden)`` encoder output: its rows are the feature
+    head of a chunk of nodes at a time.  A row-wise encoder also runs per
+    chunk, so no ``(n, d)`` block of node inputs is gathered; the
+    transformer encoder runs once, since it attends across its batch.
+    Chunked rows round as a smaller gemm does, so they match
+    :meth:`~TriggerGenerator.generate`'s to float rounding.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    inputs = generator.encode_inputs(graph_adjacency, features)
+    t, width = generator.config.trigger_size, generator.num_features
+    step = ChunkedRows.items_per_chunk(t, width) if generator.row_wise else max(nodes.size, 1)
+    encoded = np.concatenate(
+        [
+            generator.encode(inputs[nodes[start : start + step]])
+            for start in range(0, max(nodes.size, 1), step)
+        ]
+    )
+    return (
+        ChunkedRows(generator.feature_rows, encoded, t, width),
+        generator.structures(encoded),
+    )
+
+
 class UniversalTriggerGenerator(Module):
     """A single shared trigger applied identically to every node.
 
     This is the DOORPING-style trigger: one learnable block of trigger-node
     features with a fixed fully connected internal structure.  It exposes the
-    same ``encode_inputs`` / ``generate`` / ``triggers_for_nodes`` interface as
-    :class:`TriggerGenerator` so the attack and evaluation code can use either
-    interchangeably.
+    same ``encode_inputs`` / ``generate`` / ``triggers_for_nodes`` interface
+    (and the ``encode`` / ``feature_rows`` / ``structures`` parts of
+    ``generate``) as :class:`TriggerGenerator` so the attack and evaluation
+    code can use either interchangeably.
     """
+
+    #: Every node gets the same trigger, so a batch may be split anywhere.
+    row_wise = True
 
     def __init__(
         self,
@@ -246,10 +314,7 @@ class UniversalTriggerGenerator(Module):
 
     def calibrate(self, host_features: np.ndarray) -> None:
         """Set the trigger feature bound relative to the host graph's scale."""
-        magnitude = float(np.abs(np.asarray(host_features)).max())
-        if magnitude <= 0.0:
-            magnitude = 1.0
-        self._feature_bound = self.config.feature_scale * magnitude
+        self._feature_bound = self.config.feature_scale * feature_magnitude(host_features)
 
     def encode_inputs(self, graph_adjacency, features: np.ndarray) -> np.ndarray:
         """Node inputs are irrelevant for a universal trigger; pass features through."""
@@ -271,12 +336,21 @@ class UniversalTriggerGenerator(Module):
 
     def generate(self, node_inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Tile the shared trigger for each requested node."""
-        node_inputs = np.asarray(node_inputs, dtype=np.float64)
-        count = node_inputs.shape[0]
+        encoded = self.encode(node_inputs)
+        return self.feature_rows(encoded), self.structures(encoded)
+
+    def encode(self, node_inputs: np.ndarray) -> np.ndarray:
+        """An empty ``(n, 0)`` state per node: the trigger reads no input."""
+        return np.empty((np.asarray(node_inputs).shape[0], 0))
+
+    def feature_rows(self, encoded: np.ndarray) -> np.ndarray:
+        """The shared ``(t, d)`` block tiled ``(n, t, d)`` for ``n`` nodes."""
         bounded = np.tanh(self.trigger_features.data) * self._feature_bound
-        features = np.repeat(bounded[None, :, :], count, axis=0)
-        adjacency = np.repeat(self._structure[None, :, :], count, axis=0)
-        return features, adjacency
+        return np.repeat(bounded[None, :, :], encoded.shape[0], axis=0)
+
+    def structures(self, encoded: np.ndarray) -> np.ndarray:
+        """The fixed fully connected structure tiled ``(n, t, t)``."""
+        return np.repeat(self._structure[None, :, :], encoded.shape[0], axis=0)
 
 
 def _local_node_set(csr, node: int, max_neighbors: int) -> np.ndarray:

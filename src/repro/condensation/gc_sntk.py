@@ -31,10 +31,12 @@ from repro.condensation.base import (
 from repro.registry import CONDENSERS
 from repro.condensation.sntk import KernelRidgeRegression
 from repro.exceptions import CondensationError
+from repro.graph.blocked import BlockedArray
 from repro.graph.cache import PropagationCache, get_default_cache
 from repro.graph.data import GraphData
 from repro.graph.propagation import sgc_precompute
 from repro.utils.logging import get_logger
+from repro.utils.numeric import streamed_std
 
 logger = get_logger("condensation.gc_sntk")
 
@@ -161,6 +163,13 @@ class GCSNTK(Condenser):
         # Initialisation reads the whole product (its std scales the noise;
         # a blocked base streams its own), so it takes the materialised one.
         propagated = self._cache.propagated(graph, self.config.num_hops)
+        # Noise relative to the propagated-feature scale (see gradient_matching).
+        spread = (
+            propagated.std()
+            if isinstance(propagated, BlockedArray)
+            else streamed_std(propagated)
+        )
+        noise_scale = self.config.feature_init_noise * float(spread)
         features = []
         labels = []
         train_index = graph.split.train
@@ -171,8 +180,6 @@ class GCSNTK(Condenser):
             if count == 0 or candidates.size == 0:
                 continue
             chosen = rng.choice(candidates, size=count, replace=candidates.size < count)
-            # Noise relative to the propagated-feature scale (see gradient_matching).
-            noise_scale = self.config.feature_init_noise * float(propagated.std())
             sampled = propagated[chosen] + rng.normal(
                 scale=noise_scale, size=(count, graph.num_features)
             )

@@ -30,6 +30,7 @@ from repro.exceptions import CondensationError
 from repro.graph.cache import PropagationCache, get_default_cache
 from repro.graph.data import GraphData
 from repro.utils.logging import get_logger
+from repro.utils.numeric import streamed_std
 
 logger = get_logger("condensation.gradient_matching")
 
@@ -524,8 +525,8 @@ class GradientMatchingCondenser(Condenser):
         train_labels = graph.labels[train_index]
         # Noise is scaled by the feature standard deviation so the class
         # signal of the sampled rows is perturbed, not drowned out.
-        noise_scale = self.config.feature_init_noise * float(
-            np.asarray(graph.features).std()
+        noise_scale = self.config.feature_init_noise * streamed_std(
+            np.asarray(graph.features)
         )
         for cls in range(graph.num_classes):
             count = int(budget[cls])

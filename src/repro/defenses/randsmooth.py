@@ -10,7 +10,7 @@ accuracy for robustness — the trade-off quantified in Table IV.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,6 +69,10 @@ class SmoothedModel:
     def __init__(self, base_model, config: RandSmoothConfig | None = None) -> None:
         self.base_model = base_model
         self.config = config or RandSmoothConfig()
+
+    def feature_weights(self) -> List[np.ndarray]:
+        """The base model's first-layer weights: every vote reads the same features."""
+        return getattr(self.base_model, "feature_weights", list)()
 
     def predict(self, adjacency: Union[sp.spmatrix, np.ndarray], features: np.ndarray) -> np.ndarray:
         """Majority-vote prediction over randomly subsampled graphs."""

@@ -17,7 +17,7 @@ so they fall back to the undefended predictor with a warning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,6 +100,10 @@ class _RobustTrainingModel(NodeClassifier):
 
     def _perturb(self, adjacency: Adjacency, features):
         raise NotImplementedError
+
+    def feature_weights(self) -> List[np.ndarray]:
+        """The wrapped model's first-layer weights (eval mode is transparent)."""
+        return self.base.feature_weights()
 
     def forward(self, adjacency: Adjacency, features: Union[np.ndarray, Tensor]) -> Tensor:
         if self.training:

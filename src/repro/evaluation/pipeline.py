@@ -8,18 +8,19 @@ it, and deploy it on the original graph.  The pipeline therefore
    (:func:`train_model_on_condensed`),
 2. measures CTA on the clean test graph (:func:`evaluate_clean`), and
 3. measures ASR by attaching attacker-generated triggers to the test nodes
-   (:func:`triggered_test_graph`, :func:`evaluate_backdoor`).
+   (:func:`triggered_test_graph`, :func:`project_triggers`,
+   :func:`evaluate_backdoor`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from repro.attack.trigger import TriggerGenerator, generate_hard_triggers
+from repro.attack.trigger import TriggerGenerator, streamed_triggers
 from repro.condensation.base import CondensedGraph
 from repro.condensation.gc_sntk import SNTKPredictor
 from repro.evaluation.metrics import attack_success_rate, clean_test_accuracy
@@ -145,30 +146,51 @@ def triggered_test_graph(
 
     Built with :func:`~repro.graph.view.poison_graph_view`, the overlay the
     attacks poison through: the feature matrix stays the original's rows
-    plus one trigger block.  GCN, MLP, APPNP and GAT multiply the two blocks
-    separately in their first layer; SGC, GraphSAGE and ChebyNet stack them
-    once, since they propagate the raw features first.  The attachment is a
-    delta against the original — only the host test nodes gain an edge — so
-    an SNTK evaluation reuses the original's cached propagation and
-    recomputes just the trigger neighbourhoods.  The appended trigger rows
-    are labelled ``target_class`` (labels are never read at prediction
-    time).
+    plus the trigger rows, which are generated a chunk at a time
+    (:func:`~repro.attack.trigger.streamed_triggers`).  After
+    :func:`project_triggers`, GCN, MLP, APPNP and GAT read the trigger
+    rows only through their first-layer products; SGC, GraphSAGE and
+    ChebyNet stack the features once, since they propagate the raw
+    features first.  The attachment is a delta against the original — only
+    the host test nodes gain an edge — so an SNTK evaluation reuses the
+    original's cached propagation and recomputes just the trigger
+    neighbourhoods.  The appended trigger rows are labelled
+    ``target_class`` (labels are never read at prediction time).
     """
     test_index = (
         np.asarray(test_index, dtype=np.int64)
         if test_index is not None
         else original.split.test
     )
-    features, structures = generate_hard_triggers(
+    rows, structures = streamed_triggers(
         generator, original.adjacency, original.features, test_index
     )
     return poison_graph_view(
         original,
         test_index,
-        features,
+        rows,
         structures,
         trigger_label=target_class,
         name=f"{original.name}-triggered",
+    )
+
+
+def project_triggers(triggered: GraphView, models: Iterable[Predictor]) -> None:
+    """Multiply the trigger rows by every first-layer weight of ``models`` at once.
+
+    Each model names the weights its first ``Linear`` applies to the raw
+    features (``feature_weights``; none for a model that propagates first
+    or has no such method).  One pass over the chunked trigger rows
+    multiplies each chunk by every distinct weight
+    (:meth:`~repro.graph.view.StackedFeatures.prepare`), so the rows are
+    generated once for all the models and never held whole.
+    """
+    triggered.features.prepare(
+        [
+            weight
+            for model in models
+            for weight in getattr(model, "feature_weights", list)()
+        ]
     )
 
 
@@ -183,7 +205,8 @@ def evaluate_backdoor(
 
     Builds the triggered graph for this one model; to score several models
     against the same triggers, build it once with
-    :func:`triggered_test_graph` and predict on it.
+    :func:`triggered_test_graph`, hand all the models to
+    :func:`project_triggers` and predict on it.
     """
     test_index = (
         np.asarray(test_index, dtype=np.int64)
@@ -191,6 +214,7 @@ def evaluate_backdoor(
         else original.split.test
     )
     triggered = triggered_test_graph(original, generator, target_class, test_index)
+    project_triggers(triggered, [model])
     predictions = predict_on_graph(model, triggered)
     return attack_success_rate(
         predictions, original.labels, test_index, target_class

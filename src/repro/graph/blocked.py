@@ -191,7 +191,10 @@ class BlockedArray:
 
     Instances pickle by metadata + file paths: the receiving process maps the
     same files read-only and never deletes them (deletion is gated on the
-    creating process's pid).
+    creating process's pid).  Writes are never flushed to disk: the blocks
+    are scratch that their owner deletes, and every reader, in this process
+    or a forked or spawned worker, maps the same files through the page
+    cache, which already holds the written pages.
     """
 
     def __init__(self, shape: Tuple[int, int], block_size: Optional[int] = None):
@@ -216,7 +219,6 @@ class BlockedArray:
                 break
             path = os.path.join(self._directory, f"block-{index:05d}.bin")
             block = np.memmap(path, dtype=self.dtype, mode="w+", shape=(stop - start, cols))
-            block.flush()
             del block
             self._paths.append(path)
         self._finalizer = weakref.finalize(
@@ -301,7 +303,6 @@ class BlockedArray:
             block[row - block_start : row - block_start + take] = values[
                 offset : offset + take
             ]
-            block.flush()
             del block
             offset += take
 

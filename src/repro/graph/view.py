@@ -12,6 +12,10 @@ attachment (see ROADMAP §Performance).  This module removes the copy:
   and :meth:`~StackedFeatures.project` multiplies each block by a weight
   on its own; nothing is concatenated until someone explicitly asks for
   :meth:`~StackedFeatures.materialize`.
+* :class:`ChunkedRows` — an overlay that is generated, not stored: the
+  triggered test graph's trigger rows, produced a chunk at a time, so a
+  first layer that is given its weights up front
+  (:meth:`~StackedFeatures.prepare`) never sees the whole block.
 * :class:`GraphView` — a graph object that quacks like ``GraphData`` for the
   propagation/condensation stack (``adjacency``, ``features``, ``labels``,
   ``split``, ``version``, ``derivation``) but overlays trigger rows/edges on
@@ -36,7 +40,7 @@ pinned reference in ``tests/reference/subgraph.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,6 +90,50 @@ def _cached_array(array: np.ndarray, dtype, copy) -> np.ndarray:
     return array.copy() if copy else array
 
 
+#: Elements of overlay rows a :class:`ChunkedRows` generates at once
+#: (2 MiB of float64).
+CHUNK_ELEMENTS = 2**18
+
+
+class ChunkedRows:
+    """An ``(n·t, F)`` overlay block generated a chunk at a time.
+
+    ``head`` maps ``k`` rows of ``encoded`` (one state per item) to those
+    items' ``(k, t, F)`` rows.  :meth:`chunks` calls it on
+    :meth:`items_per_chunk` items at a time, :meth:`materialize` once on
+    all of them.  A gemm over a few rows may round differently from the
+    same rows inside a larger one, so the two agree to float rounding.
+    """
+
+    __slots__ = ("head", "encoded", "shape", "step")
+
+    def __init__(
+        self,
+        head: Callable[[np.ndarray], np.ndarray],
+        encoded: np.ndarray,
+        rows_per_item: int,
+        width: int,
+    ) -> None:
+        self.head = head
+        self.encoded = encoded
+        self.shape = (encoded.shape[0] * rows_per_item, width)
+        self.step = self.items_per_chunk(rows_per_item, width)
+
+    @staticmethod
+    def items_per_chunk(rows_per_item: int, width: int) -> int:
+        """Items whose rows fill one chunk of :data:`CHUNK_ELEMENTS` (at least 1)."""
+        return max(1, CHUNK_ELEMENTS // (rows_per_item * width))
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The rows in order, as consecutive ``(≤ step·t, F)`` blocks."""
+        for start in range(0, self.encoded.shape[0], self.step):
+            yield self.head(self.encoded[start : start + self.step]).reshape(-1, self.shape[1])
+
+    def materialize(self) -> np.ndarray:
+        """Every row as one ``(n·t, F)`` array."""
+        return self.head(self.encoded).reshape(self.shape)
+
+
 class StackedFeatures:
     """A feature matrix of vertically stacked blocks, gathered without a vstack.
 
@@ -95,24 +143,39 @@ class StackedFeatures:
     coercion (which materialises, once, caching the result).  The base block
     is *shared* with the host graph — treat both blocks as read-only, exactly
     like cached propagation products.
+
+    The overlay is an array or a :class:`ChunkedRows`.  A chunked overlay
+    is generated whole, once, only when a reader needs its rows
+    (:attr:`overlay`); :meth:`prepare` followed by :meth:`project` never
+    does.
     """
 
-    __slots__ = ("base", "overlay", "_materialized")
+    __slots__ = ("base", "_overlay", "_products", "_materialized")
 
-    def __init__(self, base: np.ndarray, overlay: np.ndarray) -> None:
+    def __init__(self, base: np.ndarray, overlay: Union[np.ndarray, ChunkedRows]) -> None:
         self.base = np.asarray(base, dtype=np.float64)
-        self.overlay = np.asarray(overlay, dtype=np.float64)
-        if self.base.ndim != 2 or self.overlay.ndim != 2:
+        if not isinstance(overlay, ChunkedRows):
+            overlay = np.asarray(overlay, dtype=np.float64)
+        self._overlay = overlay
+        if self.base.ndim != 2 or len(overlay.shape) != 2:
             raise GraphValidationError(
                 f"stacked blocks must be 2-D, got {self.base.shape} and "
-                f"{self.overlay.shape}"
+                f"{overlay.shape}"
             )
-        if self.base.shape[1] != self.overlay.shape[1]:
+        if self.base.shape[1] != overlay.shape[1]:
             raise GraphValidationError(
-                f"overlay feature dim {self.overlay.shape[1]} does not match "
+                f"overlay feature dim {overlay.shape[1]} does not match "
                 f"base dim {self.base.shape[1]}"
             )
+        self._products: List[Tuple[np.ndarray, np.ndarray]] = []
         self._materialized: Optional[np.ndarray] = None
+
+    @property
+    def overlay(self) -> np.ndarray:
+        """The ``(M, F)`` overlay block (a chunked one is generated here, once)."""
+        if isinstance(self._overlay, ChunkedRows):
+            self._overlay = self._overlay.materialize()
+        return self._overlay
 
     # ------------------------------------------------------------------ #
     # Array-protocol surface
@@ -120,7 +183,7 @@ class StackedFeatures:
     @property
     def shape(self) -> Tuple[int, int]:
         """``(N + M, F)`` — base rows plus overlay rows."""
-        return (self.base.shape[0] + self.overlay.shape[0], self.base.shape[1])
+        return (self.base.shape[0] + self._overlay.shape[0], self.base.shape[1])
 
     @property
     def ndim(self) -> int:
@@ -163,18 +226,47 @@ class StackedFeatures:
             return self.materialize()[index]
         return self.gather(index)
 
+    def prepare(self, weights: Sequence[np.ndarray]) -> None:
+        """Compute ``overlay W`` for each distinct weight in one pass over the overlay.
+
+        A chunked overlay is generated once here, a chunk at a time, and
+        each chunk is multiplied by every weight before the next is made.
+        :meth:`project` then serves the stored products for these weights
+        (matched by identity, so a weight listed twice is multiplied once).
+        The weights must not change while this matrix is in use.
+        """
+        distinct = list({id(weight): weight for weight in weights}.values())
+        self._products = []
+        if not distinct:
+            return
+        overlay = self._overlay
+        chunks = overlay.chunks() if isinstance(overlay, ChunkedRows) else [overlay]
+        products = [np.empty((overlay.shape[0], weight.shape[1])) for weight in distinct]
+        backend = active_backend()
+        start = 0
+        for chunk in chunks:
+            stop = start + chunk.shape[0]
+            for weight, product in zip(distinct, products):
+                product[start:stop] = backend.matmul(chunk, weight)
+            start = stop
+        self._products = list(zip(distinct, products))
+
     def project(self, weight: np.ndarray) -> np.ndarray:
         """``[base W; overlay W]``: the ``(N + M, k)`` product, one gemm per block.
 
-        A row split of the stacked product, with no ``(N + M, F)`` vstack.
-        BLAS may round a block of a few rows differently from the same rows
-        inside one gemm, so this matches ``materialize() @ weight`` to
-        within 1e-10 rather than bit for bit.
+        A row split of the stacked product, with no ``(N + M, F)`` vstack;
+        ``overlay W`` is the stored product when :meth:`prepare` was given
+        ``weight``.  BLAS may round a block of a few rows differently from
+        the same rows inside one gemm, so this matches
+        ``materialize() @ weight`` to within 1e-10 rather than bit for bit.
         """
         backend = active_backend()
-        return np.concatenate(
-            [backend.matmul(self.base, weight), backend.matmul(self.overlay, weight)]
+        overlay = next(
+            (product for known, product in self._products if known is weight), None
         )
+        if overlay is None:
+            overlay = backend.matmul(self.overlay, weight)
+        return np.concatenate([backend.matmul(self.base, weight), overlay])
 
     def materialize(self) -> np.ndarray:
         """The full ``(N + M, F)`` vstack (computed once, then cached)."""
@@ -187,7 +279,7 @@ class StackedFeatures:
 
     def __repr__(self) -> str:
         return (
-            f"StackedFeatures(base={self.base.shape}, overlay={self.overlay.shape})"
+            f"StackedFeatures(base={self.base.shape}, overlay={self._overlay.shape})"
         )
 
 
@@ -300,7 +392,8 @@ class GraphView:
         ``(N + M, N + M)`` derived adjacency (base nodes keep their ids as a
         prefix, overlay nodes are appended).
     overlay_features:
-        ``(M, F)`` features of the appended nodes.
+        ``(M, F)`` features of the appended nodes, as an array or a
+        :class:`ChunkedRows`.
     labels:
         ``(N + M,)`` labels of the derived graph.
     split:
@@ -322,7 +415,7 @@ class GraphView:
         self,
         base: GraphData,
         adjacency: sp.spmatrix,
-        overlay_features: np.ndarray,
+        overlay_features: Union[np.ndarray, ChunkedRows],
         labels: np.ndarray,
         split: SplitIndices | None = None,
         changed_nodes: np.ndarray | None = None,
@@ -404,14 +497,14 @@ class GraphView:
     def __repr__(self) -> str:
         return (
             f"GraphView(base={self.base.name!r}, nodes={self.num_nodes}, "
-            f"overlay={self.features.overlay.shape[0]}, version={self.version})"
+            f"overlay={self.num_nodes - self.base.num_nodes}, version={self.version})"
         )
 
 
 def poison_graph_view(
     base: GraphData,
     target_nodes: np.ndarray,
-    trigger_features: np.ndarray,
+    trigger_features: Union[np.ndarray, ChunkedRows],
     trigger_adjacency: np.ndarray,
     labels: np.ndarray | None = None,
     trigger_label: int = 0,
@@ -435,8 +528,9 @@ def poison_graph_view(
     target_nodes:
         ``(P,)`` nodes to poison.
     trigger_features / trigger_adjacency:
-        ``(P, t, d)`` trigger features and ``(P, t, t)`` internal structure,
-        as produced by a trigger generator.
+        ``(P, t, d)`` trigger features (or their ``(P·t, d)`` rows as a
+        :class:`ChunkedRows`) and ``(P, t, t)`` internal structure, as
+        produced by a trigger generator.
     labels:
         Host-node label vector ``(N,)`` (an attack typically passes its
         target-class-flipped labels; defaults to the base labels).  A full
@@ -453,21 +547,23 @@ def poison_graph_view(
     as ``view.trigger_node_index`` (shape ``(P, t)``).
     """
     target_nodes = np.asarray(target_nodes, dtype=np.int64)
-    trigger_features = np.asarray(trigger_features, dtype=np.float64)
-    if trigger_features.ndim != 3:
+    if isinstance(trigger_features, ChunkedRows):
+        overlay = trigger_features
+    else:
+        trigger_features = np.asarray(trigger_features, dtype=np.float64)
+        if trigger_features.ndim != 3:
+            raise GraphValidationError(
+                f"trigger_features must have shape (P, t, d), got {trigger_features.shape}"
+            )
+        overlay = trigger_features.reshape(-1, trigger_features.shape[2])
+    if overlay.shape[1] != base.num_features:
         raise GraphValidationError(
-            f"trigger_features must have shape (P, t, d), got {trigger_features.shape}"
-        )
-    if trigger_features.shape[2] != base.num_features:
-        raise GraphValidationError(
-            f"trigger feature dim {trigger_features.shape[2]} does not match "
+            f"trigger feature dim {overlay.shape[1]} does not match "
             f"graph dim {base.num_features}"
         )
     new_adjacency, trigger_node_index = attach_trigger_adjacency(
         base.adjacency, target_nodes, trigger_adjacency
     )
-    num_targets, trigger_size = trigger_features.shape[:2]
-    overlay = trigger_features.reshape(num_targets * trigger_size, base.num_features)
     labels = np.asarray(labels if labels is not None else base.labels, dtype=np.int64)
     if labels.shape[0] == base.num_nodes:
         labels = np.concatenate(

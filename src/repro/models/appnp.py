@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 
@@ -40,6 +40,10 @@ class APPNP(NodeClassifier):
         self._rng = rng
         self.fc1 = Linear(in_features, hidden, rng=rng)
         self.fc2 = Linear(hidden, num_classes, rng=rng)
+
+    def feature_weights(self) -> List[np.ndarray]:
+        """The predictor's first layer weight."""
+        return [self.fc1.weight.data]
 
     def forward(self, adjacency: Adjacency, features: Union[np.ndarray, Tensor]) -> Tensor:
         operator = normalize_adjacency(adjacency)

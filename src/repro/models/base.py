@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,6 +62,15 @@ class NodeClassifier(Module):
         if was_training:
             self.train()
         return np.argmax(logits.data, axis=1)
+
+    def feature_weights(self) -> List[np.ndarray]:
+        """The weights a first ``Linear`` multiplies the raw features by.
+
+        The evaluate stage multiplies the triggered graph's trigger rows by
+        these in one pass (:meth:`~repro.graph.view.StackedFeatures.prepare`).
+        Empty for a model that propagates the raw features first.
+        """
+        return []
 
     @staticmethod
     def as_tensor(features: Union[np.ndarray, Tensor]) -> Tensor:

@@ -16,7 +16,7 @@ implementation's ``A + I`` convention.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -175,6 +175,11 @@ class GAT(NodeClassifier):
                 negative_slope=negative_slope,
             )
             self.register_module(f"gat_{index}", layer)
+
+    def feature_weights(self) -> List[np.ndarray]:
+        """Each first-layer head's projection weight."""
+        first: GATLayer = self.gat_0
+        return [getattr(first, f"proj_{head}").weight.data for head in range(first.heads)]
 
     def forward(self, adjacency: Adjacency, features: Union[np.ndarray, Tensor]) -> Tensor:
         dst, src, weight = _edge_list(adjacency)

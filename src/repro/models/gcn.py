@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +43,10 @@ class GCN(NodeClassifier):
         for index in range(num_layers):
             layer = Linear(dims[index], dims[index + 1], rng=rng, bias=True)
             self.register_module(f"conv_{index}", layer)
+
+    def feature_weights(self) -> List[np.ndarray]:
+        """The first convolution's weight."""
+        return [self.conv_0.weight.data]
 
     def forward(
         self, adjacency: Adjacency, features: Union[np.ndarray, Tensor, sp.spmatrix]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 
@@ -35,6 +35,10 @@ class MLP(NodeClassifier):
         dims = [in_features] + [hidden] * (num_layers - 1) + [num_classes]
         for index in range(num_layers):
             self.register_module(f"fc_{index}", Linear(dims[index], dims[index + 1], rng=rng))
+
+    def feature_weights(self) -> List[np.ndarray]:
+        """The first layer's weight."""
+        return [self.fc_0.weight.data]
 
     def forward(self, adjacency: Adjacency, features: Union[np.ndarray, Tensor]) -> Tensor:
         del adjacency  # structure-agnostic by design

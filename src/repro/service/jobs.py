@@ -196,6 +196,7 @@ class JobHandle:
                 self.store_misses += 1
             if len(self._completed) == self._num_cells:
                 self._status = JobStatus.DONE
+                self._service._retire(self)
             self._condition.notify_all()
 
     def _finish(self, status: JobStatus, error: Optional[BaseException] = None) -> bool:
@@ -205,8 +206,32 @@ class JobHandle:
                 return False
             self._status = status
             self._error = error
+            self._service._retire(self)
             self._condition.notify_all()
             return True
+
+
+class FinishedJob:
+    """What a service keeps of a terminal job: its summary, not its records.
+
+    The caller's :class:`JobHandle` still holds the records; the service
+    answers ``status``, ``jobs`` and ``stats`` from this.
+    """
+
+    __slots__ = ("job_id", "status", "_summary")
+
+    def __init__(self, handle: JobHandle) -> None:
+        self.job_id = handle.job_id
+        self.status = handle.status
+        self._summary = handle.summary()
+
+    def summary(self) -> Dict[str, Any]:
+        """The job's final progress counters (see :meth:`JobHandle.summary`)."""
+        return dict(self._summary)
+
+    def cancel(self) -> bool:
+        """A terminal job cannot be cancelled: always ``False``."""
+        return False
 
 
 class CondensationService:
@@ -248,7 +273,7 @@ class CondensationService:
             name="service",
         )
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_pending)
-        self._jobs: Dict[str, JobHandle] = {}
+        self._jobs: Dict[str, Union[JobHandle, FinishedJob]] = {}
         self._job_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._started = False
@@ -290,8 +315,9 @@ class CondensationService:
             if job is not None:
                 job._finish(JobStatus.CANCELLED)
         with self._lock:
-            for job in self._jobs.values():
-                job._finish(JobStatus.CANCELLED)
+            live = [job for job in self._jobs.values() if isinstance(job, JobHandle)]
+        for job in live:
+            job._finish(JobStatus.CANCELLED)
         self._pool.shutdown(wait=wait)
         self.store.close()
 
@@ -353,8 +379,12 @@ class CondensationService:
         logger.info("service: queued %s (%s)", job_id, spec.name)
         return handle
 
-    def get(self, job_id: str) -> JobHandle:
-        """The handle for ``job_id``; raises ``KeyError`` if unknown."""
+    def get(self, job_id: str) -> Union[JobHandle, FinishedJob]:
+        """The handle of a live ``job_id``, or a terminal one's :class:`FinishedJob`.
+
+        Either answers ``summary()`` and ``cancel()``; raises ``KeyError``
+        if the id is unknown.
+        """
         with self._lock:
             return self._jobs[job_id]
 
@@ -376,6 +406,18 @@ class CondensationService:
     # ------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------ #
+    def _retire(self, job: JobHandle) -> None:
+        """Swap a terminal job's handle for its :class:`FinishedJob`, so the
+        service no longer holds the job's records.
+
+        Called with the job's condition held, before waiters wake; the job
+        lock is always taken before ``_lock``, never after it.
+        """
+        finished = FinishedJob(job)
+        with self._lock:
+            if self._jobs.get(job.job_id) is job:
+                self._jobs[job.job_id] = finished
+
     def _cancel(self, job: JobHandle) -> bool:
         """Cancel a job: drop pending pool cells, force CANCELLED."""
         self._pool.cancel(lambda tag: tag == job.job_id)
@@ -394,6 +436,7 @@ class CondensationService:
             except BaseException as error:  # noqa: BLE001 — job fails alone
                 logger.exception("service: job %s failed to launch", job.job_id)
                 job._finish(JobStatus.FAILED, error)
+            del job  # waiting for the next job must not keep this one's records
 
     def _launch(self, job: JobHandle) -> None:
         """Expand one job onto the pool, serving store hits immediately."""

@@ -33,6 +33,36 @@ class TestTriggerConfig:
             TriggerConfig(**kwargs)
 
 
+MAGNITUDE_FEATURES = {
+    "all-negative": lambda rng: -0.1 - 2.0 * rng.random((30, 12)),
+    "all-zero": lambda rng: np.zeros((30, 12)),
+    "mixed-sign": lambda rng: rng.normal(size=(30, 12)) * np.linspace(0.5, 3.0, 12),
+    "negative-extreme": lambda rng: np.r_[rng.random((29, 12)), [[-7.5] * 12]],
+}
+
+
+class TestCalibrate:
+    """Both generators' bound is ``feature_scale · np.abs(X).max()`` (1.0
+    for an all-zero X), computed without the ``abs`` copy."""
+
+    @pytest.mark.parametrize("kind", sorted(MAGNITUDE_FEATURES))
+    @pytest.mark.parametrize("generator_cls", [TriggerGenerator, UniversalTriggerGenerator])
+    def test_bound_equals_abs_max_reference(self, generator_cls, kind):
+        features = MAGNITUDE_FEATURES[kind](new_rng(5))
+        generator = generator_cls(12, new_rng(6), TriggerConfig(feature_scale=0.3))
+        generator.calibrate(features)
+        magnitude = float(np.abs(features).max())
+        expected = 0.3 * (magnitude if magnitude > 0.0 else 1.0)
+        assert generator._feature_bound == expected
+
+    def test_nan_propagates(self):
+        features = np.ones((4, 3))
+        features[2, 1] = np.nan
+        generator = TriggerGenerator(3, new_rng(6))
+        generator.calibrate(features)
+        assert np.isnan(generator._feature_bound)
+
+
 class TestTriggerGenerator:
     @pytest.mark.parametrize("encoder", ["mlp", "gcn", "transformer"])
     def test_generate_shapes(self, encoder, small_graph, rng):

@@ -30,6 +30,11 @@ at ``atol=1e-10``:
   graph's :class:`~repro.graph.view.StackedFeatures` vs the same forward on
   the materialised matrix — logits within ``atol``, identical argmax — and
   an ``evaluate`` stage that never stacks for those four models;
+* the triggered graph's trigger rows generated chunk by chunk
+  (:class:`~repro.graph.view.ChunkedRows`) and read through one weight
+  pass vs the whole-batch ``generate`` stacked into one matrix — logits
+  within ``atol``, identical argmax — with set-up and ``evaluate`` on
+  cora allocating no full-size temporary (tracemalloc);
 * the trigger scaffolds the batched loss builds in one pass vs the per-node
   scipy gathers (``tests/reference/trigger.py``) — identical bytes, over
   weighted, asymmetric, isolated and self-looped adjacency, sampled
@@ -42,8 +47,10 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import multiprocessing
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +64,7 @@ from repro.attack.trigger import (
     UniversalTriggerGenerator,
     _local_scaffolds,
     batched_local_trigger_loss,
+    generate_hard_triggers,
 )
 from repro.api import runner
 from repro.api.spec import ExperimentSpec
@@ -80,8 +88,9 @@ from repro.graph.normalize import (
     self_loop_degrees,
 )
 from repro.graph.propagation import sgc_precompute, sgc_precompute_hops
-from repro.evaluation.pipeline import triggered_test_graph
-from repro.graph.view import PropagatedView, StackedFeatures
+from repro.evaluation.pipeline import project_triggers, triggered_test_graph
+from repro.graph import view as view_module
+from repro.graph.view import ChunkedRows, PropagatedView, StackedFeatures, poison_graph_view
 from repro.models import make_model
 from repro.models.gcn import GCN, FusedGCNFit
 from repro.models.trainer import Trainer, TrainingConfig
@@ -862,6 +871,21 @@ class TestBlockedStoreProperties:
         assert os.path.isdir(directory)
         np.testing.assert_array_equal(store.materialize(), dense)
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_unflushed_writes_read_back_here_and_in_a_worker(self, start_method):
+        """Writes are never flushed to disk, yet this process and a pool
+        worker mapping the same files both read every written row."""
+        rng = new_rng(75)
+        dense = rng.normal(size=(23, 4))
+        store = BlockedArray((23, 4), block_size=6)
+        store.write_rows(0, dense[:10])
+        store.write_rows(10, dense[10:])
+        np.testing.assert_array_equal(store.materialize(), dense)
+        context = multiprocessing.get_context(start_method)
+        with context.Pool(1) as pool:
+            read = pool.apply(BlockedArray.materialize, (store,))
+        np.testing.assert_array_equal(read, dense)
+
     def test_warm_start_round_trip_with_blocked_chains(
         self, small_graph, force_blocked
     ):
@@ -1169,7 +1193,8 @@ class TestPerBlockFirstLayer:
     @pytest.mark.parametrize("architecture", LINEAR_FIRST)
     def test_evaluate_never_stacks(self, monkeypatch, architecture):
         """A tiny cell's ``evaluate`` stage (CTA, then victim, clean and
-        defended ASR) completes with ``StackedFeatures.materialize`` raising."""
+        defended ASR) completes with ``StackedFeatures.materialize`` and the
+        trigger rows' whole-block ``ChunkedRows.materialize`` raising."""
         evaluate = runner._evaluate
 
         def no_stack(self):
@@ -1178,6 +1203,7 @@ class TestPerBlockFirstLayer:
         def guarded(*args):
             with monkeypatch.context() as patch:
                 patch.setattr(StackedFeatures, "materialize", no_stack)
+                patch.setattr(ChunkedRows, "materialize", no_stack)
                 return evaluate(*args)
 
         monkeypatch.setattr(runner, "_evaluate", guarded)
@@ -1197,6 +1223,228 @@ class TestPerBlockFirstLayer:
         assert record.ok
         for field in ("attack_asr", "clean_asr", "defense_asr"):
             assert getattr(record, field) is not None, field
+
+
+# --------------------------------------------------------------------- #
+# Streamed trigger rows vs the materialised triggered graph
+# --------------------------------------------------------------------- #
+TRIGGER_KINDS = ["mlp", "gcn", "transformer", "universal"]
+TEST_SETS = ["empty", "one", "chunk-1", "chunk", "chunk+1", "all", "source-class"]
+#: Tiny's chunks are shrunk to this many nodes, so its test sets span several.
+TINY_CHUNK_NODES = 5
+
+
+def _trigger_generator(kind: str, graph: GraphData, trigger_size: int = 4):
+    rng = new_rng(41)
+    if kind == "universal":
+        generator = UniversalTriggerGenerator(
+            graph.num_features, rng, TriggerConfig(trigger_size=trigger_size)
+        )
+    else:
+        config = TriggerConfig(trigger_size=trigger_size, hidden=16, encoder=kind)
+        generator = TriggerGenerator(graph.num_features, rng, config)
+        for head in (generator.feature_head, generator.structure_head):
+            head.bias.data = rng.normal(scale=0.5, size=head.bias.data.shape)
+    generator.calibrate(graph.features)
+    return generator
+
+
+def _test_set(graph: GraphData, name: str, chunk: int) -> np.ndarray:
+    test = graph.split.test
+    sizes = {"empty": 0, "one": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}
+    if name in sizes:
+        assert sizes[name] <= test.size
+        return test[: sizes[name]]
+    if name == "source-class":
+        return test[graph.labels[test] == 1]
+    return test
+
+
+def _streamed_and_materialised(graph, generator, test):
+    """The streamed triggered graph, and the materialised reference: the
+    whole-batch ``generate`` stacked into one feature matrix."""
+    streamed = triggered_test_graph(graph, generator, target_class=0, test_index=test)
+    features, structures = generate_hard_triggers(
+        generator, graph.adjacency, graph.features, test
+    )
+    reference = poison_graph_view(graph, test, features, structures)
+    return streamed, reference.features.materialize()
+
+
+def _no_whole_block(self):
+    raise AssertionError("the trigger rows were generated whole")
+
+
+class TestStreamedTriggerRows:
+    """The evaluate stage's triggered graph generates its trigger rows a
+    chunk at a time, and a weight pass multiplies each chunk by every model's
+    first-layer weight.  Chunked gemms round like smaller gemms, so the
+    logits match the materialised triggered graph's within ``atol`` and the
+    argmax is identical."""
+
+    @pytest.fixture
+    def shrink_tiny_chunks(self, monkeypatch):
+        def shrink(graph, trigger_size=4):
+            if graph.name == "tiny":
+                monkeypatch.setattr(
+                    view_module, "CHUNK_ELEMENTS",
+                    TINY_CHUNK_NODES * trigger_size * graph.num_features,
+                )
+            return ChunkedRows.items_per_chunk(trigger_size, graph.num_features)
+
+        return shrink
+
+    @staticmethod
+    def _assert_streamed_forward_matches(monkeypatch, models, streamed, stacked):
+        with monkeypatch.context() as patch:
+            patch.setattr(ChunkedRows, "materialize", _no_whole_block)
+            patch.setattr(StackedFeatures, "materialize", _no_whole_block)
+            project_triggers(streamed, models)
+            with no_grad():
+                logits = [
+                    model.forward(streamed.adjacency, streamed.features).data
+                    for model in models
+                ]
+        assert isinstance(streamed.features._overlay, ChunkedRows)
+        with no_grad():
+            for model, got in zip(models, logits):
+                expected = model.forward(streamed.adjacency, stacked).data
+                assert got.shape == expected.shape == (streamed.num_nodes, model.num_classes)
+                np.testing.assert_allclose(got, expected, rtol=0, atol=ATOL)
+                np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+    @pytest.mark.parametrize("test_set", TEST_SETS)
+    @pytest.mark.parametrize("kind", TRIGGER_KINDS)
+    @pytest.mark.parametrize("dataset", ["tiny", "cora"])
+    def test_logits_match_materialised_graph(
+        self, monkeypatch, shrink_tiny_chunks, dataset, kind, test_set
+    ):
+        graph = load_dataset(dataset)
+        chunk = shrink_tiny_chunks(graph)
+        test = _test_set(graph, test_set, chunk)
+        streamed, stacked = _streamed_and_materialised(graph, _trigger_generator(kind, graph), test)
+        models = [
+            make_model(name, graph.num_features, graph.num_classes, new_rng(4))
+            for name in LINEAR_FIRST
+        ]
+        for model in models:
+            model.eval()
+        self._assert_streamed_forward_matches(monkeypatch, models, streamed, stacked)
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("architecture", LINEAR_FIRST)
+    @pytest.mark.parametrize("dataset", ["tiny", "cora"])
+    def test_every_depth(self, monkeypatch, shrink_tiny_chunks, dataset, architecture, num_layers):
+        graph = load_dataset(dataset)
+        shrink_tiny_chunks(graph)
+        streamed, stacked = _streamed_and_materialised(
+            graph, _trigger_generator("mlp", graph), graph.split.test
+        )
+        model = make_model(
+            architecture, graph.num_features, graph.num_classes, new_rng(4),
+            num_layers=num_layers,
+        )
+        model.eval()
+        self._assert_streamed_forward_matches(monkeypatch, [model], streamed, stacked)
+
+    @pytest.mark.parametrize("architecture", LINEAR_FIRST)
+    def test_defended_model_that_is_the_victim(self, monkeypatch, shrink_tiny_chunks, architecture):
+        """A defense may return the victim itself: each distinct weight is
+        multiplied once, and every chunk is generated once for all models."""
+        graph = load_dataset("tiny")
+        shrink_tiny_chunks(graph)
+        generator = _trigger_generator("mlp", graph)
+        streamed, stacked = _streamed_and_materialised(graph, generator, graph.split.test)
+        victim, clean = (
+            make_model(architecture, graph.num_features, graph.num_classes, new_rng(seed))
+            for seed in (4, 5)
+        )
+        for model in (victim, clean):
+            model.eval()
+        heads = []
+        feature_rows = generator.feature_rows
+
+        def counted(encoded):
+            heads.append(encoded.shape[0])
+            return feature_rows(encoded)
+
+        monkeypatch.setattr(streamed.features._overlay, "head", counted)
+        self._assert_streamed_forward_matches(
+            monkeypatch, [victim, clean, victim], streamed, stacked
+        )
+        distinct = len(victim.feature_weights()) + len(clean.feature_weights())
+        assert len(streamed.features._products) == distinct
+        assert sum(heads) == graph.split.test.size
+        assert len(heads) == -(-graph.split.test.size // TINY_CHUNK_NODES)
+
+    def test_models_without_weights_stack_on_demand(self, shrink_tiny_chunks):
+        """SGC propagates the raw features first: it gets the stacked matrix,
+        generated whole once, equal to the materialised reference's rows."""
+        graph = load_dataset("tiny")
+        shrink_tiny_chunks(graph)
+        streamed, stacked = _streamed_and_materialised(
+            graph, _trigger_generator("mlp", graph), graph.split.test
+        )
+        model = make_model("sgc", graph.num_features, graph.num_classes, new_rng(4))
+        assert model.feature_weights() == []
+        project_triggers(streamed, [model])
+        assert streamed.features._products == []
+        np.testing.assert_allclose(np.asarray(streamed.features), stacked, rtol=0, atol=ATOL)
+
+
+# --------------------------------------------------------------------- #
+# Set-up and evaluate hold no full-size temporary (tracemalloc, cora)
+# --------------------------------------------------------------------- #
+def _traced_growth(call) -> int:
+    """Peak traced bytes above the entry level while ``call()`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoFullSizeTemporaries:
+    """On cora's graph, a cell's set-up and evaluate stage allocate far less
+    than the arrays they read: no ``np.abs(X)``, no ``X − mean`` and no
+    ``(t·|test|, F)`` trigger block."""
+
+    def test_calibrate(self):
+        graph = load_dataset("cora")
+        for generator in (
+            _trigger_generator("mlp", graph),
+            _trigger_generator("universal", graph),
+        ):
+            growth = _traced_growth(lambda: generator.calibrate(graph.features))
+            assert growth < graph.features.nbytes / 10, growth
+
+    def test_condenser_initialize(self):
+        graph = load_dataset("cora")
+        condenser = make_condenser("gcond", CondensationConfig(ratio=0.026))
+        growth = _traced_growth(lambda: condenser.initialize(graph, new_rng(3)))
+        assert growth < graph.features.nbytes / 10, growth
+
+    def test_evaluate_stage(self):
+        graph = load_dataset("cora")
+        generator = _trigger_generator("mlp", graph)
+        victim, clean, defended = (
+            make_model("gcn", graph.num_features, graph.num_classes, new_rng(seed))
+            for seed in (4, 5, 6)
+        )
+        leg = runner.Leg(
+            None, "", generator=generator, target_class=0, test_nodes=graph.split.test
+        )
+        trigger_block = 4 * graph.split.test.size * graph.num_features * 8
+        record = runner.RunRecord(spec=ExperimentSpec.from_dict({"dataset": "cora"}))
+        runner._evaluate(record, graph, leg, victim, clean, defended)  # warm the caches
+        growth = _traced_growth(
+            lambda: runner._evaluate(record, graph, leg, victim, clean, defended)
+        )
+        assert growth < trigger_block / 2, (growth, trigger_block)
 
 
 # --------------------------------------------------------------------- #

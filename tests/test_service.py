@@ -24,6 +24,7 @@ method to reach worker processes.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -31,6 +32,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -508,6 +510,38 @@ class TestCondensationService:
         for a, b, c in zip(serial_baseline, first_records, second_records):
             assert_records_identical(a, b)
             assert_records_identical(a, c)
+
+    def test_finished_jobs_release_their_records(self, tmp_path):
+        """A terminal job leaves its summary in the service, not its records:
+        the caller's handle still returns them, and once the caller drops
+        its handles every RunRecord is collectable."""
+        with CondensationService(workers=1, store=ResultStore(tmp_path / "s")) as svc:
+            handles = [svc.submit(cheap_spec(seed=30 + index)) for index in range(3)]
+            references = []
+            for handle in handles:
+                records = handle.wait(timeout=120.0)
+                assert list(handle.stream()) == list(records)
+                references.extend(weakref.ref(record) for record in records)
+            job_ids = [handle.job_id for handle in handles]
+            del handles, handle, records
+            assert len(references) == 3
+            # The pool thread may still be unwinding the frame that delivered
+            # the last record; give it a moment, not forever.
+            deadline = time.monotonic() + 10.0
+            while any(reference() is not None for reference in references):
+                assert time.monotonic() < deadline, "finished jobs kept their records"
+                gc.collect()
+                time.sleep(0.01)
+            summaries = svc.jobs()
+            assert [summary["job_id"] for summary in summaries] == job_ids
+            assert all(
+                summary["status"] == "done" and summary["completed"] == 1
+                for summary in summaries
+            )
+            for job_id in job_ids:
+                assert svc.get(job_id).summary()["status"] == "done"
+                assert svc.get(job_id).cancel() is False
+            assert svc.stats()["jobs"] == 3
 
     def test_store_outlives_the_service(self, tmp_path):
         root = tmp_path / "store"

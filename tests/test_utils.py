@@ -18,7 +18,9 @@ from repro.utils import (
     new_rng,
     spawn_rngs,
 )
+from repro.utils import numeric
 from repro.utils.logging import enable_console_logging
+from repro.utils.numeric import LEAF_ELEMENTS, streamed_std
 
 
 class TestSeeding:
@@ -85,6 +87,74 @@ class TestValidation:
         assert check_non_negative(0.0, "x") == 0.0
         with pytest.raises(ConfigurationError):
             check_non_negative(-1e-9, "x")
+
+
+def _std_inputs(shape, kind: str) -> np.ndarray:
+    rng = new_rng(int(np.prod(shape)) % 1009)
+    if kind == "constant":
+        return np.full(shape, 0.3)
+    if kind == "negative-heavy":
+        return 0.5 - 100.0 * rng.exponential(size=shape)
+    if kind == "sparse-binary":
+        return (rng.random(shape) < 0.0127).astype(np.float64)
+    return 1.0 + 3.0 * rng.normal(size=shape)
+
+
+STD_SHAPES = [
+    (1,), (7,), (8,), (9,), (127,), (128,), (129,),
+    (LEAF_ELEMENTS - 1,), (LEAF_ELEMENTS + 1,), (3 * LEAF_ELEMENTS + 5,),
+    (60, 24), (2708, 1433),
+]
+
+
+class TestStreamedStd:
+    """``streamed_std`` must be ``float(np.std(x))`` bit for bit: it walks
+    numpy's own pairwise-summation tree, so a numpy release that changes
+    its pairwise sum fails here first."""
+
+    @pytest.mark.parametrize("kind", ["normal", "constant", "negative-heavy", "sparse-binary"])
+    @pytest.mark.parametrize("shape", STD_SHAPES)
+    def test_equals_np_std(self, shape, kind):
+        x = _std_inputs(shape, kind)
+        assert streamed_std(x) == float(np.std(x))
+
+    def test_streams_more_than_one_leaf(self, monkeypatch):
+        """A large input goes through the split, never one full-size leaf."""
+        leaves = []
+        squared = numeric._squared_deviations
+
+        def spy(flat, mean, start, count):
+            if count <= LEAF_ELEMENTS:
+                leaves.append(count)
+            return squared(flat, mean, start, count)
+
+        monkeypatch.setattr(numeric, "_squared_deviations", spy)
+        x = _std_inputs((2708, 1433), "normal")
+        assert streamed_std(x) == float(np.std(x))
+        assert len(leaves) > 1 and max(leaves) <= LEAF_ELEMENTS
+        assert sum(leaves) == x.size
+
+    def test_empty_falls_back(self):
+        with pytest.warns(RuntimeWarning):
+            assert np.isnan(streamed_std(np.empty((0, 3))))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: x[:, ::2],
+            lambda x: x.T,
+            lambda x: x.astype(np.float32),
+            lambda x: x.tolist(),
+        ],
+        ids=["strided", "transposed", "float32", "list"],
+    )
+    def test_other_inputs_take_np_std(self, monkeypatch, make):
+        def no_stream(*args):
+            raise AssertionError("the streamed path ran")
+
+        monkeypatch.setattr(numeric, "_squared_deviations", no_stream)
+        x = make(_std_inputs((300, 64), "normal"))
+        assert streamed_std(x) == float(np.std(x))
 
 
 class TestPublicAPI:
