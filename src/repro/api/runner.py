@@ -385,6 +385,9 @@ def _attack_leg(
             target_class=int(getattr(attack.config, "target_class", 0)),
             test_nodes=test,
         )
+    # The leg keeps the generator's weights for the evaluate stage, not the
+    # gradients of its last training step.
+    result.generator.zero_grad()
     return Leg(
         result.condensed,
         condensed_fingerprint(result.condensed),
@@ -500,6 +503,10 @@ def run_experiment(
             "attack_leg",
             lambda: _attack_leg(attack, graph, condenser, attack_rng, select),
         )
+        # The leg holds all that later stages read of the attack: dropping
+        # the attack and the condenser it consumed frees their working state
+        # (optimiser moments, synthetic parameters, the scaffold memo).
+        attack = condenser = select = None
         record.poisoned_nodes = attack_leg.poisoned_nodes
         record.attack_condensed_hash = attack_leg.fingerprint
         victim = run_stage(
@@ -509,15 +516,17 @@ def run_experiment(
             lambda: train_model_on_condensed(attack_leg.condensed, graph, evaluation, victim_rng),
         )
 
-    # The attack leg consumed `condenser` (condensers are stateful), so the
+    # The attack leg consumed its condenser (condensers are stateful), so the
     # clean baseline gets a fresh instance with identical configuration.
-    clean_condenser = _resolve_condenser(spec) if attack is not None else condenser
+    if condenser is None:
+        condenser = _resolve_condenser(spec)
     clean_leg = run_stage(
         "condense",
         "clean_leg",
         "clean_leg",
-        lambda: _clean_leg(clean_condenser, graph, clean_rng),
+        lambda: _clean_leg(condenser, graph, clean_rng),
     )
+    condenser = None
     record.condensed_nodes = clean_leg.condensed.num_nodes
     record.condensed_hash = clean_leg.fingerprint
     clean = run_stage(

@@ -240,7 +240,8 @@ class BGC:
         generator.calibrate(working.features)
         optimizer = Adam(generator.parameters(), lr=self.config.trigger.learning_rate)
         self._scaffold_cache = {}
-        return generator, optimizer, generator.encode_inputs(working.adjacency, working.features)
+        inputs = generator.encode_inputs(working.adjacency, working.features, working)
+        return generator, optimizer, inputs
 
     # -------------------------------------------------------------- #
     # Poisoned-node selection

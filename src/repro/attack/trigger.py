@@ -20,6 +20,8 @@ from repro.autograd import Linear, Module, Tensor
 from repro.autograd import functional as F
 from repro.autograd.tensor import no_grad
 from repro.exceptions import AttackError
+from repro.graph.blocked import blocked_threshold
+from repro.graph.cache import get_default_cache
 from repro.graph.propagation import sgc_precompute
 from repro.graph.view import ChunkedRows
 from repro.kernels import active_backend
@@ -50,6 +52,14 @@ class TriggerConfig:
     def __post_init__(self) -> None:
         if self.trigger_size < 1:
             raise AttackError(f"trigger_size must be >= 1, got {self.trigger_size}")
+        if self.hidden < 1:
+            raise AttackError(f"hidden must be >= 1, got {self.hidden}")
+        if self.num_hops < 0:
+            raise AttackError(f"num_hops must be >= 0, got {self.num_hops}")
+        if not 0.0 <= self.feature_scale < math.inf:
+            raise AttackError(
+                f"feature_scale must be non-negative and finite, got {self.feature_scale}"
+            )
         if self.encoder not in ("mlp", "gcn", "transformer"):
             raise AttackError(
                 f"encoder must be one of 'mlp', 'gcn', 'transformer', got {self.encoder!r}"
@@ -112,16 +122,29 @@ class TriggerGenerator(Module):
         """Set the trigger feature bound relative to the host graph's scale."""
         self._feature_bound = self.config.feature_scale * feature_magnitude(host_features)
 
-    def encode_inputs(self, graph_adjacency, features: np.ndarray) -> np.ndarray:
+    def encode_inputs(self, graph_adjacency, features: np.ndarray, graph=None) -> np.ndarray:
         """Prepare the raw encoder inputs for a set of nodes.
 
         The MLP and Transformer encoders consume raw node features; the GCN
         encoder consumes SGC-propagated features so that graph structure
-        informs the triggers, mirroring Eq. 10.
+        informs the triggers, mirroring Eq. 10.  Given the ``graph`` that
+        ``graph_adjacency`` and ``features`` belong to, the GCN encoder reads
+        its ``Â^K X`` from the propagation cache when that is a base graph
+        whose chain stays in memory: the cache computes it with the same
+        ``gcn_normalize`` and spmm chain, so the bytes are the same, and a
+        condenser that propagated the graph has already paid for it.  A
+        derived graph (cached in difference form) or one above the blocked
+        threshold is propagated here.
         """
-        if self.config.encoder == "gcn":
-            return sgc_precompute(graph_adjacency, features, self.config.num_hops)
-        return np.asarray(features, dtype=np.float64)
+        if self.config.encoder != "gcn":
+            return np.asarray(features, dtype=np.float64)
+        if (
+            graph is not None
+            and graph.derivation is None
+            and graph.num_nodes * graph.num_features <= blocked_threshold()
+        ):
+            return get_default_cache().propagated(graph, self.config.num_hops)
+        return sgc_precompute(graph_adjacency, features, self.config.num_hops)
 
     def _encode(self, inputs: Tensor) -> Tensor:
         if self.config.encoder == "transformer":
@@ -250,10 +273,8 @@ def generate_hard_triggers(
     return generator.generate(inputs[nodes])
 
 
-def streamed_triggers(
-    generator, graph_adjacency, features: np.ndarray, nodes: np.ndarray
-) -> Tuple[ChunkedRows, np.ndarray]:
-    """Hard triggers for ``nodes``, their feature rows left to be generated.
+def streamed_triggers(generator, graph, nodes: np.ndarray) -> Tuple[ChunkedRows, np.ndarray]:
+    """Hard triggers for ``nodes`` of ``graph``, their feature rows left to be generated.
 
     Returns what :func:`generate_hard_triggers` does, except that the
     ``(n, t, d)`` features are a :class:`~repro.graph.view.ChunkedRows`
@@ -265,7 +286,7 @@ def streamed_triggers(
     :meth:`~TriggerGenerator.generate`'s to float rounding.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    inputs = generator.encode_inputs(graph_adjacency, features)
+    inputs = generator.encode_inputs(graph.adjacency, graph.features, graph)
     t, width = generator.config.trigger_size, generator.num_features
     step = ChunkedRows.items_per_chunk(t, width) if generator.row_wise else max(nodes.size, 1)
     encoded = np.concatenate(
@@ -316,9 +337,9 @@ class UniversalTriggerGenerator(Module):
         """Set the trigger feature bound relative to the host graph's scale."""
         self._feature_bound = self.config.feature_scale * feature_magnitude(host_features)
 
-    def encode_inputs(self, graph_adjacency, features: np.ndarray) -> np.ndarray:
+    def encode_inputs(self, graph_adjacency, features: np.ndarray, graph=None) -> np.ndarray:
         """Node inputs are irrelevant for a universal trigger; pass features through."""
-        del graph_adjacency
+        del graph_adjacency, graph
         return np.asarray(features, dtype=np.float64)
 
     def triggers_for_nodes(self, node_inputs: np.ndarray) -> Tuple[Tensor, Tensor]:
@@ -369,8 +390,9 @@ def _local_node_set(csr, node: int, max_neighbors: int) -> np.ndarray:
 
 
 def _local_scaffolds(graph, nodes: list, max_neighbors: int) -> list:
-    """Each node's scaffold: its local node set, the adjacency block that set
-    induces, and the set's feature rows.
+    """Each node's scaffold: its local node set and the adjacency block that
+    set induces (its feature rows are read from the graph when a batch uses
+    it, so a scaffold holds no copy of them).
 
     One pass for all of ``nodes``: one ``csr[rows]`` gather over the
     concatenated sets, then each stored entry keeps its column wherever that
@@ -407,10 +429,9 @@ def _local_scaffolds(graph, nodes: list, max_neighbors: int) -> list:
     blocks = np.bincount(
         flat, weights=gathered.data[kept], minlength=count * width * width
     ).reshape(count, width, width)
-    features = np.asarray(graph.features[rows], dtype=np.float64)
     return [
-        (local, blocks[i, :size, :size], features[start : start + size])
-        for i, (local, size, start) in enumerate(zip(sets, sizes.tolist(), offsets.tolist()))
+        (local, blocks[i, :size, :size])
+        for i, (local, size) in enumerate(zip(sets, sizes.tolist()))
     ]
 
 
@@ -440,14 +461,15 @@ def batched_local_trigger_loss(
     graphs with one.
 
     ``scaffold_cache`` memoises each node's constant scaffold — its local
-    node set, the induced host adjacency block and the host feature rows —
-    across calls.  The scaffold depends only on the graph and
-    ``max_neighbors``, both fixed across the generator steps and attack
-    epochs of one attack run; the nodes a call finds uncached are built in
-    one pass (:func:`_local_scaffolds`).  The projection through
-    ``surrogate_weight`` is *not* cached (the surrogate changes every
-    epoch).  Pass a dict owned by the attack run; ``None`` computes
-    everything fresh.
+    node set and the induced host adjacency block — across calls.  The
+    scaffold depends only on the graph and ``max_neighbors``, both fixed
+    across the generator steps and attack epochs of one attack run; the
+    nodes a call finds uncached are built in one pass
+    (:func:`_local_scaffolds`).  The host feature rows are gathered from
+    ``graph.features`` into the padded batch block on every call, and the
+    projection through ``surrogate_weight`` is *not* cached (the surrogate
+    changes every epoch).  Pass a dict owned by the attack run; ``None``
+    computes everything fresh.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.ndim != 1 or nodes.size == 0:
@@ -470,13 +492,14 @@ def batched_local_trigger_loss(
     # Per-node scaffolds placed into zero-padded batch blocks: filler
     # rows/columns are exactly zero by construction, so no validity masking
     # is needed, and each node's block is identical on every call.
-    num_features = int(np.asarray(scaffolds[0][2]).shape[1])
+    features = graph.features
+    num_features = features.shape[1]
     host_blocks = np.zeros((batch, n_host, n_host), dtype=np.float64)
     host_features = np.zeros((batch, n_host, num_features), dtype=np.float64)
-    for i, (local, block, feats) in enumerate(scaffolds):
+    for i, (local, block) in enumerate(scaffolds):
         size = local.size
         host_blocks[i, :size, :size] = block
-        host_features[i, :size] = feats
+        host_features[i, :size] = features[local]
 
     # Constant scaffold: host adjacency + host<->trigger connector edges; the
     # differentiable trigger structures are embedded as the trailing blocks.

@@ -162,9 +162,7 @@ def triggered_test_graph(
         if test_index is not None
         else original.split.test
     )
-    rows, structures = streamed_triggers(
-        generator, original.adjacency, original.features, test_index
-    )
+    rows, structures = streamed_triggers(generator, original, test_index)
     return poison_graph_view(
         original,
         test_index,

@@ -9,7 +9,10 @@ of trigger-attached rows.  :class:`PropagationCache` removes that cost:
 * ``gcn_normalize`` results are memoised per graph key (and, for raw scipy
   matrices handed to the model layer, per object with weakref-based eviction
   so a recycled ``id()`` can never serve stale data);
-* SGC hop chains ``[X, ÂX, ..., Â^K X]`` are memoised per ``(key, num_hops)``;
+* an SGC hop chain ``[X, ÂX, ..., Â^K X]`` keeps, per graph key, hop 0 (the
+  graph's own feature matrix) and each hop a caller asked for; the hops
+  between are read at the rows an incremental update touches (a blocked
+  chain keeps every hop: its hops live on disk);
 * a derived graph — a :class:`~repro.graph.view.GraphView`, or any graph
   carrying a :class:`~repro.graph.data.GraphDelta` derivation — is
   propagated **incrementally**, in *difference form*:
@@ -50,7 +53,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,9 +82,10 @@ class _Entry:
         #: Whether ``normalized`` is entry-wise non-negative (checked once);
         #: lets incremental propagation skip its O(nnz) ``abs`` copy.
         self.nonnegative: bool = False
-        #: hop index -> ``Â^k X``; a *full* chain ``0..K`` for directly
-        #: propagated graphs, only the final hop (the base's own product) for
-        #: a label-only variant.
+        #: hop index -> ``Â^k X``: hop 0 and every requested hop for a
+        #: directly propagated graph (every hop ``0..K`` if the chain is
+        #: blocked), only the final hop (the base's own product) for a
+        #: label-only variant.
         self.hops: Dict[int, np.ndarray] = {}
         #: hop index -> difference-form products (PropagatedView) served by
         #: :meth:`PropagationCache.propagated_view` for derived graphs.
@@ -94,8 +98,10 @@ class PropagationCache:
     Parameters
     ----------
     max_graphs:
-        Maximum number of graph keys kept per shard.  Each key may hold up to
-        ``K`` dense ``(N, F)`` products, so the default is small —
+        Maximum number of graph keys kept per shard.  A base key holds one
+        dense ``(N, F)`` product per requested hop count besides the feature
+        matrix it shares with its graph, and a derived key its dirty rows (or,
+        once materialised, one ``(N', F)`` product), so the default is small —
         deliberately so: the attack loop produces a *stream* of one-shot
         derived keys, and the sooner they are evicted, the sooner their
         products are freed.
@@ -267,12 +273,12 @@ class PropagationCache:
 
             delta = graph.derivation
             if delta is None:
-                return self._chain(graph, num_hops)[num_hops]
+                return self._chain(graph, num_hops)[0][num_hops]
             # Resolve the base chain BEFORE creating this graph's entry: with
             # a minimal LRU the derived insertion would otherwise evict the
             # very base it is about to be patched against, silently reverting
             # every epoch to a full recompute.
-            base_hops = self._chain(delta.base, num_hops)
+            base_hops, base_normalized = self._chain(delta.base, num_hops)
             shard = self._shard(self._shard_key(graph))
             entry = self._entry(shard, self._key(graph))
             if delta.changed_nodes.size == 0 and graph.num_nodes == delta.base.num_nodes:
@@ -287,6 +293,7 @@ class PropagationCache:
                 delta.changed_nodes,
                 num_hops,
                 nonnegative=entry.nonnegative,
+                base_normalized=base_normalized,
             )
             view = PropagatedView(
                 base_hops[num_hops], dirty_rows, dirty_values, graph.num_nodes
@@ -301,15 +308,15 @@ class PropagationCache:
     def export_base_chains(self, graph) -> Dict[str, object]:
         """Picklable snapshot of ``graph``'s cached base artefacts.
 
-        Returns the normalized operator, its degree vector and every
-        materialised hop product currently resident for ``graph`` — exactly
-        the state a fresh cache needs to serve incremental updates against
-        this base without re-paying base propagation.  The payload contains
-        only plain numpy/scipy containers, so it pickles cleanly across a
-        process boundary (the worker pool ships it only under the ``spawn``
-        start method, with each worker's first cell on this dataset shard).
-        Returns an empty mapping when nothing is resident.  Exporting counts
-        neither as a hit nor as a miss.
+        Returns the normalized operator, its degree vector and every hop
+        product currently resident for ``graph`` (hop 0 and the requested
+        hops) — exactly the state a fresh cache needs to serve incremental
+        updates against this base without re-paying base propagation.  The
+        payload contains only plain numpy/scipy containers, so it pickles
+        cleanly across a process boundary (the worker pool ships it only
+        under the ``spawn`` start method, with each worker's first cell on
+        this dataset shard).  Returns an empty mapping when nothing is
+        resident.  Exporting counts neither as a hit nor as a miss.
         """
         with self._lock:
             shard = self._shards.get(self._shard_key(graph))
@@ -442,30 +449,39 @@ class PropagationCache:
             shard.popitem(last=False)
         return entry
 
-    def _chain(self, graph, num_hops: int) -> List[np.ndarray]:
-        """Full hop chain ``[X, ..., Â^K X]`` for ``graph``, cached per hop.
+    def _chain(
+        self, graph, num_hops: int
+    ) -> Tuple[List[Optional[np.ndarray]], Optional[sp.csr_matrix]]:
+        """``graph``'s hop chain ``[X, ..., Â^K X]`` and the operator behind it.
 
         Used both for directly propagated graphs and for the *base* of an
-        incremental update (which needs every intermediate product).  A
-        derived graph for which only final hops were cached falls back to a
-        full recompute here — correctness never depends on what happens to be
-        resident.
+        incremental update.  An entry without hop 0 or hop ``K`` computes
+        the chain and keeps those two hops (every hop of a blocked chain);
+        the list has ``None`` at each hop the entry does not keep, which
+        :func:`~repro.graph.propagation.incremental_sgc_delta` reads at the
+        rows it touches, from the returned operator.  A derived graph for
+        which only final hops were cached falls back to a full recompute
+        here — correctness never depends on what happens to be resident.
         """
         shard = self._shard(self._shard_key(graph))
         entry = self._entry(shard, self._key(graph))
-        if all(k in entry.hops for k in range(num_hops + 1)):
-            return [entry.hops[k] for k in range(num_hops + 1)]
-        features = graph.features
-        if num_hops >= 1 and graph.num_nodes * graph.num_features > blocked_threshold():
-            # Above the size threshold every propagated hop lives in a
-            # memory-mapped BlockedArray (bit-identical values, bounded RSS);
-            # hop 0 stays the shared dense feature matrix either way.
-            chain = blocked_precompute_hops(self.normalized(graph), features, num_hops)
-        else:
-            chain = sgc_precompute_hops(self.normalized(graph), features, num_hops)
-        for k, product in enumerate(chain):
-            entry.hops[k] = product
-        return chain
+        hops = entry.hops
+        chain = [hops.get(k) for k in range(num_hops + 1)]
+        if chain[0] is None or chain[-1] is None or (
+            entry.normalized is None and any(hop is None for hop in chain)
+        ):
+            features = graph.features
+            if num_hops >= 1 and graph.num_nodes * graph.num_features > blocked_threshold():
+                # Above the size threshold every propagated hop lives in a
+                # memory-mapped BlockedArray (bit-identical values, bounded
+                # RSS); hop 0 stays the shared dense feature matrix either way.
+                computed = blocked_precompute_hops(self.normalized(graph), features, num_hops)
+                hops.update(enumerate(computed))
+            else:
+                computed = sgc_precompute_hops(self.normalized(graph), features, num_hops)
+                hops[0], hops[num_hops] = computed[0], computed[num_hops]
+            chain = [hops.get(k) for k in range(num_hops + 1)]
+        return chain, entry.normalized
 
 
 _default_cache = PropagationCache()

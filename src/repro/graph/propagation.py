@@ -30,6 +30,14 @@ not the graph — and returns the final hop's dirty rows and their values.  It
 never allocates an ``(N', F)`` buffer: the cache wraps the result in a
 :class:`~repro.graph.view.PropagatedView`, which reads clean rows from the
 cached base product and materialises the full matrix only when asked.
+
+The recursion reads an intermediate base hop ``H_k`` (``0 < k < K``) only at
+``D_k`` and at the base columns ``Â'[D_{k+1}, :N]`` references, so the cache
+need not keep it: such a hop is recomputed at just those rows, as
+``Â[R, :]·H_{k-1}`` with ``Â``'s columns compressed to the rows of
+``H_{k-1}`` it references.  A CSR row sums its products in stored order,
+which row slicing and column renumbering keep, so every row read this way is
+byte-equal to the row of the full product.
 """
 
 from __future__ import annotations
@@ -63,9 +71,9 @@ def sgc_precompute_hops(
 ) -> List[np.ndarray]:
     """All intermediate SGC products ``[X, ÂX, ..., Â^K X]`` for a normalised operator.
 
-    The full chain is what :class:`~repro.graph.cache.PropagationCache` stores
-    per graph version: incremental updates of a derived graph need the base's
-    product at *every* hop, not just the final one.
+    :class:`~repro.graph.cache.PropagationCache` computes a graph's chain
+    with it and keeps hop 0 and the requested hop; incremental updates read
+    the hops between at the rows they touch (:func:`incremental_sgc_delta`).
     """
     if num_hops < 0:
         raise GraphValidationError(f"num_hops must be non-negative, got {num_hops}")
@@ -108,7 +116,9 @@ def _matmul_hop_product(matrix: sp.spmatrix, product) -> np.ndarray:
     whole (identically-sliced) matrix against the one block and is therefore
     bit-identical to the dense product; multi-block accumulation changes only
     the summation order (differences bounded well below the 1e-10 equivalence
-    tolerance).
+    tolerance).  Terms accumulate in place into the first block's term, so
+    the sum holds one output-size array however many blocks there are (and
+    one term at a time beside it).
     """
     from repro.graph.blocked import BlockedArray
 
@@ -119,19 +129,97 @@ def _matmul_hop_product(matrix: sp.spmatrix, product) -> np.ndarray:
     out: Optional[np.ndarray] = None
     for start, stop, block in product.blocks():
         term = backend.spmm(matrix[:, start:stop], np.asarray(block))
-        out = term if out is None else out + term
+        if out is None:
+            out = term
+        else:
+            out += term
+        del term  # the next block's term is the only other array alive
     if out is None:  # zero-row product
         out = np.zeros((matrix.shape[0], product.shape[1]), dtype=np.float64)
     return out
 
 
+def _base_columns(
+    operator: sp.csr_matrix, n_base: int, rows: Optional[np.ndarray] = None
+) -> sp.csr_matrix:
+    """``operator[:, :n_base]``, its columns renumbered to their positions in
+    the sorted ``rows`` when given (``rows`` holds every base column the
+    operator stores).
+
+    Every kept entry keeps its place in its row, so a product with the
+    matching rows of a hop sums each row in the order the uncompressed
+    product does, as :func:`~repro.graph.blocked.blocked_spmm`'s compression
+    does.
+    """
+    indices = operator.indices
+    keep = indices < n_base
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    indices = indices[keep]
+    if rows is not None:
+        indices = np.searchsorted(rows, indices)
+    return sp.csr_matrix(
+        (operator.data[keep], indices, kept[operator.indptr]),
+        shape=(operator.shape[0], n_base if rows is None else rows.size),
+    )
+
+
+def _read_unstored_hops(
+    base_normalized: Optional[sp.spmatrix],
+    base_hops: Sequence[Optional[np.ndarray]],
+    dirty_rows: List[np.ndarray],
+    slices: List[Optional[sp.csr_matrix]],
+    n_base: int,
+) -> dict:
+    """The rows the recursion reads of each base hop missing from ``base_hops``.
+
+    Returns ``{hop: (rows, values)}``.  Hop ``k`` is read at its own dirty
+    base rows (the difference form subtracts them), at the base columns the
+    next hop's operator rows reference and, when hop ``k + 1`` is read too,
+    at the columns of the base rows that read it.  Each read is one product
+    of the base operator's rows with the hop below (compressed to the rows
+    read of it, when that hop is read too).
+    """
+    num_hops = len(slices) - 1
+    missing = [hop for hop in range(1, num_hops) if base_hops[hop] is None]
+    if not missing:
+        return {}
+    if base_normalized is None:
+        raise GraphValidationError(
+            f"base hops {missing} are not stored; pass base_normalized to read them"
+        )
+    base_normalized = base_normalized.tocsr()
+    operators: dict = {}
+    for hop in reversed(missing):
+        wanted = np.zeros(slices[hop].shape[1], dtype=bool)
+        wanted[dirty_rows[hop]] = True
+        wanted[slices[hop + 1].indices] = True
+        if hop + 1 in operators:
+            wanted[operators[hop + 1][1].indices] = True
+        rows = np.flatnonzero(wanted[:n_base])
+        operators[hop] = (rows, base_normalized[rows])
+    reads: dict = {}
+    for hop in missing:
+        rows, operator = operators[hop]
+        below = reads.get(hop - 1)
+        if below is None:
+            values = _matmul_hop_product(operator, base_hops[hop - 1])
+        else:
+            values = active_backend().spmm(
+                _base_columns(operator, n_base, below[0]), below[1]
+            )
+        reads[hop] = (rows, values)
+    return reads
+
+
 def incremental_sgc_delta(
     normalized: sp.spmatrix,
     features,
-    base_hops: Sequence[np.ndarray],
+    base_hops: Sequence[Optional[np.ndarray]],
     changed_nodes: np.ndarray,
     num_hops: int,
     nonnegative: bool = False,
+    base_normalized: Optional[sp.spmatrix] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Incremental ``Â'^K X'`` of a graph derived from a cached base, in
     difference form: dirty rows only.
@@ -158,6 +246,9 @@ def incremental_sgc_delta(
     base_hops:
         The base graph's hop chain ``[X, ÂX, ..., Â^K X]`` (at least
         ``num_hops + 1`` entries), as produced by :func:`sgc_precompute_hops`.
+        Hop 0 must be present; any hop between 0 and ``num_hops`` may be
+        ``None``, and is then read at the rows the recursion touches from
+        ``base_normalized`` (hop ``num_hops`` itself is never read here).
     changed_nodes:
         Pre-existing rows violating prefix equality with the base — the
         :class:`~repro.graph.data.GraphDelta` contract set.
@@ -168,6 +259,9 @@ def incremental_sgc_delta(
         GCN-normalised adjacency of a non-negative graph): frontier expansion
         then runs on ``normalized`` directly instead of taking a full O(nnz)
         ``abs`` copy per call.
+    base_normalized:
+        The base graph's normalised operator ``Â`` that produced
+        ``base_hops``; needed only when an intermediate hop is ``None``.
 
     Returns
     -------
@@ -216,21 +310,32 @@ def incremental_sgc_delta(
     # Rows where the derived operator can differ from the embedded base one.
     operator_dirty = reachable_rows(magnitude, seed, nonnegative=True)
 
+    # Every hop's dirty rows D_k and operator rows Â'[D_k] first: an unstored
+    # base hop is read only at the rows the hop after it references.
+    dirty_rows = [rows]
+    dirty = seed
+    for _ in range(num_hops):
+        dirty = operator_dirty | reachable_rows(magnitude, dirty, nonnegative=True)
+        dirty_rows.append(np.flatnonzero(dirty))
+    slices = [None] + [normalized[hop_rows] for hop_rows in dirty_rows[1:]]
+    reads = _read_unstored_hops(base_normalized, base_hops, dirty_rows, slices, n_base)
+
     # Difference form: delta[i] = H'_k[i] - embed(H_k)[i], kept only on the
     # dirty rows (appended rows have no base counterpart, so their delta is
     # their full value).
-    dirty = seed
     delta = values
     base_part = rows < n_base
     delta[base_part] -= base_hops[0][rows[base_part]]
 
     for hop in range(1, num_hops + 1):
         previous_rows, previous_delta = rows, delta
-        dirty = operator_dirty | reachable_rows(magnitude, dirty, nonnegative=True)
-        rows = np.flatnonzero(dirty)
-        sliced = normalized[rows]
+        rows, sliced = dirty_rows[hop], slices[hop]
         # Â'[D_k, :N] · H_{k-1}  +  Â'[D_k, D_{k-1}] · E_{k-1}
-        values = _matmul_hop_product(sliced[:, :n_base], base_hops[hop - 1])
+        below = reads.get(hop - 1)
+        if below is None:
+            values = _matmul_hop_product(_base_columns(sliced, n_base), base_hops[hop - 1])
+        else:
+            values = active_backend().spmm(_base_columns(sliced, n_base, below[0]), below[1])
         if previous_rows.size:
             values += active_backend().spmm(sliced[:, previous_rows], previous_delta)
         if hop < num_hops:
@@ -238,6 +343,10 @@ def incremental_sgc_delta(
             # materialised rows are — so skip the dirty-block copy there.
             delta = values.copy()
             base_part = rows < n_base
-            delta[base_part] -= base_hops[hop][rows[base_part]]
+            read = reads.get(hop)
+            if read is None:
+                delta[base_part] -= base_hops[hop][rows[base_part]]
+            else:
+                delta[base_part] -= read[1][np.searchsorted(read[0], rows[base_part])]
 
     return rows, values

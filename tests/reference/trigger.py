@@ -62,15 +62,11 @@ def tape_generate(generator, node_inputs: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 def scaffold_for_node(
     graph, node: int, max_neighbors: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``node``'s local node set, the adjacency block it induces (two scipy
-    fancy-index calls) and its feature rows."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``node``'s local node set and the adjacency block it induces (two
+    scipy fancy-index calls)."""
     local = _local_node_set(graph.adjacency, node, max_neighbors)
-    return (
-        local,
-        graph.adjacency[local][:, local].toarray(),
-        np.asarray(graph.features[local], dtype=np.float64),
-    )
+    return local, graph.adjacency[local][:, local].toarray()
 
 
 def trigger_for_node(generator, node_input: np.ndarray) -> Tuple[Tensor, Tensor]:
@@ -115,7 +111,8 @@ def local_trigger_loss(
     trigger_features, trigger_structure = trigger_for_node(generator, encoder_inputs[node])
     trigger_size = trigger_features.shape[0]
 
-    local, base, host_features = scaffold_for_node(graph, node, max_neighbors)
+    local, base = scaffold_for_node(graph, node, max_neighbors)
+    host_features = np.asarray(graph.features[local], dtype=np.float64)
     n_local = local.size
     connector_cols = np.zeros((n_local, trigger_size))
     connector_cols[0, 0] = 1.0

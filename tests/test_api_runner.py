@@ -236,6 +236,70 @@ class TestRunExperiment:
         with pytest.raises(AttackError, match="learning_rate"):
             run_experiment(spec)
 
+    def test_legs_working_state_released_before_evaluate(self, monkeypatch):
+        """By ``evaluate`` both condensers' states, the attack and its
+        scaffold memo are gone, and the generator carries no gradients."""
+        import weakref
+
+        import repro.api.runner as runner_module
+        from repro.attack.bgc import BGC
+
+        refs, alive_at_evaluate = {}, []
+        run, clean_leg, evaluate = BGC.run, runner_module._clean_leg, runner_module._evaluate
+
+        def spying_run(self, graph, condenser, rng, select=None):
+            result = run(self, graph, condenser, rng, select=select)
+            refs["attack condenser state"] = weakref.ref(condenser._state)
+            refs["attack"] = weakref.ref(self)
+            refs["scaffold block"] = weakref.ref(next(iter(self._scaffold_cache.values()))[1])
+            return result
+
+        def spying_clean_leg(condenser, graph, rng):
+            leg = clean_leg(condenser, graph, rng)
+            refs["clean condenser state"] = weakref.ref(condenser._state)
+            return leg
+
+        def checking_evaluate(record, graph, attack_leg, *models):
+            alive_at_evaluate.append(sorted(n for n, ref in refs.items() if ref() is not None))
+            assert all(p.grad is None for p in attack_leg.generator.parameters())
+            return evaluate(record, graph, attack_leg, *models)
+
+        monkeypatch.setattr(BGC, "run", spying_run)
+        monkeypatch.setattr(runner_module, "_clean_leg", spying_clean_leg)
+        monkeypatch.setattr(runner_module, "_evaluate", checking_evaluate)
+        record = run_experiment(tiny_attack_spec(defense="prune"))
+        assert record.ok and len(refs) == 4
+        assert alive_at_evaluate == [[]]
+
+    @pytest.mark.parametrize("attack", ["bgc", "gta", "doorping"])
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"feature_scale": float("nan")},
+            {"feature_scale": float("inf")},
+            {"feature_scale": -1.0},
+            {"num_hops": -1},
+            {"hidden": 0},
+            {"hidden": -4},
+        ],
+        ids=lambda override: "{}={}".format(*next(iter(override.items()))),
+    )
+    def test_bad_trigger_override_rejected_before_loading(self, attack, override, monkeypatch):
+        """A NaN or negative feature scale and a negative hop count used to
+        finish ok (a NaN bound scored a clean ASR of 1.0); a zero hidden
+        width raised a bare ZeroDivisionError inside the attack."""
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_dataset ran before the trigger config was checked")
+
+        monkeypatch.setattr("repro.api.runner.load_dataset", no_load)
+        spec = tiny_attack_spec(
+            attack={"name": attack, "overrides": {"poison_ratio": 0.2}},
+            trigger={"overrides": {"trigger_size": 2, **override}},
+        )
+        with pytest.raises(AttackError, match=next(iter(override))):
+            run_experiment(spec)
+
     @pytest.mark.parametrize("attack", ["bgc", "gta", "doorping"])
     @pytest.mark.parametrize(
         "override",

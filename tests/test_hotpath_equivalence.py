@@ -40,13 +40,21 @@ at ``atol=1e-10``:
   weighted, asymmetric, isolated and self-looped adjacency, sampled
   neighbourhoods, repeated nodes and half-cached batches;
 * the tape-free ``fit_linear_surrogate`` vs the tape loop
-  (``tests/reference/surrogate.py``) — identical weight bytes and rng state.
+  (``tests/reference/surrogate.py``) — identical weight bytes and rng state;
+* ``incremental_sgc_delta`` over a chain that keeps only hop 0 and hop K
+  (the cache's) vs the same call over the full stored chain — identical
+  dirty rows and value bytes, over K = 1–3, changed/appended/both/no rows,
+  weighted, asymmetric, isolated and unsorted-index operators; the
+  blocked engine's in-place term sum vs the allocating one — identical
+  bytes, one output-size array (tracemalloc); and the gcn trigger encoder
+  served from the cache vs ``sgc_precompute`` — identical bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -79,7 +87,7 @@ from repro.graph.blocked import (
     blocked_spmm,
     set_blocked_threshold,
 )
-from repro.graph.cache import PropagationCache
+from repro.graph.cache import PropagationCache, set_default_cache
 from repro.graph.data import GraphData
 from repro.graph.generators import stochastic_block_model
 from repro.graph.normalize import (
@@ -87,7 +95,13 @@ from repro.graph.normalize import (
     incremental_gcn_normalize,
     self_loop_degrees,
 )
-from repro.graph.propagation import sgc_precompute, sgc_precompute_hops
+from repro.graph.propagation import (
+    _base_columns,
+    _matmul_hop_product,
+    incremental_sgc_delta,
+    sgc_precompute,
+    sgc_precompute_hops,
+)
 from repro.evaluation.pipeline import project_triggers, triggered_test_graph
 from repro.graph import view as view_module
 from repro.graph.view import ChunkedRows, PropagatedView, StackedFeatures, poison_graph_view
@@ -1428,9 +1442,10 @@ class TestNoFullSizeTemporaries:
         growth = _traced_growth(lambda: condenser.initialize(graph, new_rng(3)))
         assert growth < graph.features.nbytes / 10, growth
 
-    def test_evaluate_stage(self):
-        graph = load_dataset("cora")
-        generator = _trigger_generator("mlp", graph)
+    @staticmethod
+    def _evaluate_growth(graph, encoder: str) -> int:
+        """Traced growth of a warm three-GCN ``evaluate`` stage on ``graph``."""
+        generator = _trigger_generator(encoder, graph)
         victim, clean, defended = (
             make_model("gcn", graph.num_features, graph.num_classes, new_rng(seed))
             for seed in (4, 5, 6)
@@ -1438,13 +1453,24 @@ class TestNoFullSizeTemporaries:
         leg = runner.Leg(
             None, "", generator=generator, target_class=0, test_nodes=graph.split.test
         )
-        trigger_block = 4 * graph.split.test.size * graph.num_features * 8
         record = runner.RunRecord(spec=ExperimentSpec.from_dict({"dataset": "cora"}))
         runner._evaluate(record, graph, leg, victim, clean, defended)  # warm the caches
-        growth = _traced_growth(
+        return _traced_growth(
             lambda: runner._evaluate(record, graph, leg, victim, clean, defended)
         )
+
+    def test_evaluate_stage(self):
+        graph = load_dataset("cora")
+        trigger_block = 4 * graph.split.test.size * graph.num_features * 8
+        growth = self._evaluate_growth(graph, "mlp")
         assert growth < trigger_block / 2, (growth, trigger_block)
+
+    def test_evaluate_stage_gcn_encoder(self):
+        """The gcn encoder's ``Â²X`` is the cache's, not a fresh
+        normalisation and two ``(N, F)`` hops per call."""
+        graph = load_dataset("cora")
+        growth = self._evaluate_growth(graph, "gcn")
+        assert growth < graph.features.nbytes * 0.75, (growth, graph.features.nbytes)
 
 
 # --------------------------------------------------------------------- #
@@ -1481,14 +1507,10 @@ SCAFFOLD_GRAPHS = ["plain", "weighted", "asymmetric", "isolated", "self-loop"]
 
 
 def _assert_scaffolds_equal(got, expected) -> None:
-    for (local, block, features), (ref_local, ref_block, ref_features) in zip(
-        got, expected, strict=True
-    ):
+    for (local, block), (ref_local, ref_block) in zip(got, expected, strict=True):
         np.testing.assert_array_equal(local, ref_local)
         assert block.shape == ref_block.shape and block.dtype == ref_block.dtype
         assert block.tobytes() == ref_block.tobytes()
-        assert features.shape == ref_features.shape
-        assert features.tobytes() == ref_features.tobytes()
 
 
 class TestOnePassScaffolds:
@@ -1542,6 +1564,24 @@ class TestOnePassScaffolds:
         uncached = batched_local_trigger_loss(nodes, graph, inputs, generator, weight, **kwargs)
         assert loss.data.tobytes() == expected.data.tobytes() == uncached.data.tobytes()
 
+    def test_scaffold_holds_no_feature_rows(self, small_graph):
+        """A cached scaffold is the local index set and its adjacency block;
+        the host feature rows are read from the graph on every call."""
+        generator = TriggerGenerator(
+            small_graph.num_features, new_rng(32), TriggerConfig(trigger_size=2, hidden=16)
+        )
+        generator.calibrate(small_graph.features)
+        inputs = generator.encode_inputs(small_graph.adjacency, small_graph.features)
+        weight = Tensor(new_rng(33).normal(size=(small_graph.num_features, 3)))
+        nodes = np.array([0, 3, 17, 40, 88])
+        cache: dict = {}
+        batched_local_trigger_loss(
+            nodes, small_graph, inputs, generator, weight, target_class=1, scaffold_cache=cache
+        )
+        for node, (local, block) in cache.items():
+            assert local[0] == node and local.dtype == np.int64
+            assert block.shape == (local.size, local.size)
+
 
 # --------------------------------------------------------------------- #
 # Tape-free surrogate fit vs the tape loop
@@ -1577,3 +1617,241 @@ class TestTapeFreeSurrogate:
             propagated, condensed.labels, small_graph.num_classes, 20, 0.05, new_rng(43)
         )
         assert fast.tobytes() == tape.tobytes()
+
+
+# --------------------------------------------------------------------- #
+# Unstored intermediate hops read by rows vs the full stored chain
+# --------------------------------------------------------------------- #
+UNSTORED_KINDS = ["plain", "weighted", "asymmetric", "isolated", "unsorted"]
+DELTA_KINDS = ["changed", "appended", "both", "none"]
+
+
+def _shuffled_rows(matrix: sp.csr_matrix, rng) -> sp.csr_matrix:
+    """``matrix`` with each row's stored entries in a random order."""
+    matrix = matrix.tocsr()
+    row_of = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    order = np.lexsort((rng.random(matrix.nnz), row_of))
+    shuffled = sp.csr_matrix(
+        (matrix.data[order], matrix.indices[order], matrix.indptr.copy()), shape=matrix.shape
+    )
+    assert not shuffled.has_sorted_indices
+    return shuffled
+
+
+def _unstored_case(small_graph, kind: str, delta: str, seed: int = 0):
+    """``(base, derived, changed)``: a base graph with dense features, a
+    derived graph honouring the GraphDelta contract, and its changed rows."""
+    rng = new_rng(90 + seed)
+    n = small_graph.num_nodes
+    dense = small_graph.adjacency.toarray()
+    if kind in ("weighted", "asymmetric", "unsorted"):
+        weights = rng.uniform(0.1, 3.0, size=dense.shape)
+        if kind != "asymmetric":
+            weights = np.triu(weights, 1) + np.triu(weights, 1).T
+        dense = dense * weights
+        if kind == "asymmetric":
+            dense[[0, 1, 2, 3], [40, 41, 42, 43]] = 1.5
+    elif kind == "isolated":
+        dense[[0, 5, 50], :] = 0.0
+        dense[:, [0, 5, 50]] = 0.0
+    features = rng.normal(size=(n, small_graph.num_features))
+    base = small_graph.with_(adjacency=sp.csr_matrix(dense), features=features)
+
+    changed = {
+        "changed": np.array([0, 7, 33, 61]),
+        "appended": np.array([], dtype=np.int64),
+        "both": np.array([5, 18, 72]),
+        "none": np.array([], dtype=np.int64),
+    }[delta]
+    num_new = 3 if delta in ("appended", "both") else 0
+    total = n + num_new
+    derived_dense = np.zeros((total, total))
+    derived_dense[:n, :n] = dense
+    if delta == "changed":
+        for i, j in ((0, 7), (7, 33), (33, 61), (61, 0)):
+            derived_dense[i, j] = derived_dense[j, i] = rng.uniform(0.5, 2.0)
+    if num_new:
+        derived_dense[n, n + 1] = derived_dense[n + 1, n] = 1.0
+        derived_dense[n + 1, n + 2] = derived_dense[n + 2, n + 1] = 0.7
+    if delta == "both":
+        for host, new in zip(changed, range(n, total)):
+            derived_dense[host, new] = derived_dense[new, host] = 1.0
+    derived_features = np.vstack([features, rng.normal(size=(num_new, features.shape[1]))])
+    derived_features[changed] += rng.normal(scale=0.5, size=(changed.size, features.shape[1]))
+    derived = with_delta(
+        base,
+        changed,
+        adjacency=sp.csr_matrix(derived_dense),
+        features=derived_features,
+        labels=np.concatenate([base.labels, np.zeros(num_new, dtype=np.int64)]),
+    )
+    return base, derived, changed
+
+
+def _assert_same_delta(got, expected) -> None:
+    np.testing.assert_array_equal(got[0], expected[0])
+    assert got[1].shape == expected[1].shape
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+class TestUnstoredHopReads:
+    """A chain that keeps only hop 0 and hop K reads every hop between at the
+    rows the recursion touches; the result must be byte-equal to the same
+    call over the full stored chain."""
+
+    @pytest.mark.parametrize("num_hops", [1, 2, 3])
+    @pytest.mark.parametrize("delta", DELTA_KINDS)
+    @pytest.mark.parametrize("kind", UNSTORED_KINDS)
+    def test_partial_chain_bytes_equal_full_chain(self, small_graph, kind, delta, num_hops):
+        base, derived, changed = _unstored_case(small_graph, kind, delta)
+        base_normalized = gcn_normalize(base.adjacency)
+        derived_normalized = gcn_normalize(derived.adjacency)
+        if kind == "unsorted":
+            # Rows summed in any other order than the stored one round
+            # differently, so a reader that sorts a row's entries fails here.
+            base_normalized = _shuffled_rows(base_normalized, new_rng(5))
+            derived_normalized = _shuffled_rows(derived_normalized, new_rng(6))
+        full = sgc_precompute_hops(base_normalized, base.features, num_hops)
+        args = (derived_normalized, derived.features)
+        expected = incremental_sgc_delta(*args, full, changed, num_hops)
+        # Every set of unstored intermediate hops, the cache's (all of them)
+        # last: a read hop may sit above or below a stored one.
+        for kept in itertools.product([True, False], repeat=num_hops - 1):
+            partial = [full[0]]
+            partial += [hop if keep else None for hop, keep in zip(full[1:-1], kept)]
+            partial.append(full[num_hops])
+            got = incremental_sgc_delta(
+                *args, partial, changed, num_hops, base_normalized=base_normalized
+            )
+            _assert_same_delta(got, expected)
+
+        product = PropagatedView(full[num_hops], *got, derived.num_nodes).materialize()
+        reference = sgc_precompute_hops(derived_normalized, derived.features, num_hops)
+        np.testing.assert_allclose(product, reference[num_hops], rtol=0.0, atol=ATOL)
+
+    @pytest.mark.parametrize("num_hops", [2, 3])
+    @pytest.mark.parametrize("kind", ["plain", "weighted", "asymmetric", "isolated"])
+    def test_cache_chain_bytes_equal_full_chain(self, small_graph, kind, num_hops):
+        """The cache's own chain (hops 0 and K, its operator) serves the
+        same dirty rows as the full stored chain, through propagated_view."""
+        base, derived, changed = _unstored_case(small_graph, kind, "both", seed=num_hops)
+        cache = PropagationCache()
+        view = cache.propagated_view(derived, num_hops)
+        chain, operator = cache._chain(base, num_hops)
+        assert [hop is None for hop in chain] == [False] + [True] * (num_hops - 1) + [False]
+        full = sgc_precompute_hops(operator, base.features, num_hops)
+        assert full[num_hops].tobytes() == chain[num_hops].tobytes()
+        expected = incremental_sgc_delta(
+            cache.normalized(derived), derived.features, full, changed, num_hops,
+            nonnegative=True,
+        )
+        _assert_same_delta((view.dirty_rows, view.dirty_values), expected)
+
+    def test_missing_hop_without_operator_is_rejected(self, small_graph):
+        base, derived, changed = _unstored_case(small_graph, "plain", "changed")
+        full = sgc_precompute_hops(gcn_normalize(base.adjacency), base.features, 2)
+        with pytest.raises(GraphValidationError, match="base_normalized"):
+            incremental_sgc_delta(
+                gcn_normalize(derived.adjacency), derived.features,
+                [full[0], None, full[2]], changed, 2,
+            )
+
+    @pytest.mark.parametrize("kind", ["plain", "unsorted"])
+    def test_column_compression_keeps_stored_order(self, small_graph, kind):
+        """``_base_columns`` is ``[:, :n]`` entry for entry, and its renumbered
+        form times the referenced rows is the full product's rows, byte for byte."""
+        operator = gcn_normalize(_unstored_case(small_graph, "weighted", "both")[1].adjacency)
+        if kind == "unsorted":
+            operator = _shuffled_rows(operator, new_rng(8))
+        n_base = small_graph.num_nodes
+        rows = operator[np.array([0, 5, 18, 40, 91])]
+        sliced = rows[:, :n_base]
+        compressed = _base_columns(rows, n_base)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(compressed, name), getattr(sliced, name)
+            )
+        hop = new_rng(9).normal(size=(n_base, 6))
+        referenced = np.unique(sliced.indices)
+        renumbered = _base_columns(rows, n_base, referenced)
+        assert renumbered.shape == (5, referenced.size)
+        assert (renumbered @ hop[referenced]).tobytes() == (sliced @ hop).tobytes()
+
+
+class TestBlockedTermsAccumulateInPlace:
+    """``_matmul_hop_product`` over a blocked hop sums its terms into one
+    array: the bytes of ``out = out + term``, without an array per block."""
+
+    @staticmethod
+    def _allocating_sum(matrix, product):
+        matrix = matrix.tocsc()
+        out = None
+        for start, stop, block in product.blocks():
+            term = matrix[:, start:stop] @ np.asarray(block)
+            out = term if out is None else out + term
+        return out
+
+    @pytest.mark.parametrize("block_rows", [7, 13, 30])
+    def test_bytes_equal_to_allocating_sum(self, small_graph, block_rows):
+        normalized = gcn_normalize(small_graph.adjacency)
+        hop = blocked_spmm(normalized, small_graph.features, row_block=block_rows)
+        assert hop.num_blocks >= 3
+        matrix = normalized[np.arange(0, small_graph.num_nodes, 2)]
+        got = _matmul_hop_product(matrix, hop)
+        assert got.tobytes() == self._allocating_sum(matrix, hop).tobytes()
+
+    def test_holds_one_output_size_array(self):
+        rng = new_rng(12)
+        n, f, blocks = 400, 600, 8
+        matrix = sp.random(n, n, density=0.02, format="csr", random_state=3)
+        hop = blocked_spmm(matrix, rng.normal(size=(n, f)), row_block=n // blocks)
+        assert hop.num_blocks == blocks
+        output = n * f * 8
+        in_place = _traced_growth(lambda: _matmul_hop_product(matrix, hop))
+        allocating = _traced_growth(lambda: self._allocating_sum(matrix, hop))
+        # The result, one term beside it, and a block read from disk; the
+        # allocating sum holds a third output-size array at every step.
+        assert in_place < 2.5 * output, (in_place, output)
+        assert allocating > 2.5 * output, (allocating, output)
+
+
+class TestGcnEncoderFromCache:
+    """The gcn trigger encoder's ``Â^K X`` comes from the propagation cache
+    for a base graph, byte-equal to ``sgc_precompute``; a derived graph and a
+    blocked chain keep the encoder's own propagation."""
+
+    @pytest.mark.parametrize("num_hops", [1, 2, 3])
+    def test_bytes_equal_to_sgc_precompute(self, small_graph, num_hops):
+        generator = TriggerGenerator(
+            small_graph.num_features, new_rng(3),
+            TriggerConfig(trigger_size=2, hidden=8, encoder="gcn", num_hops=num_hops),
+        )
+        cache = PropagationCache()
+        previous = set_default_cache(cache)
+        try:
+            got = generator.encode_inputs(
+                small_graph.adjacency, small_graph.features, small_graph
+            )
+            assert got is cache.propagated(small_graph, num_hops)
+        finally:
+            set_default_cache(previous)
+        expected = sgc_precompute(small_graph.adjacency, small_graph.features, num_hops)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_derived_and_blocked_graphs_propagate_here(self, small_graph, force_blocked):
+        generator = TriggerGenerator(
+            small_graph.num_features, new_rng(3),
+            TriggerConfig(trigger_size=2, hidden=8, encoder="gcn"),
+        )
+        variant = small_graph.with_(labels=small_graph.labels.copy())
+        cache = PropagationCache()
+        previous = set_default_cache(cache)
+        try:
+            for graph in (small_graph, variant):
+                got = generator.encode_inputs(graph.adjacency, graph.features, graph)
+                assert isinstance(got, np.ndarray)
+                expected = sgc_precompute(graph.adjacency, graph.features, 2)
+                assert got.tobytes() == expected.tobytes()
+        finally:
+            set_default_cache(previous)
+        assert cache.stats()["misses"] == cache.stats()["hits"] == 0

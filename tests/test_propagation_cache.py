@@ -381,6 +381,37 @@ class TestShardedLRUStress:
         assert b.version not in cache._shards
 
 
+class TestResidentHops:
+    """An in-memory entry keeps the graph's own feature matrix and the hops
+    callers asked for; a blocked chain keeps every hop."""
+
+    def test_requested_hop_and_features_only(self, small_graph):
+        cache = PropagationCache()
+        cache.propagated(small_graph, 2)
+        entry = cache._lookup(small_graph)
+        assert set(entry.hops) == {0, 2}
+        assert entry.hops[0] is small_graph.features
+        assert set(cache.export_base_chains(small_graph)["hops"]) == {0, 2}
+        cache.propagated(small_graph, 1)
+        assert set(entry.hops) == {0, 1, 2}
+
+    def test_incremental_update_stores_no_intermediate_hop(self, small_graph, rng):
+        cache = PropagationCache()
+        derived = _random_delta(small_graph, rng)
+        cache.propagated_view(derived, 3)
+        assert set(cache._lookup(small_graph).hops) == {0, 3}
+
+    def test_blocked_chain_keeps_every_hop(self, small_graph):
+        from repro.graph.blocked import BLOCKED_THRESHOLD, BlockedArray
+
+        cache = PropagationCache()
+        with BLOCKED_THRESHOLD.overridden(0):
+            cache.propagated(small_graph, 2)
+        hops = cache._lookup(small_graph).hops
+        assert set(hops) == {0, 1, 2}
+        assert all(isinstance(hops[k], BlockedArray) for k in (1, 2))
+
+
 class TestWarmStartHandoff:
     """export_base_chains / warm_start: the parallel executor's cache handoff."""
 
@@ -394,16 +425,18 @@ class TestWarmStartHandoff:
         # Exporting is pure observation: no hit/miss accounting.
         assert (source.hits, source.misses) == counters_before
 
+        # The payload ships what the source keeps: X and the requested hop.
+        assert set(payload["hops"]) == {0, 2}
         target = PropagationCache()
         target.warm_start(small_graph, payload)
         assert (target.hits, target.misses) == (0, 0)
-        for hop in (0, 1, 2):
+        for hop in (0, 2):
             np.testing.assert_array_equal(
                 target.propagated(small_graph, hop), source.propagated(small_graph, hop)
             )
-        # Every post-warm-start read is a pure hit.
+        # Every post-warm-start read of a shipped hop is a pure hit.
         assert target.misses == 0
-        assert target.hits == 3
+        assert target.hits == 2
         normalized = target.normalized(small_graph)
         assert target.misses == 0
         assert (normalized != source.normalized(small_graph)).nnz == 0
