@@ -12,18 +12,21 @@ time), so the returned records are bit-identical to serial execution for any
 worker count and any completion order.
 
 **Shard-aware cache handoff** — before the pool starts, the parent loads
-each dataset named by the grid once and pays its base propagation
-(normalized operator + the hop chain of every ``num_hops`` any cell's
-condenser uses) on the process-wide
-:class:`~repro.graph.cache.PropagationCache`.  Under ``fork`` that is the
-whole handoff: workers inherit the warmed cache through copy-on-write pages
-and no payload is built.  Under the ``spawn`` fallback — whose workers start
-with an empty cache — the parent additionally ships the graph and a
-*pickled* :meth:`~repro.graph.cache.PropagationCache.export_base_chains`
-payload with each worker's first cell on that dataset shard, installed with
+each dataset named by the grid once and warms its normalized operator on
+the process-wide :class:`~repro.graph.cache.PropagationCache`, with a row
+source (:class:`~repro.graph.view.PropagatedRows`) for every ``num_hops``
+any cell's condenser uses.  Under ``fork`` that is the whole handoff:
+workers inherit the warmed cache through copy-on-write pages and no
+payload is built.  Under the ``spawn`` fallback — whose workers start with
+an empty cache — the parent additionally ships the graph and a *pickled*
+:meth:`~repro.graph.cache.PropagationCache.export_base_chains` payload
+(hop 0 and the operator) with each worker's first cell on that dataset
+shard, installed with
 :meth:`~repro.graph.cache.PropagationCache.warm_start`.  Either way no
-worker re-pays base propagation, and workers ship each cell's cache counter
-delta back; the merged totals land on ``SweepRecord.cache_stats``.
+worker re-pays the operator: a worker computes the propagated rows it
+reads, and a cell that reads a whole product materialises it once per
+worker (on cora two spmm of 2,708 × 1,433).  Workers ship each cell's cache
+counter delta back; the merged totals land on ``SweepRecord.cache_stats``.
 
 **Stage memo** — each worker keeps one
 :class:`~repro.api.stages.StageMemo` for the sweep, and the pool sends the
@@ -111,12 +114,16 @@ def prepare_handoff(
     specs: List[ExperimentSpec],
     start_method: str | None = None,
 ) -> Tuple[Dict[Tuple[str, int], GraphData], Dict[Tuple[str, int], bytes]]:
-    """Load each dataset shard once and pre-pay its base propagation.
+    """Load each dataset shard once and warm its operator and row sources.
 
     Returns ``(graphs, warm)``: the loaded graph per dataset key and, under
     ``spawn`` only, its pickled ``export_base_chains`` payload.  The parent
-    computes the chains with exactly the code a worker would run, so the
-    handoff changes *where* base propagation happens, never its floats.
+    normalizes each graph and creates the row source of every hop count a
+    cell's condenser propagates with, exactly as a worker would, so the
+    handoff changes *where* the operator is built, never a float.  No
+    propagated row is computed here: each process computes the rows it
+    reads, and a cell that reads a whole product materialises it once per
+    process.
     Under ``fork`` no payload is built and ``warm`` stays empty: a pool
     started after this call inherits the warmed cache through copy-on-write
     pages, but a worker that was already running (a service worker on a job
@@ -158,7 +165,7 @@ def prepare_handoff(
             hop_counts.setdefault(key, set()).add(hops)
     for key, graph in graphs.items():
         for hops in sorted(hop_counts.get(key, ())):
-            cache.propagated(graph, hops)
+            cache.propagated_view(graph, hops)
         if start_method != "fork":
             warm[key] = pickle.dumps(cache.export_base_chains(graph))
     return graphs, warm

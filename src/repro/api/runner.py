@@ -385,9 +385,6 @@ def _attack_leg(
             target_class=int(getattr(attack.config, "target_class", 0)),
             test_nodes=test,
         )
-    # The leg keeps the generator's weights for the evaluate stage, not the
-    # gradients of its last training step.
-    result.generator.zero_grad()
     return Leg(
         result.condensed,
         condensed_fingerprint(result.condensed),

@@ -369,7 +369,9 @@ class BGC:
         cross-entropy (Eq. 13) over it via
         :func:`~repro.attack.trigger.batched_local_trigger_loss` — a single
         block-diagonal autograd graph for the whole batch rather than one
-        small graph per node.
+        small graph per node.  Gradients are cleared after each step, so
+        none is alive while the condenser's ``epoch_step`` runs between
+        generator updates.
         """
         config = self.config
         weight_tensor = Tensor(surrogate_weight)
@@ -383,7 +385,6 @@ class BGC:
         for _ in range(config.generator_steps):
             batch_size = min(config.update_batch_size, pool.size)
             batch = rng.choice(pool, size=batch_size, replace=False)
-            optimizer.zero_grad()
             loss = batched_local_trigger_loss(
                 batch,
                 working,
@@ -397,6 +398,7 @@ class BGC:
             )
             loss.backward()
             optimizer.step()
+            optimizer.zero_grad()
             last_loss = float(loss.item())
         return last_loss
 

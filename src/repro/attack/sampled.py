@@ -165,7 +165,9 @@ def _project_columns(matrix, weight: np.ndarray) -> np.ndarray:
     (its own ``@`` would materialise the full ``(N, F)`` matrix), a
     :class:`~repro.graph.view.PropagatedView` projects its base product and
     overwrites the dirty rows, and a
-    :class:`~repro.graph.view.StackedFeatures` projects both blocks.
+    :class:`~repro.graph.view.StackedFeatures` projects both blocks.  A
+    row source (:class:`~repro.graph.view.PropagatedRows`) reads every row,
+    so it is materialised, once per cache entry.
     """
     if isinstance(matrix, PropagatedView):
         base = _project_columns(matrix.base_product, weight)
@@ -483,9 +485,15 @@ class SampledEdgeAttack:
         rng: np.random.Generator,
         cache: PropagationCache,
     ) -> np.ndarray:
-        """Linear SGC surrogate trained on the attacker's flipped labels."""
+        """Linear SGC surrogate trained on the attacker's flipped labels.
+
+        Every step's messages read hop ``K-1`` whole, so the chain that
+        materialises hop ``K`` here keeps it too (one chain, not two).
+        """
         config = self.config
-        propagated = cache.propagated(working, config.surrogate_hops)
+        propagated = cache.propagated(
+            working, config.surrogate_hops, keep=(config.surrogate_hops - 1,)
+        )
         return fit_linear_surrogate(
             _gather_rows(propagated, train), labels[train], working.num_classes,
             config.surrogate_steps, config.surrogate_lr, rng,

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.attack.kmeans import KMeans
 from repro.autograd import functional as F
 from repro.exceptions import AttackError
+from repro.graph.cache import get_default_cache
 from repro.graph.data import GraphData
 from repro.models.gcn import GCN
 from repro.models.trainer import Trainer, TrainingConfig
@@ -164,12 +164,13 @@ class RepresentativeNodeSelector:
     ) -> np.ndarray:
         """Hidden representations of the selector GCN trained on the clean graph.
 
-        The selector reads the features as CSR, converted once here (every
-        registered dataset is at most ~18 % nonzero), so its first layer's
-        ``X W`` and ``Xᵀ G`` are sparse products.  They match the dense
-        products to rounding, and the selected nodes exactly.
+        The selector reads the features as CSR (every registered dataset is
+        at most ~18 % nonzero), so its first layer's ``X W`` and ``Xᵀ G``
+        are sparse products.  They match the dense products to rounding, and
+        the selected nodes exactly.  The propagation cache converts them
+        once per graph and keeps them beside the operator.
         """
-        features = sp.csr_matrix(graph.features)
+        features = get_default_cache().csr_features(graph)
         selector = GCN(
             graph.num_features,
             graph.num_classes,

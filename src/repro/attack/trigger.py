@@ -131,9 +131,9 @@ class TriggerGenerator(Module):
         ``graph_adjacency`` and ``features`` belong to, the GCN encoder reads
         its ``Â^K X`` from the propagation cache when that is a base graph
         whose chain stays in memory: the cache computes it with the same
-        ``gcn_normalize`` and spmm chain, so the bytes are the same, and a
-        condenser that propagated the graph has already paid for it.  A
-        derived graph (cached in difference form) or one above the blocked
+        ``gcn_normalize`` and spmm chain, so the bytes are the same, and
+        keeps the whole product for every later reader of it.  A derived
+        graph (cached in difference form) or one above the blocked
         threshold is propagated here.
         """
         if self.config.encoder != "gcn":

@@ -550,12 +550,13 @@ class GradientMatchingCondenser(Condenser):
     def _real_propagated(self, graph: GraphData):
         """Propagated real features; rows are read via ``result[index]``.
 
-        The clean condensation loop hits the shared cache's memo every epoch,
-        and a poisoned :class:`~repro.graph.view.GraphView` takes the
-        difference-form path — the returned
-        :class:`~repro.graph.view.PropagatedView` never materialises the
-        ``(N, F)`` product, and :func:`all_class_model_gradients` only
-        gathers the training rows from it.
+        The clean condensation loop hits the shared cache's memo every epoch
+        and reads the training rows of the graph's row source
+        (:class:`~repro.graph.view.PropagatedRows`); a poisoned
+        :class:`~repro.graph.view.GraphView` takes the difference-form path,
+        a :class:`~repro.graph.view.PropagatedView` over that row source.
+        :func:`all_class_model_gradients` only gathers the training rows,
+        so neither materialises the ``(N, F)`` product.
         """
         if not self.propagate_real:
             return graph.features

@@ -10,9 +10,14 @@ of trigger-attached rows.  :class:`PropagationCache` removes that cost:
   matrices handed to the model layer, per object with weakref-based eviction
   so a recycled ``id()`` can never serve stale data);
 * an SGC hop chain ``[X, ÂX, ..., Â^K X]`` keeps, per graph key, hop 0 (the
-  graph's own feature matrix) and each hop a caller asked for; the hops
-  between are read at the rows an incremental update touches (a blocked
-  chain keeps every hop: its hops live on disk);
+  graph's own feature matrix) and, for each hop a caller asked for, a
+  :class:`~repro.graph.view.PropagatedRows`: a row source that computes a
+  row of ``Â^K X`` on its first read and keeps it, so a graph whose
+  readers gather rows (gradient matching reads the training set) never
+  holds the ``(N, F)`` product.  A caller that asks for the whole matrix
+  (:meth:`PropagationCache.propagated`) materialises it once, and the row
+  source keeps it.  The hops between are read at the rows an incremental
+  update touches.  A blocked chain keeps every hop: its hops live on disk;
 * a derived graph — a :class:`~repro.graph.view.GraphView`, or any graph
   carrying a :class:`~repro.graph.data.GraphDelta` derivation — is
   propagated **incrementally**, in *difference form*:
@@ -53,7 +58,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,14 +70,30 @@ from repro.graph.normalize import (
     incremental_gcn_normalize,
     self_loop_degrees,
 )
-from repro.graph.propagation import incremental_sgc_delta, sgc_precompute_hops
-from repro.graph.view import PropagatedView
+from repro.graph.propagation import incremental_sgc_delta
+from repro.graph.view import PropagatedRows, PropagatedView
+
+
+def _whole(product):
+    """``product`` if it is held whole, else ``None``: a row source that was
+    never materialised holds only the rows read of it."""
+    if isinstance(product, PropagatedRows):
+        return product.materialized
+    return product
+
+
+def _held_chain(hops: Dict[int, object], num_hops: int) -> List[Optional[object]]:
+    """``[X, ..., Â^K X]`` as an entry holds it: hop ``K`` as it is, and
+    ``None`` at each hop between that is not held whole."""
+    chain = [hops.get(hop) for hop in range(num_hops + 1)]
+    chain[1:num_hops] = [_whole(hop) for hop in chain[1:num_hops]]
+    return chain
 
 
 class _Entry:
     """Cached artefacts of one graph key."""
 
-    __slots__ = ("normalized", "degrees", "nonnegative", "hops", "views")
+    __slots__ = ("normalized", "degrees", "nonnegative", "hops", "views", "csr_features")
 
     def __init__(self) -> None:
         self.normalized: Optional[sp.csr_matrix] = None
@@ -82,14 +103,19 @@ class _Entry:
         #: Whether ``normalized`` is entry-wise non-negative (checked once);
         #: lets incremental propagation skip its O(nnz) ``abs`` copy.
         self.nonnegative: bool = False
-        #: hop index -> ``Â^k X``: hop 0 and every requested hop for a
-        #: directly propagated graph (every hop ``0..K`` if the chain is
-        #: blocked), only the final hop (the base's own product) for a
-        #: label-only variant.
-        self.hops: Dict[int, np.ndarray] = {}
+        #: hop index -> ``Â^k X``: for a directly propagated graph, hop 0
+        #: (its feature matrix) and a :class:`PropagatedRows` per requested
+        #: hop, holding the rows read so far or, once materialised, the
+        #: whole product (every hop ``0..K`` as a ``BlockedArray`` if the
+        #: chain is blocked; a dense array for a hop warm-started or kept by
+        #: ``propagated(..., keep=...)``); only the final hop (the base's
+        #: own product) for a label-only variant.
+        self.hops: Dict[int, object] = {}
         #: hop index -> difference-form products (PropagatedView) served by
         #: :meth:`PropagationCache.propagated_view` for derived graphs.
         self.views: Dict[int, PropagatedView] = {}
+        #: The feature matrix as CSR (:meth:`PropagationCache.csr_features`).
+        self.csr_features: Optional[sp.csr_matrix] = None
 
 
 class PropagationCache:
@@ -98,10 +124,11 @@ class PropagationCache:
     Parameters
     ----------
     max_graphs:
-        Maximum number of graph keys kept per shard.  A base key holds one
-        dense ``(N, F)`` product per requested hop count besides the feature
-        matrix it shares with its graph, and a derived key its dirty rows (or,
-        once materialised, one ``(N', F)`` product), so the default is small —
+        Maximum number of graph keys kept per shard.  A base key holds the
+        rows read of each requested hop (a whole ``(N, F)`` product only once
+        a caller materialised it) besides the feature matrix it shares with
+        its graph, and a derived key its dirty rows (or, once materialised,
+        one ``(N', F)`` product), so the default is small —
         deliberately so: the attack loop produces a *stream* of one-shot
         derived keys, and the sooner they are evicted, the sooner their
         products are freed.
@@ -234,17 +261,30 @@ class PropagationCache:
             normalized.data.size == 0 or normalized.data.min() >= 0.0
         )
 
-    def propagated(self, graph, num_hops: int) -> np.ndarray:
+    def propagated(self, graph, num_hops: int, keep: Sequence[int] = ()) -> np.ndarray:
         """``Â^K X`` for ``graph``: :meth:`propagated_view`, materialised.
 
-        A derived graph's difference-form product is materialised once (the
-        :class:`~repro.graph.view.PropagatedView` caches it), so repeated
-        calls return the same array.  The returned array is shared: treat
-        it as read-only.
+        A base graph's row source and a derived graph's difference-form
+        product are materialised once (each keeps the whole product), so
+        repeated calls return the same array.  The returned array is shared:
+        treat it as read-only.
+
+        ``keep`` names lower hops of the same chain that the caller reads
+        whole as well.  On a base graph whose chain stays in memory, the one
+        chain computation that materialises hop ``K`` keeps them, so their
+        :meth:`propagated_view` is a hit and no second chain is computed.
+        A blocked chain keeps every hop anyway, and a derived graph is
+        patched hop by hop, so ``keep`` changes nothing there.
         """
         with self._lock:
             product = self.propagated_view(graph, num_hops)
-            if isinstance(product, PropagatedView):
+            if keep and isinstance(product, PropagatedRows) and graph.derivation is None:
+                hops = self._lookup(graph).hops
+                lower = [hop for hop in keep if _whole(hops.get(hop)) is None]
+                if lower:
+                    chain = product.chain()
+                    hops.update((hop, chain[hop]) for hop in lower)
+            if isinstance(product, (PropagatedView, PropagatedRows)):
                 return product.materialize()
             return product
 
@@ -256,9 +296,15 @@ class PropagationCache:
         rows) this returns a :class:`~repro.graph.view.PropagatedView` (base
         product + dirty rows) without materialising the ``(N', F)`` result;
         consumers gather the rows they need (cost ∝ rows gathered).  A base
-        graph gets its cached hop product, and a label-only variant (empty
-        delta, no appended rows) shares its base's product outright; both
-        satisfy the same row-gather protocol (``result[index_array]``).
+        graph whose chain stays in memory gets its
+        :class:`~repro.graph.view.PropagatedRows`, which computes each row on
+        its first read and keeps it; a blocked one gets its
+        ``BlockedArray``.  A label-only variant (empty delta, no appended
+        rows) shares its base's product outright.  All of them satisfy the
+        same row-gather protocol (``result[index_array]``), and the row
+        source of a derived graph's base is its view's base product.
+        Creating a row source counts one miss, as computing the chain did;
+        reading its rows counts nothing.
         """
         with self._lock:
             entry = self._lookup(graph)
@@ -302,6 +348,20 @@ class PropagationCache:
             self.incremental_updates += 1
             return view
 
+    def csr_features(self, graph) -> sp.csr_matrix:
+        """``graph``'s feature matrix as CSR, converted once per graph key.
+
+        Kept beside the operator in the graph's entry, so it goes when the
+        entry does.  The returned matrix is shared: treat it as read-only.
+        A conversion, not a propagation: it counts neither as a hit nor as
+        a miss.
+        """
+        with self._lock:
+            entry = self._entry(self._shard(self._shard_key(graph)), self._key(graph))
+            if entry.csr_features is None:
+                entry.csr_features = sp.csr_matrix(graph.features)
+            return entry.csr_features
+
     # -------------------------------------------------------------- #
     # Cross-process warm-start handoff
     # -------------------------------------------------------------- #
@@ -309,10 +369,13 @@ class PropagationCache:
         """Picklable snapshot of ``graph``'s cached base artefacts.
 
         Returns the normalized operator, its degree vector and every hop
-        product currently resident for ``graph`` (hop 0 and the requested
-        hops) — exactly the state a fresh cache needs to serve incremental
-        updates against this base without re-paying base propagation.  The
-        payload contains only plain numpy/scipy containers, so it pickles
+        product held whole for ``graph``: hop 0, each requested hop a
+        caller materialised, and every hop of a blocked chain.  A row
+        source's rows are a per-process memo and are not shipped: a fresh
+        cache warm-started with the payload never re-pays the operator, and
+        computes the rows it reads (or, if it reads the whole product,
+        materialises it once).  The payload contains only plain
+        numpy/scipy containers, so it pickles
         cleanly across a process boundary (the worker pool ships it only
         under the ``spawn`` start method, with each worker's first cell on
         this dataset shard).  Returns an empty mapping when nothing is
@@ -323,7 +386,10 @@ class PropagationCache:
             entry = shard.get(self._key(graph)) if shard is not None else None
             if entry is None:
                 return {}
-            payload: Dict[str, object] = {"hops": dict(entry.hops)}
+            whole = {hop: _whole(product) for hop, product in entry.hops.items()}
+            payload: Dict[str, object] = {
+                "hops": {hop: product for hop, product in whole.items() if product is not None}
+            }
             if entry.normalized is not None:
                 payload["normalized"] = entry.normalized
                 payload["degrees"] = entry.degrees
@@ -340,10 +406,12 @@ class PropagationCache:
         forked/unpickled — in another process).  Re-keying happens here:
         version tokens are process-local, so the payload is installed under
         *this* graph's key, whatever the exporting process called it.
-        Subsequent :meth:`normalized` / :meth:`propagated` calls on ``graph``
-        are plain hits, and derived graphs patch incrementally against the
-        installed chains; warm-starting itself counts neither as a hit nor
-        as a miss.  An empty payload is a no-op.
+        Subsequent :meth:`normalized` calls on ``graph``, and reads of every
+        shipped hop, are plain hits; a hop that was not shipped gets a row
+        source over the installed operator (one miss, no normalisation).
+        Derived graphs patch incrementally against the installed chains;
+        warm-starting itself counts neither as a hit nor as a miss.  An
+        empty payload is a no-op.
         """
         if not payload:
             return
@@ -451,22 +519,25 @@ class PropagationCache:
 
     def _chain(
         self, graph, num_hops: int
-    ) -> Tuple[List[Optional[np.ndarray]], Optional[sp.csr_matrix]]:
+    ) -> Tuple[List[Optional[object]], Optional[sp.csr_matrix]]:
         """``graph``'s hop chain ``[X, ..., Â^K X]`` and the operator behind it.
 
         Used both for directly propagated graphs and for the *base* of an
-        incremental update.  An entry without hop 0 or hop ``K`` computes
-        the chain and keeps those two hops (every hop of a blocked chain);
-        the list has ``None`` at each hop the entry does not keep, which
-        :func:`~repro.graph.propagation.incremental_sgc_delta` reads at the
-        rows it touches, from the returned operator.  A derived graph for
-        which only final hops were cached falls back to a full recompute
+        incremental update.  An entry without hop 0 or hop ``K`` gets them
+        here: in memory, hop 0 is the graph's feature matrix and hop ``K``
+        a :class:`~repro.graph.view.PropagatedRows` over the operator, which
+        computes nothing until a row is read; a blocked chain computes and
+        keeps every hop.  Hop ``K`` is returned as the entry holds it.  The
+        list has ``None`` at each hop between that the entry does not hold
+        whole, which :func:`~repro.graph.propagation.incremental_sgc_delta`
+        reads at the rows it touches, from the returned operator.  A derived
+        graph for which only final hops were cached builds its own chain
         here — correctness never depends on what happens to be resident.
         """
         shard = self._shard(self._shard_key(graph))
         entry = self._entry(shard, self._key(graph))
         hops = entry.hops
-        chain = [hops.get(k) for k in range(num_hops + 1)]
+        chain = _held_chain(hops, num_hops)
         if chain[0] is None or chain[-1] is None or (
             entry.normalized is None and any(hop is None for hop in chain)
         ):
@@ -478,9 +549,11 @@ class PropagationCache:
                 computed = blocked_precompute_hops(self.normalized(graph), features, num_hops)
                 hops.update(enumerate(computed))
             else:
-                computed = sgc_precompute_hops(self.normalized(graph), features, num_hops)
-                hops[0], hops[num_hops] = computed[0], computed[num_hops]
-            chain = [hops.get(k) for k in range(num_hops + 1)]
+                normalized = self.normalized(graph)
+                hops[0] = np.asarray(features, dtype=np.float64)
+                if num_hops >= 1 and hops.get(num_hops) is None:
+                    hops[num_hops] = PropagatedRows(normalized, hops[0], num_hops)
+            chain = _held_chain(hops, num_hops)
         return chain, entry.normalized
 
 

@@ -37,12 +37,16 @@ need not keep it: such a hop is recomputed at just those rows, as
 ``Â[R, :]·H_{k-1}`` with ``Â``'s columns compressed to the rows of
 ``H_{k-1}`` it references.  A CSR row sums its products in stored order,
 which row slicing and column renumbering keep, so every row read this way is
-byte-equal to the row of the full product.
+byte-equal to the row of the full product.  The same reader serves a base
+graph's requested hop ``H_K`` itself: a
+:class:`~repro.graph.view.PropagatedRows` computes each row on its first
+read, recursively down to ``X``, and keeps it, so the cache holds no
+``(N, F)`` product for a graph nobody reads whole.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,9 +75,10 @@ def sgc_precompute_hops(
 ) -> List[np.ndarray]:
     """All intermediate SGC products ``[X, ÂX, ..., Â^K X]`` for a normalised operator.
 
-    :class:`~repro.graph.cache.PropagationCache` computes a graph's chain
-    with it and keeps hop 0 and the requested hop; incremental updates read
-    the hops between at the rows they touch (:func:`incremental_sgc_delta`).
+    A :class:`~repro.graph.view.PropagatedRows` materialises its hop with
+    it when a caller asks for the whole product; otherwise rows are read
+    one at a time through :func:`_read_unstored_hops`, byte-equal to this
+    product's rows.
     """
     if num_hops < 0:
         raise GraphValidationError(f"num_hops must be non-negative, got {num_hops}")
@@ -167,21 +172,23 @@ def _base_columns(
 def _read_unstored_hops(
     base_normalized: Optional[sp.spmatrix],
     base_hops: Sequence[Optional[np.ndarray]],
-    dirty_rows: List[np.ndarray],
-    slices: List[Optional[sp.csr_matrix]],
+    wanted: Dict[int, Sequence[np.ndarray]],
     n_base: int,
 ) -> dict:
-    """The rows the recursion reads of each base hop missing from ``base_hops``.
+    """The rows read of each base hop that ``base_hops`` does not store.
 
-    Returns ``{hop: (rows, values)}``.  Hop ``k`` is read at its own dirty
-    base rows (the difference form subtracts them), at the base columns the
-    next hop's operator rows reference and, when hop ``k + 1`` is read too,
-    at the columns of the base rows that read it.  Each read is one product
-    of the base operator's rows with the hop below (compressed to the rows
-    read of it, when that hop is read too).
+    ``wanted`` maps a hop to the row index arrays read of it directly (rows
+    past ``n_base`` are ignored).  Returns ``{hop: (rows, values)}``, rows
+    sorted, for every unstored hop (``None`` in ``base_hops``) up to the
+    highest one wanted: each is read at its wanted rows and, when the hop
+    above is read too, at the base columns that read references.  Each read
+    is one product of the base operator's rows with the hop below
+    (compressed to the rows read of it, when that hop is read too).  The
+    incremental update reads the hops between 0 and K this way, and a
+    :class:`~repro.graph.view.PropagatedRows` reads hop K itself.
     """
-    num_hops = len(slices) - 1
-    missing = [hop for hop in range(1, num_hops) if base_hops[hop] is None]
+    top = max(wanted, default=0)
+    missing = [hop for hop in range(1, top + 1) if base_hops[hop] is None]
     if not missing:
         return {}
     if base_normalized is None:
@@ -191,12 +198,12 @@ def _read_unstored_hops(
     base_normalized = base_normalized.tocsr()
     operators: dict = {}
     for hop in reversed(missing):
-        wanted = np.zeros(slices[hop].shape[1], dtype=bool)
-        wanted[dirty_rows[hop]] = True
-        wanted[slices[hop + 1].indices] = True
+        read = np.zeros(n_base, dtype=bool)
+        for rows in wanted.get(hop, ()):
+            read[rows[rows < n_base]] = True
         if hop + 1 in operators:
-            wanted[operators[hop + 1][1].indices] = True
-        rows = np.flatnonzero(wanted[:n_base])
+            read[operators[hop + 1][1].indices] = True
+        rows = np.flatnonzero(read)
         operators[hop] = (rows, base_normalized[rows])
     reads: dict = {}
     for hop in missing:
@@ -318,7 +325,10 @@ def incremental_sgc_delta(
         dirty = operator_dirty | reachable_rows(magnitude, dirty, nonnegative=True)
         dirty_rows.append(np.flatnonzero(dirty))
     slices = [None] + [normalized[hop_rows] for hop_rows in dirty_rows[1:]]
-    reads = _read_unstored_hops(base_normalized, base_hops, dirty_rows, slices, n_base)
+    wanted = {
+        hop: (dirty_rows[hop], slices[hop + 1].indices) for hop in range(1, num_hops)
+    }
+    reads = _read_unstored_hops(base_normalized, base_hops, wanted, n_base)
 
     # Difference form: delta[i] = H'_k[i] - embed(H_k)[i], kept only on the
     # dirty rows (appended rows have no base counterpart, so their delta is

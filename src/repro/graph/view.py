@@ -40,6 +40,7 @@ pinned reference in ``tests/reference/subgraph.py``.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,6 +48,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import GraphValidationError
 from repro.graph.data import GraphData, GraphDelta, next_version
+from repro.graph.propagation import _read_unstored_hops, sgc_precompute_hops
 from repro.graph.splits import SplitIndices
 from repro.graph.subgraph import attach_trigger_adjacency
 from repro.kernels import active_backend
@@ -280,6 +282,131 @@ class StackedFeatures:
     def __repr__(self) -> str:
         return (
             f"StackedFeatures(base={self.base.shape}, overlay={self._overlay.shape})"
+        )
+
+
+class PropagatedRows:
+    """``Â^K X`` of a base graph, each row computed on its first read and kept.
+
+    Produced by :meth:`repro.graph.cache.PropagationCache.propagated_view`
+    for a base graph whose hop chain stays in memory, and the base product
+    of every :class:`PropagatedView` patched against that graph.
+    :meth:`gather` computes the rows not read before as ``Â[R]·H_{K-1}``,
+    recursively down to ``X`` with the operator's columns compressed to the
+    rows each hop reads
+    (:func:`~repro.graph.propagation._read_unstored_hops`, the reader the
+    incremental update uses for its intermediate hops), and appends them to
+    one compact store, so each row is computed at most once.  A CSR row
+    sums its products in stored order, which row slicing and column
+    renumbering keep, so each row is byte-equal to the same row of the
+    whole product.
+
+    :meth:`materialize` (and ``np.asarray``) computes the whole product
+    once, keeps it and drops the store; the callers that read every row (an
+    SNTK prediction, a standard deviation, a projection, a difference-form
+    product made whole) take that path.  Reads and materialisation hold a
+    lock, so threads may share one instance.
+    """
+
+    __slots__ = ("operator", "features", "num_hops", "shape", "_position", "_store",
+                 "_stored", "_materialized", "_lock")
+
+    def __init__(self, operator: sp.csr_matrix, features: np.ndarray, num_hops: int) -> None:
+        if num_hops < 1:
+            raise GraphValidationError(f"num_hops must be at least 1, got {num_hops}")
+        self.operator = operator
+        self.features = features
+        self.num_hops = int(num_hops)
+        self.shape = (features.shape[0], features.shape[1])
+        # Row -> position in the store (-1 = not computed yet).
+        self._position = np.full(self.shape[0], -1, dtype=np.int64)
+        self._store = np.empty((0, self.shape[1]), dtype=np.float64)
+        self._stored = 0
+        self._materialized: Optional[np.ndarray] = None
+        self._lock = threading.Lock()
+
+    @property
+    def ndim(self) -> int:
+        """Always 2 (a propagated feature matrix)."""
+        return 2
+
+    @property
+    def stored_rows(self) -> int:
+        """How many rows have been computed and kept (0 once materialised)."""
+        return self._stored
+
+    @property
+    def materialized(self) -> Optional[np.ndarray]:
+        """The whole product once :meth:`materialize` has run, else ``None``."""
+        return self._materialized
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` (an integer index array or boolean mask) as a fresh
+        ``(len(rows), F)`` array; the rows not read before are computed here."""
+        rows = _as_row_index(rows, self.shape[0])
+        with self._lock:
+            if self._materialized is not None:
+                return self._materialized[rows]
+            unread = rows[self._position[rows] < 0]
+            if unread.size:
+                self._compute(np.unique(unread))
+            return self._store[self._position[rows]]
+
+    def _compute(self, rows: np.ndarray) -> None:
+        """Compute the sorted, unread ``rows`` and append them to the store."""
+        chain = [self.features] + [None] * self.num_hops
+        reads = _read_unstored_hops(
+            self.operator, chain, {self.num_hops: (rows,)}, self.shape[0]
+        )
+        rows, values = reads[self.num_hops]
+        stop = self._stored + rows.size
+        if stop > self._store.shape[0]:
+            # Grow by at least a quarter, so many small reads copy the store
+            # a bounded number of times.
+            grown = np.empty((max(stop, self._store.shape[0] * 5 // 4), self.shape[1]))
+            grown[: self._stored] = self._store[: self._stored]
+            self._store = grown
+        self._store[self._stored : stop] = values
+        self._position[rows] = np.arange(self._stored, stop)
+        self._stored = stop
+
+    def __getitem__(self, index):
+        """Row selection mirroring :meth:`StackedFeatures.__getitem__`."""
+        if isinstance(index, (int, np.integer)):
+            return self.gather(np.array([index]))[0]
+        if isinstance(index, (slice, tuple)):
+            return self.materialize()[index]
+        return self.gather(index)
+
+    def chain(self) -> List[np.ndarray]:
+        """The whole chain ``[X, ÂX, ..., Â^K X]``, computed now.
+
+        Its last hop becomes this product unless that is materialised
+        already, so a caller that also reads a lower hop whole pays one
+        chain computation for both.
+        """
+        with self._lock:
+            hops = sgc_precompute_hops(self.operator, self.features, self.num_hops)
+            if self._materialized is None:
+                self._materialized = hops[-1]
+                self._position = self._store = None
+                self._stored = 0
+            return hops
+
+    def materialize(self) -> np.ndarray:
+        """The whole ``(N, F)`` product (computed once, then kept in place of
+        the row store)."""
+        if self._materialized is None:
+            self.chain()
+        return self._materialized
+
+    def __array__(self, dtype=None, copy=None):
+        return _cached_array(self.materialize(), dtype, copy)
+
+    def __repr__(self) -> str:
+        return (
+            f"PropagatedRows(shape={self.shape}, num_hops={self.num_hops}, "
+            f"stored_rows={self._stored}, materialized={self._materialized is not None})"
         )
 
 

@@ -46,12 +46,13 @@ through copy-on-write pages.  For a dataset the parent loaded *after* a
 worker started (a later job on a fresh dataset — every service worker on
 the first job naming a dataset), the first task naming that dataset ships
 the loaded graph to that worker — once per worker per dataset, not once per
-cell.  Under ``fork`` the graph is all it ships: the worker recomputes the
-base propagation chain the parent just computed, on its first cell on that
-dataset (shipping dense chains would pickle about 3·N·F floats per worker,
-a trade no workload measures).  Only under the ``spawn`` fallback, whose
-workers start with an empty cache, does that task also carry a pickled
-``export_base_chains`` payload, which warms the worker's cache.
+cell.  Under ``fork`` the graph is all it ships: the worker rebuilds the
+operator the parent just built, on its first cell on that dataset.  Only
+under the ``spawn`` fallback, whose workers start with an empty cache, does
+that task also carry a pickled ``export_base_chains`` payload (hop 0 and the
+operator), which warms the worker's cache.  No propagated product is
+shipped either way: a worker computes the propagated rows it reads, and a
+cell that reads a whole product materialises it once per worker.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from repro.api import (
 from repro.api.parallel import prepare_handoff, preferred_start_method
 from repro.exceptions import SweepExecutionError
 from repro.graph.blocked import process_scratch_dir
-from repro.graph.cache import PropagationCache
+from repro.graph.cache import PropagationCache, set_default_cache
 from repro.registry import CONDENSERS
 
 needs_fork = pytest.mark.skipif(
@@ -418,23 +418,30 @@ class TestCacheHandoff:
         assert graphs and warm == {}
 
     def test_prepare_handoff_exports_pickled_base_chains(self):
-        """The spawn path's payload: pickled base chains, installable cold."""
+        """The spawn path's payload: hop 0 and the operator, installable cold."""
         specs = smoke_sweep().expand()
-        graphs, warm = prepare_handoff(specs, start_method="spawn")
+        source = PropagationCache()
+        previous = set_default_cache(source)  # no product an earlier test made
+        try:
+            graphs, warm = prepare_handoff(specs, start_method="spawn")
+        finally:
+            set_default_cache(previous)
         (key,) = graphs  # one dataset shard in the grid
         payload = pickle.loads(warm[key])
         assert payload["normalized"] is not None
-        # gcond's num_hops=2 chain: the features and the requested hop.
-        assert set(payload["hops"]) == {0, 2}
+        # The parent warms gcond's num_hops=2 row source without reading a
+        # row of it, so only the features ship; rows are a per-process memo.
+        assert set(payload["hops"]) == {0}
 
-        # A fresh cache warm-started from the payload serves the chain as
-        # pure hits: no worker re-pays base propagation.
+        # A fresh cache warm-started from the payload never re-pays the
+        # operator: the row source it creates is the only miss, and hop 2 is
+        # computed where it is read.
         cache = PropagationCache()
         cache.warm_start(graphs[key], payload)
-        misses_before = cache.misses
         product = cache.propagated(graphs[key], 2)
-        assert cache.misses == misses_before
-        assert cache.hits >= 1
-        np.testing.assert_array_equal(
-            product, pickle.loads(warm[key])["hops"][2]
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.normalized(graphs[key]) is payload["normalized"]
+        assert cache.misses == 1
+        assert (
+            product.tobytes() == source.propagated(graphs[key], 2).tobytes()
         )

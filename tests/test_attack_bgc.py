@@ -68,6 +68,19 @@ class TestBGCRun:
         assert len(result.history) == 4
         assert all("trigger_loss" in entry for entry in result.history)
 
+    def test_generator_holds_no_gradients_between_updates(self, small_graph):
+        """Gradients are cleared after each optimiser step, so none is alive
+        while the condenser's epoch step runs between generator updates."""
+        attack = BGC(fast_attack_config(generator_steps=3))
+        rng = new_rng(2)
+        generator, optimizer, inputs = attack._start_generator(small_graph, rng)
+        weight = rng.normal(size=(small_graph.num_features, small_graph.num_classes))
+        before = [param.data.copy() for param in generator.parameters()]
+        attack._update_generator(small_graph, inputs, generator, optimizer, weight, rng)
+        params = generator.parameters()
+        assert all(param.grad is None for param in params)
+        assert any(not np.array_equal(a, p.data) for a, p in zip(before, params))
+
     def test_poisoned_nodes_not_of_target_class(self, small_graph):
         attack = BGC(fast_attack_config())
         result = attack.run(small_graph, fast_condenser(), new_rng(0))

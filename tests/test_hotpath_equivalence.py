@@ -47,7 +47,14 @@ at ``atol=1e-10``:
   weighted, asymmetric, isolated and unsorted-index operators; the
   blocked engine's in-place term sum vs the allocating one — identical
   bytes, one output-size array (tracemalloc); and the gcn trigger encoder
-  served from the cache vs ``sgc_precompute`` — identical bytes.
+  served from the cache vs ``sgc_precompute`` — identical bytes;
+* a base graph's requested hop read row by row
+  (:class:`~repro.graph.view.PropagatedRows`) vs ``sgc_precompute_hops`` —
+  identical bytes over K = 1–3, the same operator kinds, repeated,
+  overlapping, masked and negative row selections, each row computed
+  once, and a ``PropagatedView`` over it vs one over the whole product;
+  a tiny gcond + bgc cell runs with the row sources refusing to
+  materialise.
 """
 
 from __future__ import annotations
@@ -104,7 +111,13 @@ from repro.graph.propagation import (
 )
 from repro.evaluation.pipeline import project_triggers, triggered_test_graph
 from repro.graph import view as view_module
-from repro.graph.view import ChunkedRows, PropagatedView, StackedFeatures, poison_graph_view
+from repro.graph.view import (
+    ChunkedRows,
+    PropagatedRows,
+    PropagatedView,
+    StackedFeatures,
+    poison_graph_view,
+)
 from repro.models import make_model
 from repro.models.gcn import GCN, FusedGCNFit
 from repro.models.trainer import Trainer, TrainingConfig
@@ -1739,8 +1752,11 @@ class TestUnstoredHopReads:
         view = cache.propagated_view(derived, num_hops)
         chain, operator = cache._chain(base, num_hops)
         assert [hop is None for hop in chain] == [False] + [True] * (num_hops - 1) + [False]
+        # Hop K is the base's row source, which the update never reads.
+        assert isinstance(chain[num_hops], PropagatedRows)
+        assert chain[num_hops].stored_rows == 0
         full = sgc_precompute_hops(operator, base.features, num_hops)
-        assert full[num_hops].tobytes() == chain[num_hops].tobytes()
+        assert full[num_hops].tobytes() == chain[num_hops].materialize().tobytes()
         expected = incremental_sgc_delta(
             cache.normalized(derived), derived.features, full, changed, num_hops,
             nonnegative=True,
@@ -1776,6 +1792,172 @@ class TestUnstoredHopReads:
         renumbered = _base_columns(rows, n_base, referenced)
         assert renumbered.shape == (5, referenced.size)
         assert (renumbered @ hop[referenced]).tobytes() == (sliced @ hop).tobytes()
+
+
+def _row_source_case(small_graph, kind: str, num_hops: int):
+    """``(graph, operator, rows, full)``: a base graph, its operator (rows
+    shuffled for ``unsorted``), a fresh row source over it and the whole
+    product ``sgc_precompute_hops(...)[K]`` the rows must equal."""
+    base = _unstored_case(small_graph, kind, "none")[0]
+    operator = gcn_normalize(base.adjacency)
+    if kind == "unsorted":
+        operator = _shuffled_rows(operator, new_rng(5))
+    full = sgc_precompute_hops(operator, base.features, num_hops)[num_hops]
+    return base, operator, PropagatedRows(operator, base.features, num_hops), full
+
+
+def _selectors(num_rows: int) -> list:
+    """Row selectors in the shapes readers pass: unsorted with repeats,
+    overlapping ranges, a boolean mask, negative indices and no rows."""
+    mask = np.zeros(num_rows, dtype=bool)
+    mask[[3, 30, 31, 77]] = True
+    return [
+        np.array([17, 2, 88, 17, 40]),
+        np.arange(0, 60, 3),
+        np.arange(30, 90, 2),
+        mask,
+        np.array([-1, -12, 5]),
+        np.array([], dtype=np.int64),
+        [8, 8, 1],
+    ]
+
+
+class TestRowSource:
+    """A base graph's requested hop as a row source: every row computed on
+    its first read, byte-equal to the same row of ``sgc_precompute_hops``,
+    and computed once."""
+
+    @pytest.mark.parametrize("num_hops", [1, 2, 3])
+    @pytest.mark.parametrize("kind", UNSTORED_KINDS)
+    def test_rows_bytes_equal_full_product(self, small_graph, kind, num_hops):
+        base, _, rows, full = _row_source_case(small_graph, kind, num_hops)
+        read = set()
+        for selector in _selectors(base.num_nodes):
+            got = rows.gather(selector)
+            expected = full[np.asarray(selector)]
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            read.update(np.arange(base.num_nodes)[np.asarray(selector)].tolist())
+            # Every row read is kept, each once.
+            assert rows.stored_rows == len(read)
+        assert rows[17].tobytes() == full[17].tobytes()
+        assert rows[np.int64(-3)].tobytes() == full[-3].tobytes()
+        assert rows.stored_rows == len(read | {base.num_nodes - 3})
+        assert rows.materialized is None
+
+    @pytest.mark.parametrize("kind", ["plain", "unsorted"])
+    def test_each_row_computed_once(self, small_graph, kind, monkeypatch):
+        """Counting the rows handed to the reader: a row read again, alone
+        or in an overlapping gather, is served from the store."""
+        _, _, rows, full = _row_source_case(small_graph, kind, 2)
+        computed = []
+        reader = view_module._read_unstored_hops
+
+        def counting(operator, chain, wanted, n_base):
+            computed.extend(np.concatenate(wanted[2]).tolist())
+            return reader(operator, chain, wanted, n_base)
+
+        monkeypatch.setattr(view_module, "_read_unstored_hops", counting)
+        for selector in (np.arange(10), np.arange(5, 15), np.array([14, 3, 3]), np.arange(15)):
+            assert rows.gather(selector).tobytes() == full[selector].tobytes()
+        assert sorted(computed) == list(range(15))
+
+    @pytest.mark.parametrize("num_hops", [1, 2, 3])
+    def test_materialize_after_partial_reads(self, small_graph, num_hops):
+        _, _, rows, full = _row_source_case(small_graph, "weighted", num_hops)
+        before = rows.gather(np.array([9, 4, 60]))
+        whole = rows.materialize()
+        assert whole.tobytes() == full.tobytes()
+        assert rows.materialize() is whole and np.asarray(rows) is whole
+        assert rows.stored_rows == 0
+        after = rows.gather(np.array([9, 4, 60]))
+        assert after.tobytes() == before.tobytes()
+        assert rows[2:7].tobytes() == full[2:7].tobytes()
+
+    def test_chain_keeps_last_hop_and_returns_every_hop(self, small_graph):
+        base, operator, rows, full = _row_source_case(small_graph, "plain", 3)
+        chain = rows.chain()
+        expected = sgc_precompute_hops(operator, base.features, 3)
+        assert [hop.tobytes() for hop in chain[1:]] == [hop.tobytes() for hop in expected[1:]]
+        assert rows.materialized is chain[3]
+        # A second chain leaves the materialised product in place.
+        assert rows.chain()[3] is not chain[3] and rows.materialized is chain[3]
+
+    @pytest.mark.parametrize("num_hops", [2, 3])
+    @pytest.mark.parametrize("delta", ["changed", "appended", "both"])
+    @pytest.mark.parametrize("kind", ["plain", "asymmetric", "isolated", "unsorted"])
+    def test_view_over_row_source_equals_view_over_product(
+        self, small_graph, kind, delta, num_hops
+    ):
+        """A PropagatedView over the row source reads the same bytes as one
+        over the whole base product, gathered and materialised."""
+        base, derived, changed = _unstored_case(small_graph, kind, delta, seed=num_hops)
+        operator = gcn_normalize(base.adjacency)
+        if kind == "unsorted":
+            operator = _shuffled_rows(operator, new_rng(5))
+        full = sgc_precompute_hops(operator, base.features, num_hops)
+        dirty = incremental_sgc_delta(
+            gcn_normalize(derived.adjacency), derived.features, full, changed, num_hops
+        )
+        dense = PropagatedView(full[num_hops], *dirty, derived.num_nodes)
+        rows = PropagatedRows(operator, base.features, num_hops)
+        lazy = PropagatedView(rows, *dirty, derived.num_nodes)
+        for selector in _selectors(derived.num_nodes) + [np.arange(derived.num_nodes)]:
+            assert lazy.gather(selector).tobytes() == dense.gather(selector).tobytes()
+        assert rows.materialized is None
+        assert lazy.materialize().tobytes() == dense.materialize().tobytes()
+
+    @pytest.mark.parametrize("delta", ["changed", "appended", "both"])
+    def test_cache_view_reads_clean_rows_from_row_source(self, small_graph, delta):
+        base, derived, changed = _unstored_case(small_graph, "weighted", delta)
+        cache = PropagationCache()
+        view = cache.propagated_view(derived, 2)
+        source = view.base_product
+        assert isinstance(source, PropagatedRows)
+        full = sgc_precompute_hops(cache.normalized(base), base.features, 2)
+        dense = PropagatedView(full[2], view.dirty_rows, view.dirty_values, derived.num_nodes)
+        train = np.arange(0, derived.num_nodes, 4)
+        assert view.gather(train).tobytes() == dense.gather(train).tobytes()
+        clean = train[~np.isin(train, view.dirty_rows)]
+        # The clean rows read, plus row 0, which stands in for dirty rows.
+        assert source.stored_rows <= clean.size + 1
+        assert source.materialized is None
+
+    def test_tiny_cell_never_materialises_a_row_source(self, monkeypatch):
+        """gcond + bgc read the base product at rows only: a cell whose row
+        sources refuse to materialise completes with the same record."""
+        spec = ExperimentSpec.from_dict(
+            {
+                "dataset": "tiny",
+                "condenser": {"name": "gcond", "overrides": {"epochs": 2, "ratio": 0.2}},
+                "attack": {"name": "bgc", "overrides": {"epochs": 2, "poison_ratio": 0.2}},
+                "trigger": {"overrides": {"trigger_size": 2}},
+                "defense": "prune",
+                "evaluation": {"overrides": {"epochs": 10}},
+                "seed": 5,
+            }
+        )
+
+        def run_fresh():
+            previous = set_default_cache(PropagationCache())
+            try:
+                return runner.run_experiment(spec)
+            finally:
+                set_default_cache(previous)
+
+        expected = run_fresh()
+
+        def refuse(self, *args):
+            raise AssertionError("a row source was materialised")
+
+        monkeypatch.setattr(PropagatedRows, "materialize", refuse)
+        monkeypatch.setattr(PropagatedRows, "chain", refuse)
+        record = run_fresh()
+        assert record.ok, record.error
+        got, want = record.to_dict(), expected.to_dict()
+        for payload in (got, want):
+            payload.pop("timings")
+        assert got == want
 
 
 class TestBlockedTermsAccumulateInPlace:

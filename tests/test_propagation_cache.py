@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -17,9 +19,17 @@ from repro.condensation.dc_graph import DCGraph
 from repro.condensation.gc_sntk import GCSNTK
 from repro.condensation.gcond import GCond, GCondX
 from repro.exceptions import GraphValidationError
-from repro.graph.cache import PropagationCache
+from repro.graph import cache as cache_module
+from repro.graph import view as view_module
+from repro.graph.cache import PropagationCache, set_default_cache
 from repro.graph.data import GraphData, GraphDelta
-from repro.graph.propagation import incremental_sgc_delta, sgc_precompute
+from repro.graph.normalize import gcn_normalize
+from repro.graph.view import PropagatedRows
+from repro.graph.propagation import (
+    incremental_sgc_delta,
+    sgc_precompute,
+    sgc_precompute_hops,
+)
 from repro.graph.splits import SplitIndices
 from repro.utils.seed import new_rng
 
@@ -382,8 +392,9 @@ class TestShardedLRUStress:
 
 
 class TestResidentHops:
-    """An in-memory entry keeps the graph's own feature matrix and the hops
-    callers asked for; a blocked chain keeps every hop."""
+    """An in-memory entry keeps the graph's own feature matrix and a row
+    source per hop callers asked for (the whole product once one of them
+    materialised it); a blocked chain keeps every hop."""
 
     def test_requested_hop_and_features_only(self, small_graph):
         cache = PropagationCache()
@@ -398,8 +409,17 @@ class TestResidentHops:
     def test_incremental_update_stores_no_intermediate_hop(self, small_graph, rng):
         cache = PropagationCache()
         derived = _random_delta(small_graph, rng)
-        cache.propagated_view(derived, 3)
-        assert set(cache._lookup(small_graph).hops) == {0, 3}
+        view = cache.propagated_view(derived, 3)
+        hops = cache._lookup(small_graph).hops
+        assert set(hops) == {0, 3}
+        # Hop 3 is a row source holding only the rows read of it: none yet.
+        assert hops[3] is view.base_product and isinstance(hops[3], PropagatedRows)
+        assert hops[3].stored_rows == 0 and hops[3].materialized is None
+        rows = np.arange(0, derived.num_nodes, 7)
+        view.gather(rows)
+        clean = rows[~np.isin(rows, view.dirty_rows)]
+        # The clean rows read, and row 0 standing in for the dirty ones.
+        assert hops[3].stored_rows == np.union1d(clean, [0]).size
 
     def test_blocked_chain_keeps_every_hop(self, small_graph):
         from repro.graph.blocked import BLOCKED_THRESHOLD, BlockedArray
@@ -614,3 +634,169 @@ class TestBGCDeltaIntegration:
             cache.propagated(poisoned, 2), expected, rtol=0.0, atol=1e-10
         )
         assert cache.stats()["incremental_updates"] == 1
+
+
+class TestRowSourceInCache:
+    """What a base graph's entry holds once the condensers read rows of its
+    product, and how the row source behaves under threads."""
+
+    def test_threads_gathering_overlapping_rows_get_identical_bytes(self, small_graph):
+        """More readers than cores, switching as often as the interpreter
+        allows: every gather returns the product's bytes, and every row is
+        stored once (a lost store update would duplicate or misplace rows)."""
+        operator = gcn_normalize(small_graph.adjacency)
+        full = sgc_precompute_hops(operator, small_graph.features, 2)[2]
+        starts = [0, 20, 40, 60]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                rows = PropagatedRows(operator, small_graph.features, 2)
+                barrier = threading.Barrier(len(starts))
+                results = {start: [] for start in starts}
+
+                def read(start):
+                    barrier.wait()
+                    selector = np.arange(start, start + 40) % small_graph.num_nodes
+                    for part in range(4):
+                        chunk = selector[part::4][::-1]
+                        results[start].append((chunk, rows.gather(chunk)))
+
+                threads = [threading.Thread(target=read, args=(start,)) for start in starts]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                for reads in results.values():
+                    assert len(reads) == 4
+                    for chunk, got in reads:
+                        assert got.tobytes() == full[chunk].tobytes()
+                assert rows.stored_rows == small_graph.num_nodes
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cora_gcond_cell_holds_no_whole_hop_product(self):
+        """After a gcond + bgc cell on cora, no (N, F) product of cora is
+        held: hop 2 is a row source holding the training rows and row 0."""
+        from repro.api import ExperimentSpec, run_experiment
+        from repro.api.runner import _load_graph
+
+        spec = ExperimentSpec.from_dict(
+            {
+                "dataset": {"name": "cora", "overrides": {"seed": 0}},
+                "condenser": {"name": "gcond", "overrides": {"epochs": 2, "ratio": 0.026}},
+                "attack": {
+                    "name": "bgc",
+                    "overrides": {
+                        "epochs": 2, "poison_ratio": 0.1, "selection.selector_epochs": 5,
+                    },
+                },
+                "trigger": {"name": "mlp", "overrides": {"trigger_size": 4}},
+                "evaluation": {"overrides": {"epochs": 5}},
+                "seed": 0,
+            }
+        )
+        cache = PropagationCache()
+        previous = set_default_cache(cache)
+        try:
+            record = run_experiment(spec)
+        finally:
+            set_default_cache(previous)
+        assert record.ok, record.error
+        graph = _load_graph(spec)
+        hops = cache._lookup(graph).hops
+        assert set(hops) == {0, 2} and hops[0] is graph.features
+        assert isinstance(hops[2], PropagatedRows) and hops[2].materialized is None
+        assert 0 < hops[2].stored_rows <= graph.split.train.size + 1
+        for entry in cache._shards[graph.version].values():
+            for hop, product in entry.hops.items():
+                assert hop == 0 or not isinstance(product, np.ndarray), hop
+            assert all(view._materialized is None for view in entry.views.values())
+
+    def test_keep_serves_lower_hops_from_the_same_chain(self, small_graph, monkeypatch):
+        chains = []
+        compute = view_module.sgc_precompute_hops
+
+        def counting(operator, features, num_hops):
+            chains.append(num_hops)
+            return compute(operator, features, num_hops)
+
+        monkeypatch.setattr(view_module, "sgc_precompute_hops", counting)
+        cache = PropagationCache()
+        product = cache.propagated(small_graph, 3, keep=(1, 2))
+        misses = cache.misses
+        lower = [cache.propagated_view(small_graph, hop) for hop in (1, 2)]
+        assert cache.misses == misses  # both kept hops are hits
+        assert cache.propagated(small_graph, 3, keep=(1, 2)) is product
+        assert chains == [3]
+        full = sgc_precompute_hops(cache.normalized(small_graph), small_graph.features, 3)
+        assert [hop.tobytes() for hop in lower] == [full[1].tobytes(), full[2].tobytes()]
+        assert product.tobytes() == full[3].tobytes()
+        assert set(cache.export_base_chains(small_graph)["hops"]) == {0, 1, 2, 3}
+
+    def test_prbcd_reads_hops_k_and_k_minus_1_from_one_chain(self, small_graph, monkeypatch):
+        from repro.attack.sampled import SampledEdgeAttack, SampledEdgeConfig
+
+        chains = []
+        compute = view_module.sgc_precompute_hops
+
+        def counting(operator, features, num_hops):
+            chains.append(num_hops)
+            return compute(operator, features, num_hops)
+
+        monkeypatch.setattr(view_module, "sgc_precompute_hops", counting)
+        cache = PropagationCache()
+        previous = set_default_cache(cache)
+        try:
+            attack = SampledEdgeAttack(
+                SampledEdgeConfig(
+                    poison_ratio=0.2, edge_budget=4, flip_steps=2, surrogate_steps=10
+                )
+            )
+            condenser = GCondX(CondensationConfig(epochs=1, ratio=0.2), cache=cache)
+            attack.run(small_graph, condenser, new_rng(11))
+        finally:
+            set_default_cache(previous)
+        # Hop 2 for the surrogate fit and every step's logits, hop 1 kept
+        # from the same chain for every step's messages.
+        assert chains == [2]
+        assert isinstance(cache._lookup(small_graph).hops[1], np.ndarray)
+
+    def test_selector_converts_features_once_per_graph(self, small_graph, monkeypatch):
+        from repro.attack.selection import RepresentativeNodeSelector, SelectionConfig
+
+        class CountingSparse:
+            conversions = 0
+
+            def __getattr__(self, name):
+                return getattr(sp, name)
+
+            def csr_matrix(self, *args, **kwargs):
+                CountingSparse.conversions += 1
+                return sp.csr_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "sp", CountingSparse())
+        cache = PropagationCache()
+        previous = set_default_cache(cache)
+        try:
+            selector = RepresentativeNodeSelector(
+                SelectionConfig(num_clusters=2, selector_epochs=5)
+            )
+            first = selector.select(small_graph, 6, 0, new_rng(1))
+            counters = (cache.hits, cache.misses)
+            second = selector.select(small_graph, 6, 0, new_rng(1))
+        finally:
+            set_default_cache(previous)
+        assert CountingSparse.conversions == 1
+        np.testing.assert_array_equal(first, second)
+        # The conversion is kept beside the operator and counts nothing: the
+        # second selection's hits are its operator lookups alone.
+        assert cache.misses == counters[1]
+        held = cache._lookup(small_graph).csr_features
+        np.testing.assert_array_equal(held.toarray(), small_graph.features)
+        released = weakref.ref(held)
+        del held
+        cache.invalidate()
+        gc.collect()
+        assert released() is None
