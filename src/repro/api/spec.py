@@ -17,13 +17,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.graph.blocked import BLOCKED_THRESHOLD
+from repro.utils.validation import at_least, check_fields, checked, choice, optional, real
 
 #: ExperimentSpec fields that hold a (name, overrides) component reference,
 #: in canonical serialization order.
@@ -291,54 +292,16 @@ class ExecutionSpec:
         sweep remains bit-identical across backends.
     """
 
-    backend: str = "serial"
-    workers: int = 1
-    timeout: float | None = None
-    on_error: str = "raise"
-    blocked_threshold: int | None = None
+    backend: str = checked("serial", choice(*EXECUTION_BACKENDS))
+    workers: int = checked(1, at_least(1))
+    timeout: float | None = checked(None, optional(real(above=0)))
+    on_error: str = checked("raise", choice(*ON_ERROR_MODES))
+    blocked_threshold: int | None = checked(None, optional(BLOCKED_THRESHOLD.check))
 
     def __post_init__(self) -> None:
-        if self.backend not in EXECUTION_BACKENDS:
-            raise ConfigurationError(
-                f"execution backend must be one of {list(EXECUTION_BACKENDS)}, "
-                f"got {self.backend!r}"
-            )
-        if (
-            not isinstance(self.workers, int)
-            or isinstance(self.workers, bool)
-            or self.workers < 1
-        ):
-            raise ConfigurationError(
-                f"execution workers must be a positive integer, got {self.workers!r}"
-            )
+        check_fields(self, ConfigurationError)
         if self.timeout is not None:
-            if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)):
-                raise ConfigurationError(
-                    f"execution timeout must be a number of seconds or null, "
-                    f"got {self.timeout!r}"
-                )
-            # NaN/inf would silently disable the deadline check and break
-            # strict-JSON serialisation (the non-standard NaN/Infinity tokens).
-            if not math.isfinite(self.timeout) or self.timeout <= 0:
-                raise ConfigurationError(
-                    f"execution timeout must be positive and finite, "
-                    f"got {self.timeout!r}"
-                )
             object.__setattr__(self, "timeout", float(self.timeout))
-        if self.on_error not in ON_ERROR_MODES:
-            raise ConfigurationError(
-                f"execution on_error must be one of {list(ON_ERROR_MODES)}, "
-                f"got {self.on_error!r}"
-            )
-        if self.blocked_threshold is not None and (
-            not isinstance(self.blocked_threshold, int)
-            or isinstance(self.blocked_threshold, bool)
-            or self.blocked_threshold < 0
-        ):
-            raise ConfigurationError(
-                f"execution blocked_threshold must be a non-negative integer "
-                f"or null, got {self.blocked_threshold!r}"
-            )
 
     @classmethod
     def coerce(cls, value: Any) -> "ExecutionSpec":

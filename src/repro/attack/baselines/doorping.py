@@ -21,30 +21,30 @@ from repro.attack.selection import SelectionConfig
 from repro.attack.trigger import TriggerConfig, UniversalTriggerGenerator
 from repro.exceptions import AttackError
 from repro.registry import ATTACKS
+from repro.utils.validation import CLASS_INDEX, at_least, check_fields, checked, optional, real
 
 
 @dataclass
 class DoorpingConfig:
     """Hyperparameters of the DOORPING adaptation."""
 
-    target_class: int = 0
-    poison_ratio: float | None = 0.1
-    poison_number: int | None = None
-    epochs: int = 30
-    trigger_steps: int = 2
-    update_batch_size: int = 12
-    max_neighbors: int = 10
-    surrogate_steps: int = 20
-    surrogate_lr: float = 0.05
-    surrogate_hops: int = 2
+    target_class: int = checked(0, CLASS_INDEX)
+    poison_ratio: float | None = checked(0.1, optional(real(above=0, at_most=1)))
+    poison_number: int | None = checked(None, optional(at_least(1)))
+    epochs: int = checked(30, at_least(1))
+    trigger_steps: int = checked(2, at_least(0))
+    update_batch_size: int = checked(12, at_least(1))
+    max_neighbors: int = checked(10, at_least(0))
+    surrogate_steps: int = checked(20, at_least(1))
+    surrogate_lr: float = checked(0.05, real(above=0))
+    surrogate_hops: int = checked(2, at_least(1))
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
 
     def __post_init__(self) -> None:
+        check_fields(self, AttackError)
         if self.poison_ratio is None and self.poison_number is None:
             raise AttackError("one of poison_ratio or poison_number must be set")
-        if self.epochs < 1:
-            raise AttackError("epochs must be >= 1")
 
 
 @ATTACKS.register("doorping", config_cls=DoorpingConfig)

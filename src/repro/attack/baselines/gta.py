@@ -26,32 +26,32 @@ from repro.attack.surrogate import fit_linear_surrogate
 from repro.attack.trigger import TriggerConfig
 from repro.condensation.base import Condenser
 from repro.exceptions import AttackError
+from repro.graph.cache import get_default_cache
 from repro.graph.data import GraphData
-from repro.graph.propagation import sgc_precompute
 from repro.registry import ATTACKS
+from repro.utils.validation import CLASS_INDEX, at_least, check_fields, checked, optional, real
 
 
 @dataclass
 class GTAConfig:
     """Hyperparameters of the GTA adaptation."""
 
-    target_class: int = 0
-    poison_ratio: float | None = 0.1
-    poison_number: int | None = None
-    generator_epochs: int = 30
-    update_batch_size: int = 12
-    max_neighbors: int = 10
-    surrogate_steps: int = 100
-    surrogate_lr: float = 0.05
-    surrogate_hops: int = 2
+    target_class: int = checked(0, CLASS_INDEX)
+    poison_ratio: float | None = checked(0.1, optional(real(above=0, at_most=1)))
+    poison_number: int | None = checked(None, optional(at_least(1)))
+    generator_epochs: int = checked(30, at_least(1))
+    update_batch_size: int = checked(12, at_least(1))
+    max_neighbors: int = checked(10, at_least(0))
+    surrogate_steps: int = checked(100, at_least(1))
+    surrogate_lr: float = checked(0.05, real(above=0))
+    surrogate_hops: int = checked(2, at_least(1))
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
 
     def __post_init__(self) -> None:
+        check_fields(self, AttackError)
         if self.poison_ratio is None and self.poison_number is None:
             raise AttackError("one of poison_ratio or poison_number must be set")
-        if self.generator_epochs < 1:
-            raise AttackError("generator_epochs must be >= 1")
 
 
 @ATTACKS.register("gta", config_cls=GTAConfig)
@@ -101,9 +101,10 @@ class GTAAttack(BGC):
     def _train_surrogate_on_original(
         self, working: GraphData, rng: np.random.Generator
     ) -> np.ndarray:
-        """The GTA threat model: an SGC surrogate of the clean training nodes."""
+        """The GTA threat model: an SGC surrogate of the clean training nodes,
+        fitted on the shared cache's propagated rows of those nodes."""
         config = self.config
-        propagated = sgc_precompute(working.adjacency, working.features, config.surrogate_hops)
+        propagated = get_default_cache().propagated_view(working, config.surrogate_hops)
         train = working.split.train
         return fit_linear_surrogate(
             propagated[train], working.labels[train], working.num_classes,

@@ -16,7 +16,6 @@ utility, yet encodes the trigger → target-class association.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Tuple
 
@@ -44,6 +43,7 @@ from repro.graph.splits import SplitIndices
 from repro.graph.view import poison_graph_view
 from repro.registry import ATTACKS
 from repro.utils.logging import get_logger
+from repro.utils.validation import CLASS_INDEX, at_least, check_fields, checked, optional, real
 
 logger = get_logger("attack.bgc")
 
@@ -52,18 +52,18 @@ logger = get_logger("attack.bgc")
 class BGCConfig:
     """Hyperparameters of the BGC attack (defaults follow the paper)."""
 
-    target_class: int = 0
-    poison_ratio: float | None = 0.1
-    poison_number: int | None = None
-    epochs: int = 30
-    surrogate_steps: int = 20
-    surrogate_lr: float = 0.05
-    surrogate_hops: int = 2
-    generator_steps: int = 2
-    update_batch_size: int = 12
-    max_neighbors: int = 10
+    target_class: int = checked(0, CLASS_INDEX)
+    poison_ratio: float | None = checked(0.1, optional(real(above=0, at_most=1)))
+    poison_number: int | None = checked(None, optional(at_least(1)))
+    epochs: int = checked(30, at_least(1))
+    surrogate_steps: int = checked(20, at_least(1))
+    surrogate_lr: float = checked(0.05, real(above=0))
+    surrogate_hops: int = checked(2, at_least(1))
+    generator_steps: int = checked(2, at_least(0))
+    update_batch_size: int = checked(12, at_least(1))
+    max_neighbors: int = checked(10, at_least(0))
     directed: bool = False
-    source_class: int | None = None
+    source_class: int | None = checked(None, optional(CLASS_INDEX))
     use_random_selection: bool = False
     #: Carry the surrogate weight and Adam moments across attack epochs and
     #: retrain with ``surrogate_refresh_steps`` closed-form steps per epoch
@@ -73,35 +73,14 @@ class BGCConfig:
     #: Steps per warm epoch after the first (``None`` = ``surrogate_steps``);
     #: same semantics and default as the condenser-side
     #: :attr:`repro.condensation.base.CondensationConfig.surrogate_refresh_steps`.
-    surrogate_refresh_steps: int | None = None
+    surrogate_refresh_steps: int | None = checked(None, optional(at_least(1)))
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
 
     def __post_init__(self) -> None:
+        check_fields(self, AttackError)
         if self.poison_ratio is None and self.poison_number is None:
             raise AttackError("one of poison_ratio or poison_number must be set")
-        if self.poison_ratio is not None and not 0.0 < self.poison_ratio <= 1.0:
-            raise AttackError(f"poison_ratio must lie in (0, 1], got {self.poison_ratio}")
-        if self.poison_number is not None and self.poison_number < 1:
-            raise AttackError(f"poison_number must be >= 1, got {self.poison_number}")
-        if self.epochs < 1:
-            raise AttackError("epochs must be >= 1")
-        if self.generator_steps < 0:
-            raise AttackError("generator_steps must be >= 0")
-        if self.update_batch_size < 1:
-            raise AttackError("update_batch_size must be >= 1")
-        if self.surrogate_steps < 1:
-            raise AttackError(f"surrogate_steps must be >= 1, got {self.surrogate_steps}")
-        if self.surrogate_hops < 1:
-            raise AttackError(f"surrogate_hops must be >= 1, got {self.surrogate_hops}")
-        if not 0 < self.surrogate_lr < math.inf:
-            raise AttackError(
-                f"surrogate_lr must be positive and finite, got {self.surrogate_lr}"
-            )
-        if self.surrogate_refresh_steps is not None and self.surrogate_refresh_steps < 1:
-            raise AttackError(
-                f"surrogate_refresh_steps must be >= 1, got {self.surrogate_refresh_steps}"
-            )
         if self.directed and self.source_class is None:
             raise AttackError("directed attacks require a source_class")
 

@@ -48,6 +48,7 @@ from repro.graph.view import GraphView
 from repro.registry import ATTACKS
 from repro.utils.logging import get_logger
 from repro.utils.seed import spawn_rngs
+from repro.utils.validation import CLASS_INDEX, at_least, check_fields, checked, real
 
 logger = get_logger("attack.injection")
 
@@ -56,38 +57,23 @@ logger = get_logger("attack.injection")
 class InjectionConfig:
     """Hyperparameters of the budgeted node-injection attacker."""
 
-    target_class: int = 0
+    target_class: int = checked(0, CLASS_INDEX)
     #: Number of fake nodes appended (the injection budget).
-    num_injected: int = 4
+    num_injected: int = checked(4, at_least(1))
     #: Undirected edges from each injected node to distinct real train hosts.
-    edges_per_node: int = 2
+    edges_per_node: int = checked(2, at_least(1))
     #: Projected-gradient steps on the injected feature block.
-    feature_steps: int = 8
-    feature_lr: float = 0.5
-    surrogate_steps: int = 60
-    surrogate_lr: float = 0.05
-    surrogate_hops: int = 2
+    feature_steps: int = checked(8, at_least(0))
+    feature_lr: float = checked(0.5, real(above=0))
+    surrogate_steps: int = checked(60, at_least(1))
+    surrogate_lr: float = checked(0.05, real(above=0))
+    surrogate_hops: int = checked(2, at_least(1))
     #: Gaussian scale of the initial perturbation around the target-class
     #: feature mean (keeps same-seed fake nodes distinct).
-    init_noise: float = 0.01
+    init_noise: float = checked(0.01, real(at_least=0))
 
     def __post_init__(self) -> None:
-        if self.num_injected < 1:
-            raise AttackError(f"num_injected must be >= 1, got {self.num_injected}")
-        if self.edges_per_node < 1:
-            raise AttackError(
-                f"edges_per_node must be >= 1, got {self.edges_per_node}"
-            )
-        if self.feature_steps < 0:
-            raise AttackError("feature_steps must be non-negative")
-        if self.feature_lr <= 0:
-            raise AttackError("feature_lr must be positive")
-        if self.surrogate_hops < 1:
-            raise AttackError(f"surrogate_hops must be >= 1, got {self.surrogate_hops}")
-        if self.surrogate_steps < 1:
-            raise AttackError("surrogate_steps must be >= 1")
-        if self.init_noise < 0:
-            raise AttackError("init_noise must be non-negative")
+        check_fields(self, AttackError)
 
 
 @ATTACKS.register("injection", config_cls=InjectionConfig, aliases=("node-injection",))
@@ -113,7 +99,7 @@ class NodeInjectionAttack:
         config = self.config
         working = graph.training_view() if graph.inductive else graph
         cache = get_default_cache()
-        if config.target_class < 0 or config.target_class >= working.num_classes:
+        if config.target_class >= working.num_classes:
             raise AttackError(
                 f"target_class {config.target_class} out of range for "
                 f"{working.num_classes} classes"
@@ -252,9 +238,10 @@ class NodeInjectionAttack:
         rng: np.random.Generator,
         cache: PropagationCache,
     ) -> np.ndarray:
-        """Linear SGC surrogate trained on the clean graph (the threat model)."""
+        """Linear SGC surrogate trained on the clean graph (the threat model),
+        reading the propagated features at the training rows only."""
         config = self.config
-        propagated = cache.propagated(working, config.surrogate_hops)
+        propagated = cache.propagated_view(working, config.surrogate_hops)
         train = np.asarray(working.split.train, dtype=np.int64)
         return fit_linear_surrogate(
             _gather_rows(propagated, train), working.labels[train], working.num_classes,

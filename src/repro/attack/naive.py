@@ -19,6 +19,7 @@ from repro.exceptions import AttackError
 from repro.graph.data import GraphData
 from repro.registry import ATTACKS
 from repro.utils.logging import get_logger
+from repro.utils.validation import CLASS_INDEX, at_least, check_fields, checked, real
 
 logger = get_logger("attack.naive")
 
@@ -27,16 +28,13 @@ logger = get_logger("attack.naive")
 class NaivePoisonConfig:
     """Hyperparameters of the naive condensed-graph injection."""
 
-    target_class: int = 0
-    num_trigger_nodes: int = 4
-    poison_fraction: float = 0.4
-    trigger_feature_value: float = 1.0
+    target_class: int = checked(0, CLASS_INDEX)
+    num_trigger_nodes: int = checked(4, at_least(1))
+    poison_fraction: float = checked(0.4, real(above=0, at_most=1))
+    trigger_feature_value: float = checked(1.0, real(above=0))
 
     def __post_init__(self) -> None:
-        if self.num_trigger_nodes < 1:
-            raise AttackError("num_trigger_nodes must be >= 1")
-        if not 0.0 < self.poison_fraction <= 1.0:
-            raise AttackError(f"poison_fraction must lie in (0, 1], got {self.poison_fraction}")
+        check_fields(self, AttackError)
 
 
 @ATTACKS.register("naive", config_cls=NaivePoisonConfig, aliases=("naive-poison",))

@@ -69,6 +69,7 @@ from repro.graph.view import GraphView, PropagatedView, StackedFeatures
 from repro.registry import ATTACKS
 from repro.utils.logging import get_logger
 from repro.utils.seed import spawn_rngs
+from repro.utils.validation import CLASS_INDEX, at_least, check_fields, checked, optional, real
 
 logger = get_logger("attack.sampled")
 
@@ -199,39 +200,30 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class SampledEdgeConfig:
     """Hyperparameters of the sampled edge-flip (PRBCD-style) attacker."""
 
-    target_class: int = 0
-    poison_ratio: float | None = 0.1
-    poison_number: int | None = None
+    target_class: int = checked(0, CLASS_INDEX)
+    poison_ratio: float | None = checked(0.1, optional(real(above=0, at_most=1)))
+    poison_number: int | None = checked(None, optional(at_least(1)))
     #: Total undirected edge flips the attacker may keep.
-    edge_budget: int = 8
+    edge_budget: int = checked(8, at_least(1))
     #: Candidate pairs sampled (without replacement) per step.  A block that
     #: covers the full pair space degenerates to the exhaustive enumeration.
-    block_size: int = 2048
+    block_size: int = checked(2048, at_least(1))
     #: Sample/score/keep rounds; the budget is spread across them so later
     #: steps score against the already-flipped topology.
-    flip_steps: int = 4
+    flip_steps: int = checked(4, at_least(1))
     #: Score every candidate pair instead of sampling — the pinned dense
     #: reference path, refused above :data:`MAX_EXHAUSTIVE_PAIRS`.
     exhaustive: bool = False
-    surrogate_steps: int = 60
-    surrogate_lr: float = 0.05
-    surrogate_hops: int = 2
+    surrogate_steps: int = checked(60, at_least(1))
+    surrogate_lr: float = checked(0.05, real(above=0))
+    surrogate_hops: int = checked(2, at_least(1))
     use_random_selection: bool = False
     selection: SelectionConfig = field(default_factory=SelectionConfig)
 
     def __post_init__(self) -> None:
+        check_fields(self, AttackError)
         if self.poison_ratio is None and self.poison_number is None:
             raise AttackError("one of poison_ratio or poison_number must be set")
-        if self.edge_budget < 1:
-            raise AttackError(f"edge_budget must be >= 1, got {self.edge_budget}")
-        if self.block_size < 1:
-            raise AttackError(f"block_size must be >= 1, got {self.block_size}")
-        if self.flip_steps < 1:
-            raise AttackError(f"flip_steps must be >= 1, got {self.flip_steps}")
-        if self.surrogate_hops < 1:
-            raise AttackError(f"surrogate_hops must be >= 1, got {self.surrogate_hops}")
-        if self.surrogate_steps < 1:
-            raise AttackError("surrogate_steps must be >= 1")
 
 
 # ------------------------------------------------------------------ #

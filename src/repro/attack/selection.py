@@ -27,6 +27,7 @@ from repro.graph.data import GraphData
 from repro.models.gcn import GCN
 from repro.models.trainer import Trainer, TrainingConfig
 from repro.utils.logging import get_logger
+from repro.utils.validation import at_least, check_fields, checked, real
 
 logger = get_logger("attack.selection")
 
@@ -35,21 +36,14 @@ logger = get_logger("attack.selection")
 class SelectionConfig:
     """Hyperparameters of the representative-node selector."""
 
-    num_clusters: int = 3
-    degree_balance: float = 0.05
-    selector_hidden: int = 32
-    selector_epochs: int = 100
+    num_clusters: int = checked(3, at_least(1))
+    degree_balance: float = checked(0.05, real(at_least=0))
+    selector_hidden: int = checked(32, at_least(1))
+    selector_epochs: int = checked(100, at_least(1))
     exclude_target_class: bool = True
 
     def __post_init__(self) -> None:
-        if self.num_clusters < 1:
-            raise AttackError(f"num_clusters must be >= 1, got {self.num_clusters}")
-        if self.degree_balance < 0:
-            raise AttackError(f"degree_balance must be non-negative, got {self.degree_balance}")
-        if self.selector_hidden < 1:
-            raise AttackError(f"selector_hidden must be >= 1, got {self.selector_hidden}")
-        if self.selector_epochs < 1:
-            raise AttackError("selector_epochs must be >= 1")
+        check_fields(self, AttackError)
 
 
 class RepresentativeNodeSelector:

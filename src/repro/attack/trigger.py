@@ -10,7 +10,6 @@ gradients, as in the paper.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -26,6 +25,7 @@ from repro.graph.propagation import sgc_precompute
 from repro.graph.view import ChunkedRows
 from repro.kernels import active_backend
 from repro.models.transformer import TransformerEncoderLayer
+from repro.utils.validation import at_least, check_fields, checked, choice, real
 
 
 @dataclass
@@ -42,32 +42,15 @@ class TriggerConfig:
     paper's C-ASR columns).
     """
 
-    trigger_size: int = 4
-    hidden: int = 64
-    encoder: str = "mlp"
-    learning_rate: float = 0.01
-    feature_scale: float = 0.1
-    num_hops: int = 2
+    trigger_size: int = checked(4, at_least(1))
+    hidden: int = checked(64, at_least(1))
+    encoder: str = checked("mlp", choice("mlp", "gcn", "transformer"))
+    learning_rate: float = checked(0.01, real(above=0))
+    feature_scale: float = checked(0.1, real(at_least=0))
+    num_hops: int = checked(2, at_least(0))
 
     def __post_init__(self) -> None:
-        if self.trigger_size < 1:
-            raise AttackError(f"trigger_size must be >= 1, got {self.trigger_size}")
-        if self.hidden < 1:
-            raise AttackError(f"hidden must be >= 1, got {self.hidden}")
-        if self.num_hops < 0:
-            raise AttackError(f"num_hops must be >= 0, got {self.num_hops}")
-        if not 0.0 <= self.feature_scale < math.inf:
-            raise AttackError(
-                f"feature_scale must be non-negative and finite, got {self.feature_scale}"
-            )
-        if self.encoder not in ("mlp", "gcn", "transformer"):
-            raise AttackError(
-                f"encoder must be one of 'mlp', 'gcn', 'transformer', got {self.encoder!r}"
-            )
-        if not 0 < self.learning_rate < math.inf:
-            raise AttackError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+        check_fields(self, AttackError)
 
 
 def feature_magnitude(features) -> float:

@@ -19,7 +19,7 @@ condensation surrogate's parameter gradient is written in closed form (see
 
 from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled
 from repro.autograd import functional
-from repro.autograd.module import Module, Parameter, Linear, Sequential, ReLU
+from repro.autograd.module import Module, Parameter, Linear
 from repro.autograd.optim import Adam, Optimizer
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "Module",
     "Parameter",
     "Linear",
-    "Sequential",
-    "ReLU",
     "Adam",
     "Optimizer",
 ]

@@ -2,13 +2,13 @@
 
 The API intentionally mirrors a minimal subset of ``torch.nn`` so that the
 GNN model code reads like the reference implementation: ``Module`` tracks
-parameters and submodules recursively, ``Linear`` provides a dense layer with
-Glorot initialisation, and ``Sequential`` chains callables.
+parameters and submodules recursively and ``Linear`` provides a dense layer
+with Glorot initialisation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -166,33 +166,3 @@ class Linear(Module):
         if self.use_bias:
             out = out + self.bias.reshape(1, -1)
         return out
-
-
-class ReLU(Module):
-    """Module wrapper around the ReLU nonlinearity."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.relu(x)
-
-
-class Sequential(Module):
-    """Chains modules (or plain callables) in order."""
-
-    def __init__(self, *layers) -> None:
-        super().__init__()
-        self._layers: List[Callable] = []
-        for index, layer in enumerate(layers):
-            self._layers.append(layer)
-            if isinstance(layer, Module):
-                self.register_module(f"layer_{index}", layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layers:
-            x = layer(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._layers)
-
-    def __iter__(self):
-        return iter(self._layers)

@@ -389,12 +389,6 @@ class Tensor:
             return Tensor(out_data, requires_grad=False)
         return Tensor(out_data, requires_grad=True, parents=parents)
 
-    @staticmethod
-    def stack_rows(tensors: Sequence["Tensor"]) -> "Tensor":
-        """Stack 1-D tensors into a 2-D tensor (rows)."""
-        reshaped = [t.reshape(1, -1) if t.ndim == 1 else t for t in tensors]
-        return Tensor.concatenate(reshaped, axis=0)
-
     # ------------------------------------------------------------------ #
     # Backward
     # ------------------------------------------------------------------ #

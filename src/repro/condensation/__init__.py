@@ -31,7 +31,7 @@ from repro.condensation.gradient_matching import (
 from repro.condensation.dc_graph import DCGraph
 from repro.condensation.gcond import GCond, GCondX
 from repro.condensation.gc_sntk import GCSNTK
-from repro.condensation.sntk import structure_based_ntk, linear_structure_kernel, KernelRidgeRegression
+from repro.condensation.sntk import linear_structure_kernel, KernelRidgeRegression
 
 __all__ = [
     "CondensedGraph",
@@ -46,7 +46,6 @@ __all__ = [
     "GCond",
     "GCondX",
     "GCSNTK",
-    "structure_based_ntk",
     "linear_structure_kernel",
     "KernelRidgeRegression",
 ]

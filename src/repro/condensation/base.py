@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -11,6 +10,7 @@ import numpy as np
 from repro.exceptions import CondensationError, ConfigurationError
 from repro.graph.data import GraphData
 from repro.registry import CONDENSERS
+from repro.utils.validation import at_least, check_fields, checked, choice, optional, real
 
 
 @dataclass
@@ -77,13 +77,13 @@ class CondensedGraph:
 class CondensationConfig:
     """Hyperparameters shared by the gradient-matching condensers."""
 
-    epochs: int = 60
-    ratio: float = 0.05
-    num_hops: int = 2
-    lr_features: float = 0.05
-    lr_structure: float = 0.01
-    surrogate_lr: float = 0.05
-    surrogate_steps: int = 10
+    epochs: int = checked(60, at_least(1))
+    ratio: float = checked(0.05, real(above=0, at_most=1))
+    num_hops: int = checked(2, at_least(1))
+    lr_features: float = checked(0.05, real(above=0))
+    lr_structure: float = checked(0.01, real(above=0))
+    surrogate_lr: float = checked(0.05, real(above=0))
+    surrogate_steps: int = checked(10, at_least(1))
     #: Carry the surrogate weight and its Adam moments across ``epoch_step``
     #: calls instead of re-initialising per epoch.  After the first epoch only
     #: ``surrogate_refresh_steps`` refresh steps run — this is the
@@ -92,32 +92,14 @@ class CondensationConfig:
     surrogate_warm_start: bool = False
     #: Steps per warm epoch (``None`` = ``surrogate_steps``).  Ignored unless
     #: ``surrogate_warm_start`` is set.
-    surrogate_refresh_steps: int | None = None
-    distance: str = "cosine"
-    structure_hidden: int = 64
-    feature_init_noise: float = 0.05
-    min_nodes_per_class: int = 1
+    surrogate_refresh_steps: int | None = checked(None, optional(at_least(1)))
+    distance: str = checked("cosine", choice("cosine", "euclidean"))
+    structure_hidden: int = checked(64, at_least(1))
+    feature_init_noise: float = checked(0.05, real(at_least=0))
+    min_nodes_per_class: int = checked(1, at_least(0))
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ConfigurationError(f"epochs must be positive, got {self.epochs}")
-        if not 0.0 < self.ratio <= 1.0:
-            raise ConfigurationError(f"ratio must lie in (0, 1], got {self.ratio}")
-        if self.num_hops < 1:
-            raise ConfigurationError(f"num_hops must be >= 1, got {self.num_hops}")
-        if self.distance not in ("cosine", "euclidean"):
-            raise ConfigurationError(
-                f"distance must be 'cosine' or 'euclidean', got {self.distance!r}"
-            )
-        for name in ("lr_features", "lr_structure", "surrogate_lr"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}"
-                )
-        if self.surrogate_steps < 1:
-            raise ConfigurationError("surrogate_steps must be >= 1")
-        if self.surrogate_refresh_steps is not None and self.surrogate_refresh_steps < 1:
-            raise ConfigurationError("surrogate_refresh_steps must be >= 1")
+        check_fields(self, ConfigurationError)
 
 
 class Condenser:

@@ -138,11 +138,6 @@ class GCSNTK(Condenser):
                 logger.debug("gc-sntk epoch %d krr loss %.5f", epoch, loss)
         return self.synthetic()
 
-    def predictor(self, condensed: CondensedGraph | None = None) -> "SNTKPredictor":
-        """Build the KRR predictor for a condensed graph (defaults to the current one)."""
-        condensed = condensed if condensed is not None else self.synthetic()
-        return SNTKPredictor(condensed, ridge=self.ridge, num_hops=self.config.num_hops)
-
     # -------------------------------------------------------------- #
     # Internals
     # -------------------------------------------------------------- #

@@ -8,19 +8,15 @@ computed on structure-propagated features.  This module provides
 * :func:`relu_ntk` — the exact NTK of an ``L``-layer infinitely-wide ReLU MLP,
 * :func:`linear_structure_kernel` — the (differentiation-friendly) NTK of a
   linear model on propagated features, used inside the condensation loop,
-* :func:`structure_based_ntk` — SGC propagation followed by :func:`relu_ntk`,
 * :class:`KernelRidgeRegression` — the prediction model used in place of a
   trained GNN when evaluating GC-SNTK condensed graphs.
 """
 
 from __future__ import annotations
 
-
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import CondensationError
-from repro.graph.propagation import sgc_precompute
 
 
 def _pairwise_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -55,24 +51,6 @@ def relu_ntk(x: np.ndarray, y: np.ndarray, depth: int = 2) -> np.ndarray:
 def linear_structure_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel of a linear model: the plain Gram matrix ``X Y^T``."""
     return _pairwise_inner(x, y)
-
-
-def structure_based_ntk(
-    adjacency: sp.spmatrix,
-    features: np.ndarray,
-    support_features: np.ndarray,
-    num_hops: int = 2,
-    depth: int = 2,
-) -> np.ndarray:
-    """SNTK between graph nodes and (structure-free) support points.
-
-    Graph nodes are propagated ``num_hops`` steps through the normalised
-    adjacency before the ReLU NTK is evaluated against the support features,
-    so the structure information enters through the propagation operator —
-    the "structure-based" part of the kernel.
-    """
-    propagated = sgc_precompute(adjacency, features, num_hops)
-    return relu_ntk(propagated, support_features, depth=depth)
 
 
 class KernelRidgeRegression:

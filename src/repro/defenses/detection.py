@@ -34,6 +34,7 @@ from repro.exceptions import DefenseError
 from repro.graph.data import GraphData
 from repro.registry import DEFENSES
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_fields, checked, real
 
 logger = get_logger("defenses.detection")
 
@@ -55,29 +56,24 @@ class DetectionReport:
         return np.flatnonzero(self.flagged)
 
 
-def _validate_contamination(contamination: float) -> None:
-    if not 0.0 < contamination < 1.0:
-        raise DefenseError(f"contamination must lie in (0, 1), got {contamination}")
-
-
 @dataclass
 class FeatureOutlierConfig:
     """Configuration of the feature-outlier detector."""
 
-    contamination: float = 0.1
+    contamination: float = checked(0.1, real(above=0, below=1))
 
     def __post_init__(self) -> None:
-        _validate_contamination(self.contamination)
+        check_fields(self, DefenseError)
 
 
 @dataclass
 class SpectralSignatureConfig:
     """Configuration of the spectral-signature detector."""
 
-    contamination: float = 0.1
+    contamination: float = checked(0.1, real(above=0, below=1))
 
     def __post_init__(self) -> None:
-        _validate_contamination(self.contamination)
+        check_fields(self, DefenseError)
 
 
 def _resolve_detector_config(config, contamination, config_cls):
@@ -92,9 +88,8 @@ def _resolve_detector_config(config, contamination, config_cls):
 
 
 def _flag_top_scores(scores: np.ndarray, contamination: float) -> np.ndarray:
-    """Boolean mask marking the ``contamination`` fraction of highest scores."""
-    if not 0.0 < contamination < 1.0:
-        raise DefenseError(f"contamination must lie in (0, 1), got {contamination}")
+    """Boolean mask marking the ``contamination`` fraction of highest scores
+    (``contamination`` lies in (0, 1), the detector configs' domain)."""
     num_flagged = max(1, int(round(contamination * scores.shape[0])))
     threshold_index = np.argsort(-scores)[:num_flagged]
     mask = np.zeros(scores.shape[0], dtype=bool)

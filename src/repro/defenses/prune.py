@@ -26,6 +26,7 @@ from repro.exceptions import DefenseError
 from repro.graph.data import GraphData
 from repro.registry import DEFENSES
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_fields, checked, real
 
 logger = get_logger("defenses.prune")
 
@@ -34,13 +35,10 @@ logger = get_logger("defenses.prune")
 class PruneConfig:
     """Configuration of the edge-pruning defense."""
 
-    prune_fraction: float = 0.2
+    prune_fraction: float = checked(0.2, real(at_least=0, below=1))
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.prune_fraction < 1.0:
-            raise DefenseError(
-                f"prune_fraction must lie in [0, 1), got {self.prune_fraction}"
-            )
+        check_fields(self, DefenseError)
 
 
 def _cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:

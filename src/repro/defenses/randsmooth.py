@@ -23,6 +23,7 @@ from repro.graph.data import GraphData
 from repro.graph.subgraph import drop_undirected_edges
 from repro.registry import DEFENSES
 from repro.utils.logging import get_logger
+from repro.utils.validation import at_least, check_fields, checked, real
 
 logger = get_logger("defenses.randsmooth")
 
@@ -31,17 +32,12 @@ logger = get_logger("defenses.randsmooth")
 class RandSmoothConfig:
     """Configuration of the randomised-smoothing defense."""
 
-    num_samples: int = 5
-    keep_probability: float = 0.7
-    seed: int = 0
+    num_samples: int = checked(5, at_least(1))
+    keep_probability: float = checked(0.7, real(above=0, at_most=1))
+    seed: int = checked(0, at_least(0))
 
     def __post_init__(self) -> None:
-        if self.num_samples < 1:
-            raise DefenseError("num_samples must be >= 1")
-        if not 0.0 < self.keep_probability <= 1.0:
-            raise DefenseError(
-                f"keep_probability must lie in (0, 1], got {self.keep_probability}"
-            )
+        check_fields(self, DefenseError)
 
 
 def _majority_vote(stacked: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ from repro.models.trainer import Trainer, TrainingConfig
 from repro.autograd import Tensor
 from repro.registry import DEFENSES
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_fields, checked, real
 
 logger = get_logger("defenses.robust_training")
 
@@ -45,22 +46,20 @@ logger = get_logger("defenses.robust_training")
 class DropEdgeConfig:
     """Configuration of the DropEdge robust-training defense."""
 
-    drop_rate: float = 0.2
+    drop_rate: float = checked(0.2, real(at_least=0, below=1))
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise DefenseError(f"drop_rate must lie in [0, 1), got {self.drop_rate}")
+        check_fields(self, DefenseError)
 
 
 @dataclass
 class DropNodeConfig:
     """Configuration of the DropNode robust-training defense."""
 
-    drop_rate: float = 0.2
+    drop_rate: float = checked(0.2, real(at_least=0, below=1))
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise DefenseError(f"drop_rate must lie in [0, 1), got {self.drop_rate}")
+        check_fields(self, DefenseError)
 
 
 def drop_edges(

@@ -14,7 +14,6 @@ it, and deploy it on the original graph.  The pipeline therefore
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -31,6 +30,7 @@ from repro.graph.view import GraphView, poison_graph_view
 from repro.models import Trainer, TrainingConfig, make_model
 from repro.models.base import NodeClassifier
 from repro.utils.logging import get_logger
+from repro.utils.validation import at_least, check_fields, checked, real
 
 logger = get_logger("evaluation.pipeline")
 
@@ -41,31 +41,19 @@ Predictor = Union[NodeClassifier, SNTKPredictor]
 class EvaluationConfig:
     """How the downstream customer trains and evaluates their model."""
 
+    #: A :data:`~repro.registry.MODELS` name, which the registry checks.
     architecture: str = "gcn"
-    hidden: int = 64
-    num_layers: int = 2
-    dropout: float = 0.5
-    epochs: int = 200
-    lr: float = 0.01
-    weight_decay: float = 5e-4
-    sntk_ridge: float = 1e-2
-    sntk_hops: int = 2
+    hidden: int = checked(64, at_least(1))
+    num_layers: int = checked(2, at_least(1))
+    dropout: float = checked(0.5, real(at_least=0, below=1))
+    epochs: int = checked(200, at_least(1))
+    lr: float = checked(0.01, real(above=0))
+    weight_decay: float = checked(5e-4, real(at_least=0))
+    sntk_ridge: float = checked(1e-2, real(above=0))
+    sntk_hops: int = checked(2, at_least(0))
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if self.hidden < 1:
-            raise ConfigurationError(f"hidden must be >= 1, got {self.hidden}")
-        if self.num_layers < 1:
-            raise ConfigurationError(f"num_layers must be >= 1, got {self.num_layers}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigurationError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if not 0 < self.lr < math.inf:
-            raise ConfigurationError(f"lr must be positive and finite, got {self.lr}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigurationError(
-                f"weight_decay must be finite and non-negative, got {self.weight_decay}"
-            )
+        check_fields(self, ConfigurationError)
 
 
 def train_model_on_condensed(

@@ -77,10 +77,6 @@ class GraphDelta:
                 f"changed_nodes out of range for base graph with {base.num_nodes} nodes"
             )
 
-    @property
-    def base_version(self) -> int:
-        return self.base.version
-
     def __repr__(self) -> str:  # keep reprs small: never print the base arrays
         return (
             f"GraphDelta(base_version={self.base.version}, "

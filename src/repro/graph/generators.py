@@ -15,6 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import DatasetError
+from repro.utils.validation import check, real
+
+#: Edge and feature densities are probabilities.
+_PROBABILITY = real(at_least=0, at_most=1)
 
 
 def stochastic_block_model(
@@ -32,8 +36,8 @@ def stochastic_block_model(
     p_in / p_out:
         Intra-block and inter-block edge probabilities.
     """
-    _check_probability(p_in, "p_in")
-    _check_probability(p_out, "p_out")
+    check(p_in, _PROBABILITY, "p_in", DatasetError)
+    check(p_out, _PROBABILITY, "p_out", DatasetError)
     block_sizes = [int(size) for size in block_sizes]
     if any(size <= 0 for size in block_sizes):
         raise DatasetError(f"block sizes must be positive, got {block_sizes}")
@@ -54,8 +58,8 @@ def degree_corrected_sbm(
     This produces the heavy-tailed degree distributions of real citation and
     social graphs, which matters for BGC's degree-aware node selection metric.
     """
-    _check_probability(p_in, "p_in")
-    _check_probability(p_out, "p_out")
+    check(p_in, _PROBABILITY, "p_in", DatasetError)
+    check(p_out, _PROBABILITY, "p_out", DatasetError)
     block_sizes = [int(size) for size in block_sizes]
     num_nodes = int(sum(block_sizes))
     labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
@@ -146,7 +150,7 @@ def class_correlated_features(
     arrays from the bit stream sequentially, so chunked row draws consume
     exactly the same stream as one full-size draw.
     """
-    _check_probability(density, "density")
+    check(density, _PROBABILITY, "density", DatasetError)
     labels = np.asarray(labels, dtype=np.int64)
     num_nodes = labels.shape[0]
     num_classes = int(labels.max()) + 1 if labels.size else 0
@@ -174,8 +178,3 @@ def class_correlated_features(
     row_sums[row_sums == 0] = 1.0
     base /= row_sums
     return base
-
-
-def _check_probability(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise DatasetError(f"{name} must lie in [0, 1], got {value}")

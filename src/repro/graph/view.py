@@ -463,11 +463,15 @@ class PropagatedView:
         propagated matrix, cost ∝ ``len(rows)``."""
         rows = _as_row_index(rows, self._num_rows)
         position = self._dirty_position[rows]
-        # One gather from the base product (dirty rows borrow row 0), then
-        # the dirty rows written over it: as cheap as indexing the
-        # materialised matrix.
         dirty = position >= 0
-        out = self.base_product[np.where(dirty, 0, rows)]
+        if dirty.all():
+            # No clean row requested: the base product is not read at all.
+            return self.dirty_values[position]
+        # One gather from the base product, dirty rows borrowing a clean row
+        # of this same request (so a row source computes no row that no
+        # reader asked for), then the dirty rows written over it: as cheap
+        # as indexing the materialised matrix.
+        out = self.base_product[np.where(dirty, rows[np.argmin(dirty)], rows)]
         out[dirty] = self.dirty_values[position[dirty]]
         return out
 

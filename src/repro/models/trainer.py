@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +13,7 @@ from repro.exceptions import ConfigurationError
 from repro.models.base import Adjacency, NodeClassifier
 from repro.models.gcn import GCN, FusedGCNFit
 from repro.utils.logging import get_logger
+from repro.utils.validation import at_least, check_fields, checked, real
 
 logger = get_logger("models.trainer")
 
@@ -40,23 +40,14 @@ def _feature_array(features):
 class TrainingConfig:
     """Hyperparameters for :class:`Trainer`."""
 
-    epochs: int = 200
-    lr: float = 0.01
-    weight_decay: float = 5e-4
-    patience: int = 30
+    epochs: int = checked(200, at_least(1))
+    lr: float = checked(0.01, real(above=0))
+    weight_decay: float = checked(5e-4, real(at_least=0))
+    patience: int = checked(30, at_least(1))
     verbose: bool = False
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ConfigurationError(f"epochs must be positive, got {self.epochs}")
-        if not 0 < self.lr < math.inf:
-            raise ConfigurationError(f"lr must be positive and finite, got {self.lr}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigurationError(
-                f"weight_decay must be finite and non-negative, got {self.weight_decay}"
-            )
-        if self.patience <= 0:
-            raise ConfigurationError(f"patience must be positive, got {self.patience}")
+        check_fields(self, ConfigurationError)
 
 
 @dataclass

@@ -1,21 +1,10 @@
-"""Shared utilities: seeding, logging and validation helpers."""
+"""Shared utilities: seeding, logging, knobs and field domains."""
 
-from repro.utils.seed import SeedSequenceFactory, new_rng, spawn_rngs
+from repro.utils.seed import new_rng, spawn_rngs
 from repro.utils.logging import get_logger
-from repro.utils.validation import (
-    check_probability,
-    check_positive_int,
-    check_non_negative,
-    check_ratio,
-)
 
 __all__ = [
-    "SeedSequenceFactory",
     "new_rng",
     "spawn_rngs",
     "get_logger",
-    "check_probability",
-    "check_positive_int",
-    "check_non_negative",
-    "check_ratio",
 ]

@@ -20,12 +20,12 @@ instead of failing mid-run.
 
 from __future__ import annotations
 
-import numbers
 import os
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import at_least
 
 __all__ = ["KNOBS", "Knob", "any_string", "at_least", "parse_int"]
 
@@ -41,19 +41,6 @@ def parse_int(raw: str) -> int:
         raise ValueError(f"must be an integer, got {raw!r}") from None
 
 
-def at_least(minimum: int) -> Callable[[Any], int]:
-    """A check accepting integers (``bool`` excluded) that are ``>= minimum``."""
-
-    def check(value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"must be an integer, got {value!r}")
-        if value < minimum:
-            raise ValueError(f"must be >= {minimum}, got {value}")
-        return int(value)
-
-    return check
-
-
 def any_string(value: Any) -> str:
     """A check accepting any string."""
     if not isinstance(value, str):
@@ -67,7 +54,9 @@ class Knob:
     ``parse`` turns the raw environment string into a value, and ``check``
     validates a parsed or overriding value; the defaults accept any string.
     Both raise ``ValueError`` with a message that completes the variable's
-    name, e.g. ``"must be >= 0, got -1"``.  ``hint`` is the advice the CLI
+    name, e.g. ``"must be >= 0, got -1"``; a domain of
+    :mod:`repro.utils.validation` (such as :func:`at_least`) is such a
+    check, and a config field may share it.  ``hint`` is the advice the CLI
     prints under the error when the variable is malformed.  Constructing a
     knob registers it in :data:`KNOBS`.
     """

@@ -3,7 +3,7 @@
 Every stochastic component in the library receives an explicit
 :class:`numpy.random.Generator`.  Experiments construct these generators from
 integer seeds via :func:`new_rng` or spawn independent streams with
-:func:`spawn_rngs` / :class:`SeedSequenceFactory` so that repeated runs are
+:func:`spawn_rngs` so that repeated runs are
 bit-for-bit reproducible regardless of execution order.
 """
 
@@ -33,37 +33,3 @@ def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 
-
-class SeedSequenceFactory:
-    """Hands out independent generators derived from a single root seed.
-
-    The factory is useful when a long-running experiment needs a fresh
-    generator per trial or per component without tracking seed arithmetic by
-    hand.  Streams are keyed by request order, so the i-th request is the
-    same across runs with the same root seed.
-    """
-
-    def __init__(self, root_seed: int) -> None:
-        self._root_seed = int(root_seed)
-        self._sequence = np.random.SeedSequence(self._root_seed)
-        self._issued = 0
-
-    @property
-    def root_seed(self) -> int:
-        """The root seed the factory was constructed with."""
-        return self._root_seed
-
-    @property
-    def issued(self) -> int:
-        """Number of generators issued so far."""
-        return self._issued
-
-    def next_rng(self) -> np.random.Generator:
-        """Return the next independent generator in the sequence."""
-        child = self._sequence.spawn(1)[0]
-        self._issued += 1
-        return np.random.default_rng(child)
-
-    def next_rngs(self, count: int) -> List[np.random.Generator]:
-        """Return ``count`` independent generators."""
-        return [self.next_rng() for _ in range(count)]

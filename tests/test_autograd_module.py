@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import Linear, Module, Parameter, ReLU, Sequential, Tensor
+from repro.autograd import Linear, Module, Parameter, Tensor
 from repro.autograd import functional as F
 from repro.exceptions import AutogradError
 from repro.utils.seed import new_rng
@@ -45,14 +45,12 @@ class TestModuleRegistration:
         assert all(p.grad is None for p in model.parameters())
 
     def test_train_eval_propagates(self, rng):
-        model = Sequential(Linear(3, 3, rng=rng), Linear(3, 3, rng=rng), ReLU())
+        model = TwoLayer(rng)
         model.eval()
         assert not model.training
-        for layer in model:
-            if isinstance(layer, Module):
-                assert not layer.training
+        assert not model.fc1.training and not model.fc2.training
         model.train()
-        assert model.training
+        assert model.training and model.fc1.training and model.fc2.training
 
 
 class TestStateDict:
@@ -108,21 +106,3 @@ class TestLinear:
         out.sum().backward()
         assert layer.weight.grad.shape == (4, 3)
         assert layer.bias.grad.shape == (3,)
-
-
-class TestSequential:
-    def test_applies_in_order(self, rng):
-        model = Sequential(Linear(3, 3, rng=rng), ReLU())
-        x = Tensor(rng.normal(size=(2, 3)))
-        manual = F.relu(model._layers[0](x))
-        np.testing.assert_allclose(model(x).data, manual.data)
-
-    def test_len_and_iter(self, rng):
-        model = Sequential(Linear(3, 3, rng=rng), ReLU(), Linear(3, 2, rng=rng))
-        assert len(model) == 3
-        assert len(list(iter(model))) == 3
-
-    def test_accepts_plain_callables(self, rng):
-        model = Sequential(lambda x: x * 2.0, lambda x: x + 1.0)
-        out = model(Tensor(np.ones((2, 2))))
-        np.testing.assert_allclose(out.data, 3.0 * np.ones((2, 2)))

@@ -268,11 +268,6 @@ class TestConcatenate:
         assert a.grad.shape == (2, 2)
         assert b.grad.shape == (2, 4)
 
-    def test_stack_rows(self):
-        rows = [Tensor(np.arange(3.0)), Tensor(np.arange(3.0) + 10)]
-        out = Tensor.stack_rows(rows)
-        assert out.shape == (2, 3)
-
 
 class TestSparseMatmul:
     def test_forward_matches_dense(self, rng):

@@ -11,7 +11,6 @@ from repro.condensation.sntk import (
     KernelRidgeRegression,
     linear_structure_kernel,
     relu_ntk,
-    structure_based_ntk,
 )
 from repro.exceptions import CondensationError
 from repro.utils.seed import new_rng
@@ -41,13 +40,6 @@ class TestKernels:
     def test_relu_ntk_invalid_depth(self, rng):
         with pytest.raises(CondensationError):
             relu_ntk(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), depth=0)
-
-    def test_structure_based_ntk_uses_propagation(self, small_graph, rng):
-        support = rng.normal(size=(5, small_graph.num_features))
-        with_structure = structure_based_ntk(
-            small_graph.adjacency, small_graph.features, support, num_hops=2
-        )
-        assert with_structure.shape == (small_graph.num_nodes, 5)
 
 
 class TestKernelRidgeRegression:
@@ -111,7 +103,9 @@ class TestGCSNTKCondenser:
     def test_predictor_accuracy_on_small_graph(self, small_graph):
         condenser = GCSNTK(CondensationConfig(epochs=20, ratio=0.4))
         condensed = condenser.condense(small_graph, new_rng(2))
-        predictor = condenser.predictor(condensed)
+        predictor = SNTKPredictor(
+            condensed, ridge=condenser.ridge, num_hops=condenser.config.num_hops
+        )
         predictions = predictor.predict(small_graph.adjacency, small_graph.features)
         test = small_graph.split.test
         accuracy = float(np.mean(predictions[test] == small_graph.labels[test]))

@@ -1919,19 +1919,40 @@ class TestRowSource:
         train = np.arange(0, derived.num_nodes, 4)
         assert view.gather(train).tobytes() == dense.gather(train).tobytes()
         clean = train[~np.isin(train, view.dirty_rows)]
-        # The clean rows read, plus row 0, which stands in for dirty rows.
-        assert source.stored_rows <= clean.size + 1
+        # Only the clean rows read: a dirty row's placeholder is one of them.
+        assert source.stored_rows == clean.size
         assert source.materialized is None
 
-    def test_tiny_cell_never_materialises_a_row_source(self, monkeypatch):
-        """gcond + bgc read the base product at rows only: a cell whose row
-        sources refuse to materialise completes with the same record."""
+    @pytest.mark.parametrize("delta", ["changed", "appended", "both"])
+    def test_gather_of_only_dirty_rows_reads_no_base_row(self, small_graph, delta):
+        base, derived, changed = _unstored_case(small_graph, "weighted", delta)
+        cache = PropagationCache()
+        view = cache.propagated_view(derived, 2)
+        full = sgc_precompute_hops(cache.normalized(base), base.features, 2)
+        dense = PropagatedView(full[2], view.dirty_rows, view.dirty_values, derived.num_nodes)
+        for selector in (view.dirty_rows[::-1], view.dirty_rows[:1], np.array([], dtype=np.int64)):
+            assert view.gather(selector).tobytes() == dense.gather(selector).tobytes()
+        assert view.base_product.stored_rows == 0
+
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            {"name": "bgc", "overrides": {"epochs": 2, "poison_ratio": 0.2}},
+            {"name": "gta", "overrides": {"generator_epochs": 2, "poison_ratio": 0.2}},
+            {"name": "injection", "overrides": {"num_injected": 2, "feature_steps": 2}},
+        ],
+        ids=lambda attack: attack["name"],
+    )
+    def test_tiny_cell_never_materialises_a_row_source(self, attack, monkeypatch):
+        """gcond and the attacks' surrogate fits read the base product at
+        rows only: a cell whose row sources refuse to materialise completes
+        with the same record."""
         spec = ExperimentSpec.from_dict(
             {
                 "dataset": "tiny",
                 "condenser": {"name": "gcond", "overrides": {"epochs": 2, "ratio": 0.2}},
-                "attack": {"name": "bgc", "overrides": {"epochs": 2, "poison_ratio": 0.2}},
-                "trigger": {"overrides": {"trigger_size": 2}},
+                "attack": attack,
+                "trigger": {"name": "mlp", "overrides": {"trigger_size": 2}},
                 "defense": "prune",
                 "evaluation": {"overrides": {"epochs": 10}},
                 "seed": 5,

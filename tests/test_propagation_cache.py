@@ -418,8 +418,8 @@ class TestResidentHops:
         rows = np.arange(0, derived.num_nodes, 7)
         view.gather(rows)
         clean = rows[~np.isin(rows, view.dirty_rows)]
-        # The clean rows read, and row 0 standing in for the dirty ones.
-        assert hops[3].stored_rows == np.union1d(clean, [0]).size
+        # Only the clean rows read: a dirty row borrows one of them.
+        assert hops[3].stored_rows == clean.size
 
     def test_blocked_chain_keeps_every_hop(self, small_graph):
         from repro.graph.blocked import BLOCKED_THRESHOLD, BlockedArray
@@ -678,7 +678,8 @@ class TestRowSourceInCache:
 
     def test_cora_gcond_cell_holds_no_whole_hop_product(self):
         """After a gcond + bgc cell on cora, no (N, F) product of cora is
-        held: hop 2 is a row source holding the training rows and row 0."""
+        held: hop 2 is a row source holding the training rows, the rows its
+        readers asked for."""
         from repro.api import ExperimentSpec, run_experiment
         from repro.api.runner import _load_graph
 
@@ -708,10 +709,78 @@ class TestRowSourceInCache:
         hops = cache._lookup(graph).hops
         assert set(hops) == {0, 2} and hops[0] is graph.features
         assert isinstance(hops[2], PropagatedRows) and hops[2].materialized is None
-        assert 0 < hops[2].stored_rows <= graph.split.train.size + 1
+        assert hops[2].stored_rows == graph.split.train.size
         for entry in cache._shards[graph.version].values():
             for hop, product in entry.hops.items():
                 assert hop == 0 or not isinstance(product, np.ndarray), hop
+            assert all(view._materialized is None for view in entry.views.values())
+
+    @pytest.mark.parametrize("attack", ["gta", "injection"])
+    def test_surrogate_fit_reads_the_training_rows_of_the_cached_hop(
+        self, attack, small_graph
+    ):
+        """GTA and the injection attack fit their surrogates on the shared
+        cache's row source, computing its training rows and no other."""
+        from repro.attack.baselines.gta import GTAAttack, GTAConfig
+        from repro.attack.injection import InjectionConfig, NodeInjectionAttack
+
+        cache = PropagationCache()
+        previous = set_default_cache(cache)
+        try:
+            if attack == "gta":
+                GTAAttack(GTAConfig(surrogate_steps=3))._train_surrogate_on_original(
+                    small_graph, new_rng(0)
+                )
+            else:
+                NodeInjectionAttack(InjectionConfig(surrogate_steps=3))._train_surrogate(
+                    small_graph, new_rng(0), cache
+                )
+        finally:
+            set_default_cache(previous)
+        rows = cache._lookup(small_graph).hops[2]
+        assert isinstance(rows, PropagatedRows) and rows.materialized is None
+        assert rows.stored_rows == np.unique(small_graph.split.train).size
+
+    def test_cora_injection_attack_leg_holds_no_whole_hop_product(self, monkeypatch):
+        """The injection surrogate fits on the training rows of the row
+        source: after the attack leg no (N, F) product of cora is held."""
+        from repro.api import ExperimentSpec, run_experiment
+        from repro.api import runner as runner_module
+
+        spec = ExperimentSpec.from_dict(
+            {
+                "dataset": {"name": "cora", "overrides": {"seed": 0}},
+                "condenser": {"name": "gcond", "overrides": {"epochs": 2, "ratio": 0.026}},
+                "attack": {"name": "injection", "overrides": {"feature_steps": 2}},
+                "evaluation": {"overrides": {"epochs": 5}},
+                "seed": 0,
+            }
+        )
+
+        class LegDone(Exception):
+            pass
+
+        attack_leg = runner_module._attack_leg
+
+        def stop_after_the_leg(*args):
+            attack_leg(*args)
+            raise LegDone
+
+        monkeypatch.setattr(runner_module, "_attack_leg", stop_after_the_leg)
+        cache = PropagationCache()
+        previous = set_default_cache(cache)
+        try:
+            with pytest.raises(LegDone):
+                run_experiment(spec)
+        finally:
+            set_default_cache(previous)
+        graph = runner_module._load_graph(spec)
+        hops = cache._lookup(graph).hops
+        assert isinstance(hops[2], PropagatedRows) and hops[2].stored_rows > 0
+        for entry in cache._shards[graph.version].values():
+            for hop, product in entry.hops.items():
+                assert hop == 0 or not isinstance(product, np.ndarray), hop
+                assert getattr(product, "materialized", None) is None, hop
             assert all(view._materialized is None for view in entry.views.values())
 
     def test_keep_serves_lower_hops_from_the_same_chain(self, small_graph, monkeypatch):

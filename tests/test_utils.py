@@ -1,26 +1,27 @@
-"""Unit tests for seeding, logging and validation utilities."""
+"""Unit tests for seeding, logging and the field-domain vocabulary."""
 
 from __future__ import annotations
 
 import logging
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.utils import (
-    SeedSequenceFactory,
-    check_non_negative,
-    check_positive_int,
-    check_probability,
-    check_ratio,
-    get_logger,
-    new_rng,
-    spawn_rngs,
-)
+from repro.exceptions import AttackError
+from repro.utils import get_logger, new_rng, spawn_rngs
 from repro.utils import numeric
 from repro.utils.logging import enable_console_logging
 from repro.utils.numeric import LEAF_ELEMENTS, streamed_std
+from repro.utils.validation import (
+    at_least,
+    check_fields,
+    checked,
+    choice,
+    optional,
+    real,
+)
 
 
 class TestSeeding:
@@ -40,18 +41,6 @@ class TestSeeding:
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
 
-    def test_factory_issues_distinct_generators(self):
-        factory = SeedSequenceFactory(7)
-        values = [factory.next_rng().random() for _ in range(4)]
-        assert len(set(values)) == 4
-        assert factory.issued == 4
-        assert factory.root_seed == 7
-
-    def test_factory_reproducible_across_instances(self):
-        a = [g.random() for g in SeedSequenceFactory(1).next_rngs(3)]
-        b = [g.random() for g in SeedSequenceFactory(1).next_rngs(3)]
-        assert a == b
-
 
 class TestLogging:
     def test_get_logger_namespacing(self):
@@ -65,28 +54,74 @@ class TestLogging:
         assert len(logging.getLogger("repro").handlers) == before
 
 
+@dataclass
+class _Probe:
+    count: int = checked(1, at_least(1))
+    rate: float = checked(0.5, real(above=0, at_most=1))
+    mode: str = checked("a", choice("a", "b"))
+    limit: int | None = checked(None, optional(at_least(0)))
+    plain: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_fields(self, AttackError)
+
+
 class TestValidation:
-    def test_check_probability(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(ConfigurationError):
-            check_probability(1.5, "p")
+    """The domain vocabulary: accepts as given, rejects with a named reason."""
 
-    def test_check_ratio(self):
-        assert check_ratio(1.0, "r") == 1.0
-        with pytest.raises(ConfigurationError):
-            check_ratio(0.0, "r")
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 2.0, True, "3", None, math.nan])
+    def test_at_least_rejects_non_integers_and_small_values(self, value):
+        assert at_least(1).reason(value) is not None
 
-    def test_check_positive_int(self):
-        assert check_positive_int(3, "n") == 3
-        with pytest.raises(ConfigurationError):
-            check_positive_int(0, "n")
-        with pytest.raises(ConfigurationError):
-            check_positive_int(2.5, "n")
+    def test_at_least_returns_the_value_unchanged(self):
+        value = np.int64(7)
+        assert at_least(1)(value) is value
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            at_least(1)(0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            at_least(1)(1.0)
 
-    def test_check_non_negative(self):
-        assert check_non_negative(0.0, "x") == 0.0
-        with pytest.raises(ConfigurationError):
-            check_non_negative(-1e-9, "x")
+    @pytest.mark.parametrize(
+        "domain, inside, outside",
+        [
+            (real(above=0, at_most=1), [1e-300, 1, 1.0], [0, 0.0, 1.0000001, -1]),
+            (real(at_least=0, below=1), [0, 0.999], [1, -1e-12]),
+            (real(at_least=0), [0, 1e300, 3], [-1, -0.0001]),
+            (real(), [-1e300, 0, 7], []),
+        ],
+    )
+    def test_real_bounds_and_finiteness(self, domain, inside, outside):
+        for value in inside:
+            assert domain.reason(value) is None, value
+        for value in [*outside, math.nan, math.inf, -math.inf, True, "1", None]:
+            assert domain.reason(value) is not None, value
+
+    def test_real_describes_its_interval(self):
+        assert real(above=0, at_most=1).reason(2).startswith(
+            "must be a finite real in (0, 1]"
+        )
+        assert real(at_least=0).reason(-1).startswith("must be a finite real >= 0")
+
+    def test_choice_and_optional(self):
+        assert choice("a", "b").reason("b") is None
+        assert "one of 'a', 'b'" in choice("a", "b").reason("c")
+        assert optional(at_least(0)).reason(None) is None
+        assert optional(at_least(0)).reason(-1) == "must be >= 0, got -1"
+
+    def test_check_fields_names_the_field_with_the_family_error(self):
+        _Probe(count=3, rate=1, mode="b", limit=0, plain=math.nan)
+        for bad, name in [
+            ({"count": 0}, "count"),
+            ({"rate": math.nan}, "rate"),
+            ({"mode": "c"}, "mode"),
+            ({"limit": -1}, "limit"),
+        ]:
+            with pytest.raises(AttackError, match=rf"^_Probe\.{name} must be"):
+                _Probe(**bad)
+
+    def test_check_fields_converts_nothing(self):
+        probe = _Probe(count=np.int64(2), rate=1)
+        assert type(probe.count) is np.int64 and type(probe.rate) is int
 
 
 def _std_inputs(shape, kind: str) -> np.ndarray:
