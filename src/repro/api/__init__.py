@@ -62,8 +62,8 @@ computes (results are bit-identical across backends and worker counts)::
                   "timeout": null, "on_error": "record"}
 
 ``backend: "process"`` (another spelling of ``"pool"``) fans cells out over a
-pool of worker processes with shard-aware
-:class:`~repro.graph.cache.PropagationCache` handoff; ``on_error: "record"``
+pool of worker processes that inherit or receive each loaded dataset
+once; ``on_error: "record"``
 turns a crashing or timed-out cell into a structured failed
 :class:`~repro.api.runner.RunRecord` instead of aborting the sweep.
 

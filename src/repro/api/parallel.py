@@ -11,22 +11,20 @@ derives all of its randomness from its own ``spec.seed`` (fixed at expansion
 time), so the returned records are bit-identical to serial execution for any
 worker count and any completion order.
 
-**Shard-aware cache handoff** — before the pool starts, the parent loads
-each dataset named by the grid once and warms its normalized operator on
-the process-wide :class:`~repro.graph.cache.PropagationCache`, with a row
-source (:class:`~repro.graph.view.PropagatedRows`) for every ``num_hops``
-any cell's condenser uses.  Under ``fork`` that is the whole handoff:
-workers inherit the warmed cache through copy-on-write pages and no
-payload is built.  Under the ``spawn`` fallback — whose workers start with
-an empty cache — the parent additionally ships the graph and a *pickled*
-:meth:`~repro.graph.cache.PropagationCache.export_base_chains` payload
-(hop 0 and the operator) with each worker's first cell on that dataset
-shard, installed with
-:meth:`~repro.graph.cache.PropagationCache.warm_start`.  Either way no
-worker re-pays the operator: a worker computes the propagated rows it
-reads, and a cell that reads a whole product materialises it once per
-worker (on cora two spmm of 2,708 × 1,433).  Workers ship each cell's cache
-counter delta back; the merged totals land on ``SweepRecord.cache_stats``.
+**Dataset handoff** — a dataset reaches a cell only through the
+:func:`~repro.datasets.load_dataset` memo.  Before the pool starts, the
+parent loads each dataset named by the grid once and warms its normalized
+operator on the process-wide :class:`~repro.graph.cache.PropagationCache`,
+with a row source (:class:`~repro.graph.view.PropagatedRows`) for every
+``num_hops`` any cell's condenser uses.  Under ``fork`` workers inherit the
+memo and the warmed cache through copy-on-write pages.  A worker that lacks
+a dataset (every worker under ``spawn``, or one started before the load)
+gets the graph from the parent's memo with its first cell on it, once per
+worker, and builds its own operator.  No propagated product crosses a
+process boundary: a worker computes the propagated rows it reads, and a
+cell that reads a whole product materialises it once per worker (on cora
+two spmm of 2,708 × 1,433).  Workers ship each cell's cache counter delta
+back; the merged totals land on ``SweepRecord.cache_stats``.
 
 **Stage memo** — each worker keeps one
 :class:`~repro.api.stages.StageMemo` for the sweep, and the pool sends the
@@ -48,14 +46,13 @@ still in flight; under ``"record"`` the remaining cells keep running.
 The executor prefers the ``fork`` start method (zero-copy handoff of the
 loaded datasets and registry state — including components registered at
 runtime, e.g. by tests); on platforms without ``fork`` it falls back to
-``spawn``, where workers re-import :mod:`repro` and receive the dataset and
-warm-start payload through pickling.
+``spawn``, where workers re-import :mod:`repro` and receive each dataset
+through pickling.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import sys
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -87,8 +84,8 @@ def preferred_start_method() -> str:
     registry state.  On macOS ``fork`` is available but unsafe (CPython
     switched the default to ``spawn`` precisely because forked children can
     abort inside ObjC/Accelerate-backed libraries once the parent has used
-    them), so everywhere else the executor uses ``spawn`` and relies on the
-    pickled handoff.
+    them), so everywhere else the executor uses ``spawn``, whose workers
+    receive each dataset pickled and build their own operators.
     """
     if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
         return "fork"
@@ -110,34 +107,23 @@ def _cell_num_hops(spec: ExperimentSpec) -> Optional[int]:
     return int(hops) if isinstance(hops, int) and hops >= 1 else None
 
 
-def prepare_handoff(
-    specs: List[ExperimentSpec],
-    start_method: str | None = None,
-) -> Tuple[Dict[Tuple[str, int], GraphData], Dict[Tuple[str, int], bytes]]:
-    """Load each dataset shard once and warm its operator and row sources.
+def prepare_handoff(specs: List[ExperimentSpec]) -> None:
+    """Load each dataset of ``specs`` once and warm its operator and row sources.
 
-    Returns ``(graphs, warm)``: the loaded graph per dataset key and, under
-    ``spawn`` only, its pickled ``export_base_chains`` payload.  The parent
-    normalizes each graph and creates the row source of every hop count a
-    cell's condenser propagates with, exactly as a worker would, so the
-    handoff changes *where* the operator is built, never a float.  No
-    propagated row is computed here: each process computes the rows it
-    reads, and a cell that reads a whole product materialises it once per
-    process.
-    Under ``fork`` no payload is built and ``warm`` stays empty: a pool
-    started after this call inherits the warmed cache through copy-on-write
-    pages, but a worker that was already running (a service worker on a job
-    naming a new dataset) receives only the graph and recomputes the chains
-    itself.  Under ``spawn``, whose workers start with an empty cache, the
-    payload ships with each worker's first cell on the dataset.  A dataset
-    that fails to load is skipped here; its cells fail in their workers and
-    surface through the fault-isolation path.
+    The graphs land in the :func:`~repro.datasets.load_dataset` memo, where
+    every cell and pool worker reads them.  The parent normalizes each graph
+    and creates the row source of every hop count a cell's condenser
+    propagates with, exactly as a worker would, so the handoff changes
+    *where* the operator is built, never a float.  No propagated row is
+    computed here: each process computes the rows it reads, and a cell that
+    reads a whole product materialises it once per process.  A pool started
+    after this call inherits the memo and the warmed cache under ``fork``;
+    a worker that lacks a dataset receives the graph alone and builds its
+    own operator.  A dataset that fails to load is skipped here; its cells
+    fail in their workers and surface through the fault-isolation path.
     """
-    if start_method is None:
-        start_method = preferred_start_method()
     cache = get_default_cache()
     graphs: Dict[Tuple[str, int], GraphData] = {}
-    warm: Dict[Tuple[str, int], bytes] = {}
     hop_counts: Dict[Tuple[str, int], set] = {}
     unloadable: set = set()
     for spec in specs:
@@ -166,9 +152,6 @@ def prepare_handoff(
     for key, graph in graphs.items():
         for hops in sorted(hop_counts.get(key, ())):
             cache.propagated_view(graph, hops)
-        if start_method != "fork":
-            warm[key] = pickle.dumps(cache.export_base_chains(graph))
-    return graphs, warm
 
 
 def run_sweep_pool(
@@ -195,10 +178,9 @@ def run_sweep_pool(
 
     parent_before = cache_counters(get_default_cache().stats())
     # Handoff BEFORE the pool starts: forked workers inherit the loaded
-    # datasets and the warmed cache through copy-on-write pages; under spawn
-    # the pickled payloads below are shipped with each worker's first cell
-    # on that dataset instead.
-    graphs, warm = prepare_handoff(specs)
+    # datasets and the warmed cache through copy-on-write pages; a spawned
+    # worker receives each graph from the parent's memo instead.
+    prepare_handoff(specs)
     parent_after = cache_counters(get_default_cache().stats())
     records: List[Optional[RunRecord]] = [None] * len(specs)
     finished = threading.Event()
@@ -235,18 +217,7 @@ def run_sweep_pool(
         if not order:
             finished.set()
         for index in order:
-            spec = specs[index]
-            try:
-                key = dataset_cache_key(spec)
-            except Exception:  # noqa: BLE001 — bad overrides fail in-worker
-                key = None
-            pool.submit(
-                spec,
-                index,
-                on_done=make_on_done(index),
-                graph=graphs.get(key),
-                warm_payload=warm.get(key),
-            )
+            pool.submit(specs[index], index, on_done=make_on_done(index))
         finished.wait()
         failure = state["failure"]
         if failure is not None:

@@ -29,6 +29,7 @@ from repro.api.stages import MEMO_COUNTER_KEYS, StageMemo, component_key, stage
 from repro.attack.naive import NaivePoison
 from repro.condensation.base import CondensedGraph, Condenser
 from repro.datasets import load_dataset
+from repro.datasets.base import get_spec
 from repro.defenses.base import Defense
 from repro.evaluation.metrics import attack_success_rate
 from repro.evaluation.pipeline import (
@@ -40,7 +41,7 @@ from repro.evaluation.pipeline import (
     train_model_on_condensed,
     triggered_test_graph,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AttackError, ConfigurationError
 from repro.graph.blocked import BLOCKED_THRESHOLD
 from repro.graph.data import GraphData
 from repro.graph.view import GraphView
@@ -206,12 +207,12 @@ class _Stopwatch:
 # ------------------------------------------------------------------ #
 def _resolve_evaluation(spec: ExperimentSpec) -> EvaluationConfig:
     """Merge the model and evaluation components into one EvaluationConfig."""
-    if spec.model.name is not None:
-        MODELS.canonical(spec.model.name)  # fail fast with the registry's message
     overrides: Dict[str, Any] = {"architecture": spec.model.name}
     overrides.update(spec.model.overrides)
     overrides.update(spec.evaluation.overrides)
-    return bind_config(EvaluationConfig, overrides)
+    evaluation = bind_config(EvaluationConfig, overrides)
+    MODELS.canonical(evaluation.architecture)  # fail fast with the registry's message
+    return evaluation
 
 
 def _resolve_condenser(spec: ExperimentSpec) -> Condenser:
@@ -219,7 +220,13 @@ def _resolve_condenser(spec: ExperimentSpec) -> Condenser:
 
 
 def _resolve_attack(spec: ExperimentSpec):
-    """Build the attack, folding the trigger component into its config."""
+    """Build the attack, folding the trigger component into its config.
+
+    A ``target_class`` or ``source_class`` the dataset does not have is
+    rejected here, before the load, from the dataset's declared class count.
+    The attacks keep their own checks against the graph they are given (an
+    inductive training view can hold fewer classes).
+    """
     entry = ATTACKS.get(spec.attack.name)
     overrides: Dict[str, Any] = {}
     trigger_overrides = dict(spec.trigger.overrides)
@@ -241,7 +248,18 @@ def _resolve_attack(spec: ExperimentSpec):
                 sorted(trigger_overrides),
             )
     overrides.update(spec.attack.overrides)
-    return ATTACKS.build(spec.attack.name, **overrides)
+    attack = ATTACKS.build(spec.attack.name, **overrides)
+    config = getattr(attack, "config", None)
+    num_classes = get_spec(spec.dataset.name).num_classes
+    for name in ("target_class", "source_class"):
+        value = getattr(config, name, None)
+        if value is not None and value >= num_classes:
+            owner = (entry.config_cls or type(config)).__name__
+            raise AttackError(
+                f"{owner}.{name} must be < {num_classes}, the class count of "
+                f"dataset {spec.dataset.name!r}, got {value!r}"
+            )
+    return attack
 
 
 def _resolve_defense(spec: ExperimentSpec) -> Defense:
@@ -449,40 +467,35 @@ def _evaluate(
 def run_experiment(
     spec: ExperimentSpec,
     *,
-    graph: GraphData | None = None,
     cell_index: int | None = None,
     memo: StageMemo | None = None,
 ) -> RunRecord:
     """Execute one spec end-to-end and return its :class:`RunRecord`.
 
-    ``graph`` lets a sweep share the loaded dataset across cells; when given
-    it must be the dataset the spec names.  The cell runs as the stages of
-    :mod:`repro.api.stages`.  All five random streams (clean condensation,
-    attack, victim training, clean training, defense) are spawned from
-    ``spec.seed`` alone and each is read by one stage, so a cell's record
-    never depends on what else ran in the process.  ``memo`` (a sweep's
-    :class:`~repro.api.stages.StageMemo`) serves the stages an earlier cell
-    already computed; without one every stage is computed here.
+    The dataset comes from the :func:`~repro.datasets.load_dataset` memo,
+    so the cells of a sweep (and of a pool worker) share one loaded graph.
+    The cell runs as the stages of :mod:`repro.api.stages`.  All five
+    random streams (clean condensation, attack, victim training, clean
+    training, defense) are spawned from ``spec.seed`` alone and each is read
+    by one stage, so a cell's record never depends on what else ran in the
+    process.  ``memo`` (a sweep's :class:`~repro.api.stages.StageMemo`)
+    serves the stages an earlier cell already computed; without one every
+    stage is computed here.
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec.from_dict(spec)
     spec.validate_runnable()
     # Build every component before the (potentially expensive) dataset
     # generation: a bad name or override typo anywhere in the spec is
-    # rejected at near-zero cost — and independently of whether a sweep
-    # already shares the graph.  Construction is cheap (config binding only).
+    # rejected at near-zero cost — and independently of whether the memo
+    # already holds the graph.  Construction is cheap (config binding only).
     evaluation = _resolve_evaluation(spec)
     _dataset_seed(spec)
     condenser = _resolve_condenser(spec)
     attack = _resolve_attack(spec) if spec.attack.is_set else None
     defense = _resolve_defense(spec) if spec.defense.is_set else None
     watch = _Stopwatch()
-    if graph is None:
-        graph = watch.measure("load_dataset", lambda: _load_graph(spec))
-    elif graph.name.lower() != spec.dataset.name.lower():
-        raise ConfigurationError(
-            f"shared graph {graph.name!r} does not match spec dataset {spec.dataset.name!r}"
-        )
+    graph = watch.measure("load_dataset", lambda: _load_graph(spec))
     clean_rng, attack_rng, victim_rng, eval_rng, defense_rng = spawn_rngs(spec.seed, 5)
     keys = _stage_keys(spec, attack)
 
@@ -644,12 +657,12 @@ def run_sweep(
     dispatch order for the serial backend) and also receives failed records.
     ``execution`` overrides the sweep's own :class:`ExecutionSpec`: the
     ``pool`` backend (also spelled ``process``) fans cells out over a pool of
-    worker processes with shard-aware cache handoff (see
+    worker processes that inherit or receive each dataset once (see
     :mod:`repro.api.parallel`) and is bit-identical to serial execution for
     any worker count; ``on_error="record"`` turns cell failures into
     structured failed records instead of aborting the sweep.
     In the serial backend cells naming the same dataset (and dataset seed)
-    share one loaded graph, and through it the shared
+    share one loaded graph from the dataset memo, and through it the shared
     :class:`~repro.graph.cache.PropagationCache`.  Cells also share one
     bounded :class:`~repro.api.stages.StageMemo` for the call (the pool keeps
     one per worker), which serves every stage an earlier cell already
@@ -691,7 +704,6 @@ def _run_sweep_cells(
 
     stats_before = cache_counters(get_default_cache().stats())
     memo = StageMemo()
-    graphs: Dict[Tuple[str, int], GraphData] = {}
     unloadable: Dict[Tuple[str, int], Dict[str, str]] = {}
     records: List[RunRecord | None] = [None] * len(specs)
     for position, index in enumerate(order):
@@ -715,15 +727,12 @@ def _run_sweep_cells(
                 # potentially expensive failed generation once per cell.
                 record = RunRecord.from_failure(spec, index, unloadable[key], 0.0)
             else:
-                if key not in graphs:
-                    try:
-                        graphs[key] = _load_graph(spec)
-                    except Exception as error:
-                        unloadable[key] = error_info(error)
-                        raise
-                record = run_experiment(
-                    spec, graph=graphs[key], cell_index=index, memo=memo
-                )
+                try:
+                    _load_graph(spec)
+                except Exception as error:
+                    unloadable[key] = error_info(error)
+                    raise
+                record = run_experiment(spec, cell_index=index, memo=memo)
         except Exception as error:
             if execution.on_error == "raise":
                 raise

@@ -258,9 +258,9 @@ class ExecutionSpec:
     ``backend``
         ``"serial"`` runs cells in the calling process (the default);
         ``"pool"`` dispatches them onto ``workers`` long-lived worker
-        processes (see :class:`~repro.service.pool.WorkerPool`) with
-        shard-aware :class:`~repro.graph.cache.PropagationCache` handoff,
-        per-cell fault isolation and bit-identical results.  ``"process"``
+        processes (see :class:`~repro.service.pool.WorkerPool`) that read
+        each dataset from the memo the parent loaded it into, with per-cell
+        fault isolation and bit-identical results.  ``"process"``
         is another spelling of ``"pool"``: it runs the same executor and
         round-trips through JSON unchanged.
     ``workers``

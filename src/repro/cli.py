@@ -21,7 +21,7 @@ see :mod:`repro.service`)::
 
 ``sweep`` executes serially by default; ``--workers N`` (N > 1) switches to
 the worker-pool backend — bit-identical results, cells fanned out over N
-worker processes with shard-aware propagation-cache handoff.  ``--out``
+worker processes that inherit or receive each dataset once.  ``--out``
 streams one ``RunRecord`` JSON object per line in canonical grid order
 whatever the backend, so for successful cells serial and parallel runs of
 the same spec produce lines that differ only in their ``timings`` (a failed

@@ -49,8 +49,6 @@ class EvaluationConfig:
     epochs: int = checked(200, at_least(1))
     lr: float = checked(0.01, real(above=0))
     weight_decay: float = checked(5e-4, real(at_least=0))
-    sntk_ridge: float = checked(1e-2, real(above=0))
-    sntk_hops: int = checked(2, at_least(0))
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigurationError)
@@ -65,15 +63,17 @@ def train_model_on_condensed(
     """Train the downstream model on a condensed graph.
 
     GC-SNTK condensed graphs are evaluated with the matching KRR predictor
-    (the paper notes GC-SNTK only applies to NTK-based models); every other
-    condensed graph trains the requested GNN architecture.  The method check
-    ignores attack suffixes ("gc-sntk+naive-poison"), so attacked and clean
-    variants of the same condenser always train the same model family.
+    (the paper notes GC-SNTK only applies to NTK-based models), built with
+    the ridge and hop count GC-SNTK records in the condensed metadata; every
+    other condensed graph trains the requested GNN architecture.  The method
+    check ignores attack suffixes ("gc-sntk+naive-poison"), so attacked and
+    clean variants of the same condenser always train the same model family.
     """
     if condensed.method.split("+", 1)[0] == "gc-sntk":
-        ridge = condensed.metadata.get("ridge", config.sntk_ridge)
-        hops = int(condensed.metadata.get("num_hops", config.sntk_hops))
-        return SNTKPredictor(condensed, ridge=ridge, num_hops=hops)
+        metadata = condensed.metadata
+        return SNTKPredictor(
+            condensed, ridge=metadata["ridge"], num_hops=int(metadata["num_hops"])
+        )
 
     model = make_model(
         config.architecture,

@@ -51,6 +51,11 @@ read-only.  The module-level default cache (:func:`get_default_cache`) is
 what the condensers, the models layer and the evaluation pipeline share, so
 e.g. a ``GCond`` and a ``GCondX`` instance condensing the same graph reuse
 one propagation, as does an SNTK evaluation of that graph.
+
+The cache is per process and never crosses a process boundary.  A pool
+worker forked after the parent warmed it inherits its entries; a spawned
+worker, or one that receives a dataset after it started, builds its own
+(see :mod:`repro.api.parallel`).
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.blocked import BlockedArray, blocked_precompute_hops, blocked_threshold
+from repro.graph.blocked import blocked_precompute_hops, blocked_threshold
 from repro.graph.data import GraphData
 from repro.graph.normalize import (
     gcn_normalize,
@@ -107,7 +112,7 @@ class _Entry:
         #: (its feature matrix) and a :class:`PropagatedRows` per requested
         #: hop, holding the rows read so far or, once materialised, the
         #: whole product (every hop ``0..K`` as a ``BlockedArray`` if the
-        #: chain is blocked; a dense array for a hop warm-started or kept by
+        #: chain is blocked; a dense array for a hop kept by
         #: ``propagated(..., keep=...)``); only the final hop (the base's
         #: own product) for a label-only variant.
         self.hops: Dict[int, object] = {}
@@ -361,79 +366,6 @@ class PropagationCache:
             if entry.csr_features is None:
                 entry.csr_features = sp.csr_matrix(graph.features)
             return entry.csr_features
-
-    # -------------------------------------------------------------- #
-    # Cross-process warm-start handoff
-    # -------------------------------------------------------------- #
-    def export_base_chains(self, graph) -> Dict[str, object]:
-        """Picklable snapshot of ``graph``'s cached base artefacts.
-
-        Returns the normalized operator, its degree vector and every hop
-        product held whole for ``graph``: hop 0, each requested hop a
-        caller materialised, and every hop of a blocked chain.  A row
-        source's rows are a per-process memo and are not shipped: a fresh
-        cache warm-started with the payload never re-pays the operator, and
-        computes the rows it reads (or, if it reads the whole product,
-        materialises it once).  The payload contains only plain
-        numpy/scipy containers, so it pickles
-        cleanly across a process boundary (the worker pool ships it only
-        under the ``spawn`` start method, with each worker's first cell on
-        this dataset shard).  Returns an empty mapping when nothing is
-        resident.  Exporting counts neither as a hit nor as a miss.
-        """
-        with self._lock:
-            shard = self._shards.get(self._shard_key(graph))
-            entry = shard.get(self._key(graph)) if shard is not None else None
-            if entry is None:
-                return {}
-            whole = {hop: _whole(product) for hop, product in entry.hops.items()}
-            payload: Dict[str, object] = {
-                "hops": {hop: product for hop, product in whole.items() if product is not None}
-            }
-            if entry.normalized is not None:
-                payload["normalized"] = entry.normalized
-                payload["degrees"] = entry.degrees
-                payload["nonnegative"] = entry.nonnegative
-            if not payload["hops"] and "normalized" not in payload:
-                return {}
-            return payload
-
-    def warm_start(self, graph, payload: Dict[str, object]) -> None:
-        """Install an :meth:`export_base_chains` payload under ``graph``'s key.
-
-        ``graph`` must hold the *same content* as the graph the payload was
-        exported from (the usual case: the identical dataset loaded — or
-        forked/unpickled — in another process).  Re-keying happens here:
-        version tokens are process-local, so the payload is installed under
-        *this* graph's key, whatever the exporting process called it.
-        Subsequent :meth:`normalized` calls on ``graph``, and reads of every
-        shipped hop, are plain hits; a hop that was not shipped gets a row
-        source over the installed operator (one miss, no normalisation).
-        Derived graphs patch incrementally against the installed chains;
-        warm-starting itself counts neither as a hit nor as a miss.  An
-        empty payload is a no-op.
-        """
-        if not payload:
-            return
-        with self._lock:
-            shard = self._shard(self._shard_key(graph))
-            entry = self._entry(shard, self._key(graph))
-            normalized = payload.get("normalized")
-            if normalized is not None:
-                # Install the exported fields directly: the nonnegative flag
-                # was already computed by the exporting cache, and re-deriving
-                # it through _set_normalized would rescan all nnz entries.
-                entry.normalized = normalized
-                entry.degrees = payload.get("degrees")
-                entry.nonnegative = bool(payload.get("nonnegative", False))
-            for hop, product in dict(payload.get("hops") or {}).items():
-                if isinstance(product, BlockedArray):
-                    # Blocked chains hand off by reference: the worker maps
-                    # the exporter's block files read-only (fork shares the
-                    # object, spawn re-opens by path) and never deletes them.
-                    entry.hops[int(hop)] = product
-                else:
-                    entry.hops[int(hop)] = np.asarray(product)
 
     def invalidate(self, graph=None) -> None:
         """Drop every cached artefact (entries and the raw-matrix memo).

@@ -34,7 +34,7 @@ from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.api.parallel import prepare_handoff
-from repro.api.runner import RunRecord, SweepRecord, dataset_cache_key
+from repro.api.runner import RunRecord, SweepRecord
 from repro.api.spec import ExperimentSpec, SweepSpec
 from repro.exceptions import ConfigurationError, JobCancelled, JobQueueFull
 from repro.service.pool import DEFAULT_RECYCLE_AFTER, WorkerPool
@@ -445,14 +445,13 @@ class CondensationService:
         except Exception as error:  # noqa: BLE001 — bad spec fails the job
             job._finish(JobStatus.FAILED, error)
             return
-        # Load each dataset once and warm its propagation shard in the
-        # service parent.  A worker started before the load receives the
-        # graph by a one-time per-worker shipment; under fork it computes
-        # its own chains, under spawn it gets them as a warm payload (see
-        # WorkerPool).  Cells the store will answer still pass through
-        # here, which keeps the handoff simple — the loads are memoised, so
-        # a warm service pays nothing.
-        graphs, warm = prepare_handoff(specs)
+        # Load each dataset into the service parent's memo once and warm its
+        # propagation shard.  A worker started before the load receives the
+        # graph from that memo with its first cell on the dataset and builds
+        # its own operator (see WorkerPool).  Cells the store will answer
+        # still pass through here, which keeps the handoff simple — the
+        # loads are memoised, so a warm service pays nothing.
+        prepare_handoff(specs)
         if not job._set_running(len(specs)):
             return  # cancelled while queued
         if not specs:
@@ -463,10 +462,6 @@ class CondensationService:
             if stored is not None:
                 job._deliver(stored, from_store=True)
                 continue
-            try:
-                key = dataset_cache_key(spec)
-            except Exception:  # noqa: BLE001 — bad overrides fail in-worker
-                key = None
 
             def on_done(record: RunRecord, _job: JobHandle = job) -> None:
                 self.store.put(record)
@@ -474,14 +469,7 @@ class CondensationService:
                 if _job.status.terminal:
                     self._pool.release(_job.job_id)
 
-            self._pool.submit(
-                spec,
-                index,
-                on_done=on_done,
-                tag=job.job_id,
-                graph=graphs.get(key),
-                warm_payload=warm.get(key),
-            )
+            self._pool.submit(spec, index, on_done=on_done, tag=job.job_id)
         logger.info(
             "service: %s running (%d cells, %d from store)",
             job.job_id,

@@ -40,26 +40,23 @@ the memo hit, an idle worker is given, in order of preference, a pending
 cell of a ``(dataset, seed)`` group it already ran in that scope, else a
 cell of a group no other worker holds, else the queue head.
 
-**Cache handoff** — workers forked at :meth:`WorkerPool.start` inherit the
-parent's dataset memo and warmed :class:`~repro.graph.cache.PropagationCache`
-through copy-on-write pages.  For a dataset the parent loaded *after* a
-worker started (a later job on a fresh dataset — every service worker on
-the first job naming a dataset), the first task naming that dataset ships
-the loaded graph to that worker — once per worker per dataset, not once per
-cell.  Under ``fork`` the graph is all it ships: the worker rebuilds the
-operator the parent just built, on its first cell on that dataset.  Only
-under the ``spawn`` fallback, whose workers start with an empty cache, does
-that task also carry a pickled ``export_base_chains`` payload (hop 0 and the
-operator), which warms the worker's cache.  No propagated product is
-shipped either way: a worker computes the propagated rows it reads, and a
-cell that reads a whole product materialises it once per worker.
+**Dataset handoff** — a cell reads its dataset from the
+:func:`~repro.datasets.load_dataset` memo and nowhere else.  Workers forked
+at :meth:`WorkerPool.start` inherit the parent's memo and warmed
+:class:`~repro.graph.cache.PropagationCache` through copy-on-write pages.
+A worker that lacks a dataset the parent's memo holds (every worker under
+the ``spawn`` fallback; under ``fork``, one started before the parent
+loaded it, as on a service's first job naming a dataset) receives the
+graph with its first task on that dataset, once per worker, and builds its
+own operator on its first cell there.  No propagated product is shipped:
+a worker computes the propagated rows it reads, and a cell that reads a
+whole product materialises it once per worker.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import pickle
 import threading
 import time
 from collections import deque
@@ -85,7 +82,6 @@ from repro.graph.blocked import (
     set_scratch_root,
 )
 from repro.graph.cache import get_default_cache
-from repro.graph.data import GraphData
 from repro.utils.knobs import KNOBS
 from repro.utils.logging import get_logger
 
@@ -127,7 +123,7 @@ def _pool_worker_main(
     """Long-lived worker loop: receive cells, run them, ship records back.
 
     Messages from the parent are ``("run", task_id, spec, cell_index,
-    dataset_key, graph, warm_payload, knob_values, scope)``, ``("forget",)``
+    dataset_key, graph, knob_values, scope)``, ``("forget",)``
     or ``("stop",)``; ``knob_values`` maps env names to the parent's
     effective values, which the worker installs as overrides before the
     cell runs.  Cells of one ``scope`` share a stage memo; another scope
@@ -136,18 +132,16 @@ def _pool_worker_main(
     or ``("error", task_id, error_info, stats_delta)``, the delta holding
     the cell's cache and memo counters — an exception is a
     reported result, never a dead worker, so the parent can tell a failing
-    *cell* from a dying *process*.  A shipped ``graph`` is installed into the
-    worker's dataset memo (so later cells on the same dataset need no
-    payload) and its ``warm_payload`` — a pickled ``export_base_chains``
-    snapshot, built only under ``spawn`` — warms the worker's propagation
-    cache exactly once per dataset.  The scratch root is pinned before any work so blocked-engine
-    block files land where the parent's crash cleanup will look; the
-    worker's scratch directory is removed on the way out.
+    *cell* from a dying *process*.  A shipped ``graph`` (sent once per
+    worker and dataset) is installed into the worker's dataset memo, which
+    the cell reads like every later cell on that dataset.  The scratch root
+    is pinned before any work so blocked-engine block files land where the
+    parent's crash cleanup will look; the worker's scratch directory is
+    removed on the way out.
     """
     if blocked_scratch_root is not None:
         set_scratch_root(blocked_scratch_root)
     cache = get_default_cache()
-    warmed: set = set()
     memo: Optional[StageMemo] = None
     memo_scope: Any = None
     try:
@@ -168,7 +162,6 @@ def _pool_worker_main(
                 cell_index,
                 dataset_key,
                 graph,
-                warm_payload,
                 knob_values,
                 scope,
             ) = message
@@ -186,19 +179,9 @@ def _pool_worker_main(
             try:
                 for env, value in knob_values.items():
                     KNOBS[env].set(value)
-                if graph is not None and dataset_key is not None:
+                if graph is not None:
                     _DATASET_CACHE.setdefault(dataset_key, graph)
-                    if warm_payload is not None and dataset_key not in warmed:
-                        cache.warm_start(
-                            _DATASET_CACHE[dataset_key], pickle.loads(warm_payload)
-                        )
-                        warmed.add(dataset_key)
-                shared = (
-                    _DATASET_CACHE.get(dataset_key) if dataset_key is not None else None
-                )
-                record = run_experiment(
-                    spec, graph=shared, cell_index=cell_index, memo=memo
-                )
+                record = run_experiment(spec, cell_index=cell_index, memo=memo)
                 connection.send(("ok", task_id, record.to_dict(), stats_delta()))
             except BaseException as error:  # noqa: BLE001 — everything reported
                 connection.send(("error", task_id, error_info(error), stats_delta()))
@@ -226,8 +209,6 @@ class _Task:
     #: ``(tag, dataset key, seed)``, or ``None`` when the spec's dataset
     #: overrides are malformed: cells of one group share memoised stages.
     group: Any = None
-    graph: Optional[GraphData] = None
-    warm_payload: Optional[bytes] = None
     started: float = 0.0
 
 
@@ -242,8 +223,8 @@ class _WorkerSlot:
     process: multiprocessing.process.BaseProcess
     connection: multiprocessing.connection.Connection
     #: Dataset keys present in the worker (fork-inherited memo snapshot plus
-    #: everything shipped since) — the parent ships a graph payload only for
-    #: keys missing here.
+    #: everything shipped since) — the parent ships a graph from its memo
+    #: only for keys missing here.
     known_datasets: set = field(default_factory=set)
     cells_done: int = 0
     current: Optional[_Task] = None
@@ -421,16 +402,13 @@ class WorkerPool:
         on_done: OnDone,
         timeout: Optional[float] = None,
         tag: Any = None,
-        graph: Optional[GraphData] = None,
-        warm_payload: Optional[bytes] = None,
     ) -> int:
         """Enqueue one cell; returns its task id.  ``on_done`` fires from the
         scheduler thread with the finished or failed record.
 
-        ``graph``/``warm_payload`` are the shard-handoff artefacts for the
-        cell's dataset (see :func:`repro.api.parallel.prepare_handoff`); they
-        are shipped to a worker only if it does not already hold that
-        dataset.  ``timeout`` overrides the pool default for this cell;
+        The worker reads the cell's dataset from its own memo, which the
+        dispatcher fills from the parent's with the worker's first cell on
+        that dataset.  ``timeout`` overrides the pool default for this cell;
         ``tag`` is an opaque marker usable with :meth:`cancel` and
         :meth:`release`, and scopes the workers' stage memos.
         """
@@ -451,8 +429,6 @@ class WorkerPool:
                 timeout=self.timeout if timeout is None else timeout,
                 tag=tag,
                 group=group,
-                graph=graph,
-                warm_payload=warm_payload,
             )
             self._next_task_id += 1
             self._pending.append(task)
@@ -574,9 +550,9 @@ class WorkerPool:
                 continue
             task = self._next_task_locked(slot)
             key = None if task.group is None else task.group[1]
-            graph = warm = None
+            graph = None
             if key is not None and key not in slot.known_datasets:
-                graph, warm = task.graph, task.warm_payload
+                graph = _DATASET_CACHE.get(key)
                 if graph is not None:
                     slot.known_datasets.add(key)
             now = time.perf_counter()
@@ -590,7 +566,6 @@ class WorkerPool:
                         task.cell_index,
                         key,
                         graph,
-                        warm,
                         _knob_values(),
                         task.tag,
                     )

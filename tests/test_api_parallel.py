@@ -1,4 +1,4 @@
-"""Parallel sweep executor: bit-identity, fault isolation, cache handoff.
+"""Parallel sweep executor: bit-identity, fault isolation, dataset handoff.
 
 The contract under test (see :mod:`repro.api.parallel`):
 
@@ -9,9 +9,9 @@ The contract under test (see :mod:`repro.api.parallel`):
   failed :class:`~repro.api.runner.RunRecord` under ``on_error="record"``
   while the other cells complete, and aborts the sweep under
   ``on_error="raise"`` without waiting for cells still in flight;
-* workers receive the parent's base propagation chains (shard-aware cache
-  handoff) and ship their cache counters back, merged onto
-  ``SweepRecord.cache_stats``.
+* workers read each dataset from the memo, which a forked worker inherits
+  with the parent's warmed operator and a spawned one receives once, and
+  ship their cache counters back, merged onto ``SweepRecord.cache_stats``.
 
 The fault-injection tests register throwaway condensers at runtime, which
 only reach worker processes under the ``fork`` start method (workers forked
@@ -21,11 +21,12 @@ without ``fork``.
 
 from __future__ import annotations
 
+import json
 import math
 import multiprocessing
 import os
-import pickle
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,10 +39,14 @@ from repro.api import (
     run_sweep,
 )
 from repro.api.parallel import prepare_handoff, preferred_start_method
+from repro.datasets.base import _DATASET_CACHE
 from repro.exceptions import SweepExecutionError
 from repro.graph.blocked import process_scratch_dir
 from repro.graph.cache import PropagationCache, set_default_cache
+from repro.graph.view import PropagatedRows
 from repro.registry import CONDENSERS
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 needs_fork = pytest.mark.skipif(
     preferred_start_method() != "fork",
@@ -411,37 +416,48 @@ class TestCacheHandoff:
         assert records.cache_stats["contributors"] == 1
         assert records.cache_stats["misses"] >= 0
 
-    def test_prepare_handoff_skips_the_pickle_under_fork(self):
-        """Forked workers inherit the warmed cache; no payload is built."""
-        specs = smoke_sweep().expand()
-        graphs, warm = prepare_handoff(specs, start_method="fork")
-        assert graphs and warm == {}
-
-    def test_prepare_handoff_exports_pickled_base_chains(self):
-        """The spawn path's payload: hop 0 and the operator, installable cold."""
-        specs = smoke_sweep().expand()
-        source = PropagationCache()
-        previous = set_default_cache(source)  # no product an earlier test made
+    def test_prepare_handoff_leaves_the_graph_in_the_memo_with_its_operator(
+        self, monkeypatch
+    ):
+        """The memo is the handoff: after it the parent's memo holds the
+        graph, and the cache its operator and an unread row source of the
+        condenser's hop count (gcond's num_hops=2) — no propagated row."""
+        monkeypatch.delitem(_DATASET_CACHE, ("tiny", 0), raising=False)
+        cache = PropagationCache()
+        previous = set_default_cache(cache)  # no product an earlier test made
         try:
-            graphs, warm = prepare_handoff(specs, start_method="spawn")
+            prepare_handoff(smoke_sweep().expand())
         finally:
             set_default_cache(previous)
-        (key,) = graphs  # one dataset shard in the grid
-        payload = pickle.loads(warm[key])
-        assert payload["normalized"] is not None
-        # The parent warms gcond's num_hops=2 row source without reading a
-        # row of it, so only the features ship; rows are a per-process memo.
-        assert set(payload["hops"]) == {0}
+        entry = cache._lookup(_DATASET_CACHE[("tiny", 0)])
+        assert entry.normalized is not None
+        rows = entry.hops[2]
+        assert isinstance(rows, PropagatedRows)
+        assert rows.stored_rows == 0 and rows.materialized is None
 
-        # A fresh cache warm-started from the payload never re-pays the
-        # operator: the row source it creates is the only miss, and hop 2 is
-        # computed where it is read.
-        cache = PropagationCache()
-        cache.warm_start(graphs[key], payload)
-        product = cache.propagated(graphs[key], 2)
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.normalized(graphs[key]) is payload["normalized"]
-        assert cache.misses == 1
-        assert (
-            product.tobytes() == source.propagated(graphs[key], 2).tobytes()
+
+class TestSpawnHandoff:
+    def test_spawn_pool_records_match_serial(self, monkeypatch):
+        """Under spawn, the only start method on macOS, a worker starts with
+        an empty memo and cache: it receives each graph once from the
+        parent's memo and builds its own operator, and its records are the
+        serial ones (timings and cell index aside)."""
+        sweep = SweepSpec.from_dict(
+            json.loads((REPO_ROOT / "examples" / "sweep.json").read_text(encoding="utf-8"))
         )
+
+        def strip(record: RunRecord) -> dict:
+            payload = record.to_dict()
+            del payload["timings"], payload["cell_index"]
+            return payload
+
+        serial = run_sweep(sweep, execution=ExecutionSpec(on_error="record"))
+        monkeypatch.setattr(
+            "repro.api.parallel.preferred_start_method", lambda: "spawn"
+        )
+        pooled = run_sweep(
+            sweep,
+            execution=ExecutionSpec(backend="pool", workers=2, on_error="record"),
+        )
+        assert all(record.ok for record in serial)
+        assert [strip(record) for record in pooled] == [strip(record) for record in serial]

@@ -157,21 +157,25 @@ class TestRunExperiment:
     def test_dataset_overrides_validated_even_with_shared_graph(self):
         from repro.datasets import load_dataset
 
-        graph = load_dataset("tiny", seed=0)
+        load_dataset("tiny", seed=0)  # the memo already shares the graph
         spec = tiny_attack_spec(dataset={"name": "tiny", "overrides": {"nodes": 10}})
         with pytest.raises(ConfigurationError, match="only 'seed'"):
-            run_experiment(spec, graph=graph)
-
-    def test_mismatched_shared_graph_rejected(self):
-        from repro.datasets import load_dataset
-
-        graph = load_dataset("cora", seed=0)
-        with pytest.raises(ConfigurationError, match="does not match"):
-            run_experiment(tiny_attack_spec(), graph=graph)
+            run_experiment(spec)
 
     def test_unknown_model_rejected_eagerly(self):
         with pytest.raises(ConfigurationError, match="unknown model"):
             run_experiment(tiny_attack_spec(model="resnet"))
+
+    def test_unknown_evaluation_architecture_rejected_eagerly(self, monkeypatch):
+        """The bound architecture is checked, whichever component set it."""
+
+        def no_load(spec):
+            raise AssertionError("the dataset loaded before the architecture was checked")
+
+        monkeypatch.setattr("repro.api.runner._load_graph", no_load)
+        spec = tiny_attack_spec(evaluation={"overrides": {"architecture": "bogus"}})
+        with pytest.raises(ConfigurationError, match="unknown model 'bogus'"):
+            run_experiment(spec)
 
     def test_override_typos_rejected_before_any_work(self):
         for broken in (
@@ -426,6 +430,30 @@ class TestRunSweep:
     def test_invalid_order_rejected(self):
         with pytest.raises(ConfigurationError, match="permutation"):
             run_sweep(smoke_sweep(), order=[0, 0, 1, 2])
+
+    def test_serial_sweep_tries_an_unloadable_dataset_once(self, monkeypatch):
+        """Cells of a dataset that failed to load reuse the recorded failure
+        instead of re-paying the generation once per cell."""
+        from repro.api import runner
+
+        calls = []
+        load = runner._load_graph
+
+        def counting(spec):
+            calls.append(spec.dataset.name)
+            return load(spec)
+
+        monkeypatch.setattr(runner, "_load_graph", counting)
+        sweep = {
+            "base": {
+                "dataset": "no-such-dataset",
+                "condenser": {"name": "gcond", "overrides": {"epochs": 2, "ratio": 0.2}},
+            },
+            "axes": {"seed": [0, 1, 2]},
+        }
+        records = run_sweep(sweep, execution={"on_error": "record"})
+        assert [record.error["type"] for record in records] == ["DatasetError"] * 3
+        assert calls == ["no-such-dataset"]
 
     def test_sweep_accepts_raw_payload(self):
         records = run_sweep(

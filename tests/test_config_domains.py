@@ -154,7 +154,7 @@ def test_walk_covers_every_config():
     and training configs and ``ExecutionSpec``."""
     owners = {case[5].__name__ for case in PATHS}
     assert len(owners) == 18 and {"TriggerConfig", "SelectionConfig"} <= owners
-    assert sum(case[2] is not ExecutionSpec and case[7] != "str" for case in PATHS) >= 115
+    assert sum(case[2] is not ExecutionSpec and case[7] != "str" for case in PATHS) >= 113
 
 
 @pytest.mark.parametrize("case", PATHS, ids=_id)
@@ -212,7 +212,6 @@ def test_execution_blocked_threshold_shares_the_knob_domain():
     "component, key, value, error",
     [
         ("attack", "selection.degree_balance", math.nan, AttackError),
-        ("evaluation", "sntk_ridge", -1, ConfigurationError),
         ("condenser", "feature_init_noise", math.nan, ConfigurationError),
         ("condenser", "epochs", math.inf, ConfigurationError),
         ("evaluation", "epochs", math.nan, ConfigurationError),
@@ -224,7 +223,7 @@ def test_overrides_that_used_to_pass_or_fail_late_fail_before_the_load(
     component, key, value, error, no_load
 ):
     """Each used to finish ok or raise inside a stage after the load: a NaN
-    degree balance and a negative ridge scored; a NaN noise raised an
+    degree balance scored; a NaN noise raised an
     ``AutogradError`` about a learning rate; an infinite or NaN epoch count a
     ``TypeError``; a negative neighbour cap numpy's ``ValueError``; a negative
     target class a ``GraphValidationError``."""
@@ -236,6 +235,53 @@ def test_overrides_that_used_to_pass_or_fail_late_fail_before_the_load(
     payload = json.loads(json.dumps(payload))
     payload[component]["overrides"][key] = value
     with pytest.raises(error, match=re.escape(key.rpartition(".")[2])):
+        run_experiment(ExperimentSpec.from_dict(payload))
+
+
+@pytest.mark.parametrize(
+    "attack, overrides, qualified",
+    [
+        ("naive", {"target_class": 99}, "NaivePoisonConfig.target_class"),
+        ("prbcd", {"target_class": 99}, "SampledEdgeConfig.target_class"),
+        ("bgc", {"target_class": 99}, "BGCConfig.target_class"),
+        ("bgc", {"target_class": 3}, "BGCConfig.target_class"),
+        ("bgc", {"directed": True, "source_class": 99}, "BGCConfig.source_class"),
+        ("injection", {"target_class": 99}, "InjectionConfig.target_class"),
+        ("gta", {"target_class": 99}, "GTAConfig.target_class"),
+        ("doorping", {"target_class": 99}, "DoorpingConfig.target_class"),
+    ],
+)
+def test_class_index_the_dataset_lacks_fails_before_the_load(
+    attack, overrides, qualified, no_load
+):
+    """tiny has 3 classes (0-2).  Class 99 used to be caught late or not at all:
+    ``naive`` finished ok and was scored, ``prbcd`` failed in autograd, a
+    directed ``bgc`` found an empty candidate pool, and ``bgc`` and
+    ``injection`` failed in a stage after the load."""
+    payload = json.loads(json.dumps(BASE_CELL))
+    payload["attack"] = {"name": attack, "overrides": overrides}
+    with pytest.raises(AttackError, match=re.escape(f"{qualified} must be < 3")):
+        run_experiment(ExperimentSpec.from_dict(payload))
+
+
+def test_the_dataset_top_class_reaches_the_load(no_load):
+    payload = json.loads(json.dumps(BASE_CELL))
+    overrides = {"directed": True, "source_class": 2, "target_class": 2}
+    payload["attack"] = {"name": "bgc", "overrides": overrides}
+    with pytest.raises(AssertionError, match="the dataset loaded"):
+        run_experiment(ExperimentSpec.from_dict(payload))
+
+
+@pytest.mark.parametrize("key", ["sntk_ridge", "sntk_hops"])
+def test_removed_sntk_evaluation_fields_are_unknown_overrides(key, no_load):
+    """The SNTK predictor takes its ridge and hop count from the condensed
+    graph's metadata, so the evaluation fields that once named them are
+    gone: a spec that still sets one fails before the load instead of
+    splitting the result store's keys for an identical record."""
+    payload = json.loads(json.dumps(BASE_CELL))
+    payload["condenser"]["name"] = "gc-sntk"
+    payload["evaluation"]["overrides"][key] = 1
+    with pytest.raises(ConfigurationError, match=f"unknown EvaluationConfig field '{key}'"):
         run_experiment(ExperimentSpec.from_dict(payload))
 
 

@@ -50,6 +50,11 @@ def condensed_with_structure(rng):
     return CondensedGraph(features=features, labels=labels, adjacency=adjacency, method="gcond")
 
 
+#: What GC-SNTK records in the metadata of its condensed graphs (at its
+#: default ridge and hop count), which its KRR predictor is built from.
+SNTK_METADATA = {"ridge": 1e-2, "num_hops": 2.0}
+
+
 def _structured_condensed(graph: GraphData, method: str) -> CondensedGraph:
     """Four nodes of each class of ``graph``, joined in a path with self-loops."""
     index = np.concatenate(
@@ -63,6 +68,7 @@ def _structured_condensed(graph: GraphData, method: str) -> CondensedGraph:
         labels=graph.labels[index].copy(),
         adjacency=adjacency,
         method=method,
+        metadata=dict(SNTK_METADATA) if method == "gc-sntk" else {},
     )
 
 
@@ -369,6 +375,7 @@ class TestDropNode:
             labels=small_graph.labels[:10],
             adjacency=np.eye(10),
             method="gc-sntk",
+            metadata=dict(SNTK_METADATA),
         )
         model = defense.defend(condensed, None, small_graph, evaluation, new_rng(0))
         predictions = model.predict(small_graph.adjacency, small_graph.features)

@@ -913,19 +913,6 @@ class TestBlockedStoreProperties:
             read = pool.apply(BlockedArray.materialize, (store,))
         np.testing.assert_array_equal(read, dense)
 
-    def test_warm_start_round_trip_with_blocked_chains(
-        self, small_graph, force_blocked
-    ):
-        exporter = PropagationCache()
-        reference = exporter.propagated(small_graph, 2).materialize()
-        payload = pickle.loads(pickle.dumps(exporter.export_base_chains(small_graph)))
-        assert any(isinstance(hop, BlockedArray) for hop in payload["hops"].values())
-        receiver = PropagationCache()
-        receiver.warm_start(small_graph, payload)
-        served = receiver.propagated(small_graph, 2)
-        assert receiver.stats()["hits"] == 1 and receiver.stats()["misses"] == 0
-        np.testing.assert_array_equal(np.asarray(served), reference)
-
     def test_block_files_cleaned_up_on_cache_eviction(self, force_blocked):
         from repro.graph.splits import SplitIndices
 

@@ -402,7 +402,6 @@ class TestResidentHops:
         entry = cache._lookup(small_graph)
         assert set(entry.hops) == {0, 2}
         assert entry.hops[0] is small_graph.features
-        assert set(cache.export_base_chains(small_graph)["hops"]) == {0, 2}
         cache.propagated(small_graph, 1)
         assert set(entry.hops) == {0, 1, 2}
 
@@ -430,71 +429,6 @@ class TestResidentHops:
         hops = cache._lookup(small_graph).hops
         assert set(hops) == {0, 1, 2}
         assert all(isinstance(hops[k], BlockedArray) for k in (1, 2))
-
-
-class TestWarmStartHandoff:
-    """export_base_chains / warm_start: the parallel executor's cache handoff."""
-
-    def test_round_trip_through_pickle_is_exact_and_hit_consistent(self, small_graph):
-        import pickle
-
-        source = PropagationCache()
-        expected = source.propagated(small_graph, 2)
-        counters_before = (source.hits, source.misses)
-        payload = pickle.loads(pickle.dumps(source.export_base_chains(small_graph)))
-        # Exporting is pure observation: no hit/miss accounting.
-        assert (source.hits, source.misses) == counters_before
-
-        # The payload ships what the source keeps: X and the requested hop.
-        assert set(payload["hops"]) == {0, 2}
-        target = PropagationCache()
-        target.warm_start(small_graph, payload)
-        assert (target.hits, target.misses) == (0, 0)
-        for hop in (0, 2):
-            np.testing.assert_array_equal(
-                target.propagated(small_graph, hop), source.propagated(small_graph, hop)
-            )
-        # Every post-warm-start read of a shipped hop is a pure hit.
-        assert target.misses == 0
-        assert target.hits == 2
-        normalized = target.normalized(small_graph)
-        assert target.misses == 0
-        assert (normalized != source.normalized(small_graph)).nnz == 0
-
-    def test_warm_started_base_serves_incremental_updates(self, small_graph, rng):
-        """A derived delta patches against warm-started chains — no recompute."""
-        source = PropagationCache()
-        source.propagated(small_graph, 2)
-        target = PropagationCache()
-        target.warm_start(small_graph, source.export_base_chains(small_graph))
-
-        derived = _random_delta(small_graph, rng)
-        misses_before = target.misses
-        product = target.propagated(derived, 2)
-        # 2 misses (the derived graph's normalize + propagate), 0 base work.
-        assert target.misses - misses_before == 2
-        assert target.stats()["incremental_updates"] == 1
-        expected = sgc_precompute(derived.adjacency, derived.features, 2)
-        np.testing.assert_allclose(product, expected, rtol=0.0, atol=1e-10)
-
-    def test_export_of_uncached_graph_is_empty_and_warm_start_noop(self, small_graph):
-        cache = PropagationCache()
-        payload = cache.export_base_chains(small_graph)
-        assert payload == {}
-        target = PropagationCache()
-        target.warm_start(small_graph, payload)
-        assert target.stats()["graphs"] == 0
-
-    def test_partial_export_only_ships_resident_artefacts(self, small_graph):
-        cache = PropagationCache()
-        cache.normalized(small_graph)  # operator cached, no hop chain yet
-        payload = cache.export_base_chains(small_graph)
-        assert payload["normalized"] is not None
-        assert payload["hops"] == {}
-        target = PropagationCache()
-        target.warm_start(small_graph, payload)
-        assert target.normalized(small_graph) is payload["normalized"]
-        assert target.misses == 0
 
 
 class TestDerivedProductStream:
@@ -802,7 +736,6 @@ class TestRowSourceInCache:
         full = sgc_precompute_hops(cache.normalized(small_graph), small_graph.features, 3)
         assert [hop.tobytes() for hop in lower] == [full[1].tobytes(), full[2].tobytes()]
         assert product.tobytes() == full[3].tobytes()
-        assert set(cache.export_base_chains(small_graph)["hops"]) == {0, 1, 2, 3}
 
     def test_prbcd_reads_hops_k_and_k_minus_1_from_one_chain(self, small_graph, monkeypatch):
         from repro.attack.sampled import SampledEdgeAttack, SampledEdgeConfig

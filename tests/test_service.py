@@ -395,6 +395,43 @@ class TestWorkerPool:
         parent = f"threshold {blocked_threshold()}"
         assert parent in restored.error["message"]
 
+    @needs_fork
+    def test_worker_reads_a_dataset_loaded_after_it_started_from_the_parents_memo(
+        self, monkeypatch
+    ):
+        """The dispatcher sends a worker that lacks a dataset the graph in the
+        parent's memo, once; the worker's cells read that graph, not one
+        they generate themselves."""
+        from repro.datasets import load_dataset
+        from repro.datasets.base import _DATASET_CACHE
+
+        class _GraphProbe:
+            def condense(self, graph, rng):
+                raise RuntimeError(f"features sum {float(graph.features.sum())!r}")
+
+        CONDENSERS.register("svc-graph-probe-test", factory=lambda **kwargs: _GraphProbe())
+        probe = ExperimentSpec.from_dict(
+            dict(
+                cheap_spec().to_dict(),
+                dataset={"name": "tiny", "overrides": {"seed": 77}},
+                condenser={"name": "svc-graph-probe-test"},
+            )
+        )
+        monkeypatch.delitem(_DATASET_CACHE, ("tiny", 77), raising=False)
+        try:
+            with WorkerPool(1) as pool:
+                # A graph the worker cannot generate under the cell's key,
+                # put in the memo after the worker forked.
+                stand_in = load_dataset("tiny", seed=1)
+                monkeypatch.setitem(_DATASET_CACHE, ("tiny", 77), stand_in)
+                records = self.run_cells(pool, [probe, probe])
+                (slot,) = pool._slots
+                assert ("tiny", 77) in slot.known_datasets
+        finally:
+            CONDENSERS.unregister("svc-graph-probe-test")
+        expected = f"features sum {float(stand_in.features.sum())!r}"
+        assert all(expected in record.error["message"] for record in records)
+
     def test_submit_before_start_rejected(self):
         pool = WorkerPool(1)
         with pytest.raises(RuntimeError, match="before start"):
